@@ -30,9 +30,8 @@ race:
 	$(GO) test -race ./...
 
 # race-timing is the focused race pass for the deterministic-parallelism
-# machinery: the sharded timing engine's differential suites in
-# internal/timing, the parallel grid / warm-fork / planner paths in
-# internal/exp, the fork bit-identity suites in internal/core and
+# machinery: the timing model's suite in internal/timing, the parallel
+# cell-pool grid / warm-fork / planner paths in internal/exp, the fork bit-identity suites in internal/core and
 # internal/workload, the concurrent serving telemetry (the atomic
 # obs registry, the striped lock-free histograms with their merge
 # property test, and the serving harness), and the sharded serving
@@ -41,7 +40,7 @@ race:
 # every push even when the full race matrix is pruned.
 race-timing:
 	$(GO) test -race ./internal/timing/
-	$(GO) test -race -run 'TestRunPerfSharded|TestResolveTimingShards|TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
+	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
 	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/workload/
 	$(GO) test -race ./internal/obs/ ./internal/obs/serve/ ./internal/servebench/ ./internal/servefront/
 
@@ -67,8 +66,9 @@ bench-smoke:
 bench-writehot:
 	$(GO) test -run '^$$' -bench BenchmarkWriteHot -benchmem .
 
-# bench-timing regenerates the numbers behind BENCH_timing.json: one
-# timed perf cell at 1/2/4/8 costing shards.
+# bench-timing regenerates the numbers behind BENCH_timing.json: one cold
+# timed perf cell (mcf x deuce at the CI gate scale), with the experiment
+# cache reset before every iteration.
 bench-timing:
 	$(GO) test -run '^$$' -bench BenchmarkTimedCell -benchmem ./internal/exp/
 

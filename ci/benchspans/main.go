@@ -6,7 +6,7 @@
 //     against.
 //   - gate_traced: the identical gate with a live tracer collecting the
 //     full span hierarchy (fidelity check, plan, cells, warm state,
-//     timing shards, cache hits).
+//     timing-model runs, cache hits).
 //
 // Each leg runs -iters times on fresh caches and the minimum wall clock
 // is recorded, the standard way to measure instrumentation overhead under
@@ -74,7 +74,6 @@ func main() {
 		for i := 0; i < *iters; i++ {
 			exp.ResetCache()
 			exp.ResetReuse()
-			exp.ResetTiming()
 			rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Seed: *seed}
 			var tracer *span.Tracer
 			if traced {

@@ -31,7 +31,6 @@ func main() {
 		lines      = flag.Int("lines", 0, "working-set lines per core (0 = default)")
 		warmup     = flag.Int("warmup", 0, "warm-up writebacks (0 = default)")
 		seed       = flag.Int64("seed", 1, "workload generator seed")
-		shards     = flag.Int("timingshards", 0, "costing shards per timed run: 1 = sequential engine, N > 1 = sharded engine, 0 = auto-size from free CPUs (results are bit-identical)")
 		backendSel = flag.String("backend", "mem", "per-cell storage backend: mem, file or dir; file/dir run every cell against durable pages under -dir (bit-identical results, all caches bypassed)")
 		backendDir = flag.String("dir", "", "parent directory for -backend file/dir state; each cell leaves a fresh subdirectory behind for inspection (default: the system temp dir)")
 		format     = flag.String("format", "text", "output format: text or csv")
@@ -104,11 +103,10 @@ func main() {
 	}
 
 	rc := exp.RunConfig{
-		Writebacks:   *writebacks,
-		Lines:        *lines,
-		Warmup:       *warmup,
-		Seed:         *seed,
-		TimingShards: *shards,
+		Writebacks: *writebacks,
+		Lines:      *lines,
+		Warmup:     *warmup,
+		Seed:       *seed,
 	}
 	switch *backendSel {
 	case "mem":
@@ -144,7 +142,6 @@ func main() {
 		meta.Config = map[string]interface{}{
 			"experiment": *experiment, "writebacks": *writebacks,
 			"lines": *lines, "warmup": *warmup, "seed": *seed, "format": *format,
-			"timingshards": *shards,
 		}
 	}
 
@@ -243,11 +240,10 @@ func main() {
 		}
 	}
 	if reg != nil {
-		// Fold in the process-wide reuse and timing-engine aggregates: grid
-		// sweeps clear the per-run Metrics hook, so these totals are the
-		// only place the sweeps' cache and pipeline behaviour surfaces.
+		// Fold in the process-wide reuse aggregates: grid sweeps clear the
+		// per-run Metrics hook, so these totals are the only place the
+		// sweeps' cache behaviour surfaces.
 		exp.RecordReuseMetrics(reg)
-		exp.RecordTimingMetrics(reg)
 		if err := reg.Snapshot().WriteJSONFile(*metricsOut); err != nil {
 			fail("", err)
 		}

@@ -105,12 +105,11 @@ run 'deucereport <subcommand> -h' for flags.
 // report. Defaults of 0 mean the exp package defaults (30000/2048); CI
 // passes -writebacks 6000 -lines 512 for the reduced-scale gate the
 // tolerances are calibrated for.
-func sizeFlags(fs *flag.FlagSet) (writebacks, lines, warmup *int, seed *int64, shards *int) {
+func sizeFlags(fs *flag.FlagSet) (writebacks, lines, warmup *int, seed *int64) {
 	writebacks = fs.Int("writebacks", 0, "measured writebacks per workload (0 = default 30000)")
 	lines = fs.Int("lines", 0, "working-set lines per core (0 = default 2048)")
 	warmup = fs.Int("warmup", 0, "warm-up writebacks (0 = default 2x working set)")
 	seed = fs.Int64("seed", 1, "workload generator seed")
-	shards = fs.Int("timingshards", 0, "costing shards per timed run (0 = auto, 1 = sequential; results are bit-identical)")
 	return
 }
 
@@ -145,7 +144,7 @@ func selectExpectations(spec string) ([]fidelity.Expectation, error) {
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
 	experiment := fs.String("experiment", "all", "experiment IDs to gate: 'all' or a comma-separated list (fig5,fig10,...)")
-	writebacks, lines, warmup, seed, shards := sizeFlags(fs)
+	writebacks, lines, warmup, seed := sizeFlags(fs)
 	out := fs.String("out", "", "also write the fidelity matrix as markdown to this file")
 	from := fs.String("from", "", "re-verdict recorded table JSON from this directory (zero experiment runs)")
 	outdir := fs.String("outdir", "", "write each experiment's table JSON here, so the gate run doubles as a recording")
@@ -159,7 +158,7 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed, TimingShards: *shards}
+	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed}
 	var tracer *span.Tracer
 	if *spans != "" {
 		tracer = span.New()
@@ -324,7 +323,7 @@ func reuseLine() string {
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	experiment := fs.String("experiment", "all", "experiment IDs to plan: 'all' or a comma-separated list (fig5,fig10,...)")
-	writebacks, lines, warmup, seed, shards := sizeFlags(fs)
+	writebacks, lines, warmup, seed := sizeFlags(fs)
 	out := fs.String("out", "", "also write the dry-run (or profile) to this file")
 	profile := fs.Bool("profile", false, "execute the plan's cells under span tracing and render per-node durations plus the DAG critical path (runs real work, unlike the default dry run)")
 	fs.Parse(args)
@@ -333,7 +332,7 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed, TimingShards: *shards}
+	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed}
 	var tracer *span.Tracer
 	if *profile {
 		tracer = span.New()
@@ -655,14 +654,14 @@ func cmdReport(args []string) error {
 	ledger := fs.String("ledger", "", "JSONL ledger to render trends from (optional)")
 	out := fs.String("out", "report.md", "markdown output path")
 	experiment := fs.String("experiment", "all", "experiment IDs for the fidelity matrix ('none' to skip running experiments)")
-	writebacks, lines, warmup, seed, shards := sizeFlags(fs)
+	writebacks, lines, warmup, seed := sizeFlags(fs)
 	width := fs.Int("width", 32, "sparkline width in the trend table")
 	filter := fs.String("filter", "", "only trend metrics containing this substring")
 	fs.Parse(args)
 
 	var b strings.Builder
 	b.WriteString("# DEUCE reproduction report\n\n")
-	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed, TimingShards: *shards}
+	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed}
 
 	pass := true
 	if *experiment != "none" {
@@ -849,8 +848,8 @@ func attrCell(attrs []span.Attr) string {
 }
 
 // timeAttributionMarkdown is the report's condensed span summary: where
-// the checked experiments' wall clock went by span name, the critical
-// chain, and the parallel timing engine's aggregate activity.
+// the checked experiments' wall clock went by span name, and the critical
+// chain.
 func timeAttributionMarkdown(tree *span.Tree, elapsed time.Duration) string {
 	if tree.Spans == 0 {
 		return ""
@@ -874,10 +873,6 @@ func timeAttributionMarkdown(tree *span.Tree, elapsed time.Duration) string {
 	}
 	if len(names) > 0 {
 		fmt.Fprintf(&b, "\nCritical path: %s.\n", strings.Join(names, " → "))
-	}
-	if ts := exp.Timing(); ts.ShardedRuns > 0 {
-		fmt.Fprintf(&b, "\nTiming engine: %d sharded runs over %d epochs, %s of costing moved off the event loops, %s of barrier stall.\n",
-			ts.ShardedRuns, ts.Epochs, span.FormatNs(ts.CostingNs), span.FormatNs(ts.BarrierStallNs))
 	}
 	b.WriteString("\n")
 	return b.String()

@@ -26,9 +26,9 @@
 // single lock around one Memory (internal/servebench's coarse baseline) or
 // a partition of the line space into independently locked regions, each
 // backed by its own Memory instance (internal/servefront's sharded
-// single-writer front end, DESIGN.md §13). The same single-writer-line
-// contract is what the deterministic timing engine enforces dynamically via
-// timing.ErrSharedLine (DESIGN.md §9).
+// single-writer front end, DESIGN.md §13). Either way, every line has
+// exactly one writer at a time, which is what keeps a Memory's per-line
+// counters, epochs and write accounting exact.
 //
 // The reproduction harness for the paper's tables and figures lives in
 // cmd/deucebench; the workload models, wear leveling, cache hierarchy, and

@@ -159,10 +159,6 @@ func RunFlipsCalls() int64 { return flipRuns.Load() }
 // key renders the result-affecting scalar fields of the RunConfig, after
 // defaulting, as a canonical cache-key fragment. The observability hooks
 // deliberately do not appear: they never change measured values.
-// TimingShards is likewise excluded on purpose — the sharded timing
-// engine is bit-identical to the sequential one by contract (pinned by
-// the differential suite), so runs that differ only in shard count may
-// share one cached grid.
 func (rc RunConfig) key() string {
 	rc.setDefaults()
 	return fmt.Sprintf("wb=%d warm=%d lines=%d seed=%d pause=%t rdlat=%g ccb=%d",

@@ -26,9 +26,7 @@ const codeVersionSalt = "deuce-measure-v6"
 //
 // The empty string means "not hashable": a config carrying single-run
 // observability hooks records artifacts a reused table cannot replay, so
-// it never matches and always runs for real. TimingShards is deliberately
-// invisible here (via rc.key()): sharded and sequential timing are
-// bit-identical by contract (DESIGN.md §9).
+// it never matches and always runs for real.
 func InputsHash(id string, rc RunConfig) string {
 	// Progress is pure narration and does not gate hashing; the recording
 	// hooks do, and so does a durable backend (its on-disk state is part

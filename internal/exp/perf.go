@@ -28,10 +28,8 @@ type PerfResult struct {
 // Table 1 and returns execution time and activity.
 //
 // Like RunFlips, eligible cells (see cellCacheable) are memoized: the
-// result is all-scalar, and both timing engines are deterministic in the
-// cell key, so a cell shared between figures executes once. TimingShards
-// is deliberately absent from the key — sharded and sequential runs are
-// bit-identical by contract (DESIGN.md §9).
+// result is all-scalar and the timing model is deterministic in the cell
+// key, so a cell shared between figures executes once.
 func RunPerf(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig) (PerfResult, error) {
 	rc.setDefaults()
 	// The event budget below divides by WBPKI; guard here so a
@@ -42,12 +40,12 @@ func RunPerf(prof workload.Profile, kind core.Kind, params core.Params, rc RunCo
 			prof.Name, prof.WBPKI)
 	}
 	if !cellCacheable(params, rc) {
-		return runPerfDispatch(prof, kind, params, rc)
+		return runPerfMeasured(prof, kind, params, rc)
 	}
 	pk, _ := paramsKey(params)
 	key := perfCellKey(prof, kind, pk, rc)
 	v, err := cachedDo(rc, "cell/perf", key, func() (interface{}, error) {
-		return runPerfDispatch(prof, kind, params, rc)
+		return runPerfMeasured(prof, kind, params, rc)
 	})
 	if err != nil {
 		return PerfResult{}, err
@@ -55,18 +53,13 @@ func RunPerf(prof workload.Profile, kind core.Kind, params core.Params, rc RunCo
 	return v.(PerfResult), nil
 }
 
-// runPerfDispatch picks the timing engine and executes the cell for real.
-func runPerfDispatch(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig) (PerfResult, error) {
+// runPerfMeasured executes the cell for real: a warmed scheme costs each
+// writeback of the timed window inside the sequential timing model.
+func runPerfMeasured(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig) (PerfResult, error) {
 	perfRuns.Add(1)
 	cell := rc.startSpan("cell/perf", cellAttrs(prof, kind, params, rc, perfCellKey)...)
 	defer cell.End()
 	rc.SpanParent = cell
-	// The sharded engine requires line-separable costing and exclusive
-	// ownership of the write path, which the single-writer Trace hook
-	// would break; both fallbacks preserve results exactly (DESIGN.md §9).
-	if shards := resolveTimingShards(rc.TimingShards); shards > 1 && rc.Trace == nil && core.LineSeparable(kind) {
-		return runPerfSharded(prof, kind, params, rc, shards)
-	}
 	s, gen, err := warmedScheme(prof, kind, params, rc, perfTopology(rc))
 	if err != nil {
 		return PerfResult{}, err
@@ -103,7 +96,9 @@ func runPerfDispatch(prof workload.Profile, kind core.Kind, params core.Params, 
 	if err != nil {
 		return PerfResult{}, err
 	}
+	run := rc.startSpan("timing.run")
 	res, err := sim.Run(1 << 30) // the source enforces the budget
+	run.End()
 	if err != nil {
 		return PerfResult{}, err
 	}

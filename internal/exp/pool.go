@@ -45,15 +45,6 @@ func forEachCellObserved(n int, prog *obs.Progress, fn func(i int) error) error 
 	return forEachCell(n, fn)
 }
 
-// activeCellWorkers counts the workers of every cell pool currently
-// running, across concurrent sweeps. A pool claims its full worker count
-// for its whole lifetime (not per-goroutine as it happens to get
-// scheduled, which would race with startup): the sharded timing engine's
-// shard auto-sizing (resolveTimingShards) reads this to split GOMAXPROCS
-// between cell-level and bank-level parallelism instead of multiplying
-// them.
-var activeCellWorkers atomic.Int64
-
 // forEachCellN is forEachCell with an explicit worker count, split out so
 // tests can drive a wide pool regardless of the host's core count.
 func forEachCellN(workers, n int, fn func(i int) error) error {
@@ -62,15 +53,11 @@ func forEachCellN(workers, n int, fn func(i int) error) error {
 	}
 	errs := make([]error, n)
 	if workers <= 1 {
-		activeCellWorkers.Add(1)
-		defer activeCellWorkers.Add(-1)
 		for i := 0; i < n; i++ {
 			errs[i] = fn(i)
 		}
 		return firstError(errs)
 	}
-	activeCellWorkers.Add(int64(workers))
-	defer activeCellWorkers.Add(int64(-workers))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -41,19 +41,6 @@ type RunConfig struct {
 	// an extra memory read (see internal/ctrcache). 0 models an ideal
 	// (always-hit) counter store, the default the paper assumes.
 	CounterCacheBlocks int
-	// TimingShards selects the timing engine for performance runs:
-	// 1 runs the sequential reference Simulator, N > 1 the sharded
-	// engine (timing.Sharded) with N costing shards, and 0 auto-sizes
-	// from GOMAXPROCS against the cell pool's active workers so
-	// cell-level and bank-level parallelism compose instead of
-	// oversubscribing. Results are bit-identical for every value — the
-	// sharded engine's determinism contract (DESIGN.md §9) — which is
-	// why the grid cache key deliberately excludes this field. Runs
-	// that cannot satisfy the contract (a non-line-separable scheme,
-	// or a single-writer rc.Trace hook) fall back to the sequential
-	// engine regardless of this setting.
-	TimingShards int
-
 	// Backend selects durable page storage for each cell's scheme:
 	// "" (in-memory, the default), "file" or "dir" (internal/backend,
 	// threaded via core.Params.MakeBackend). Results are bit-identical

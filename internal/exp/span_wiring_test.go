@@ -10,15 +10,15 @@ import (
 // tracedMiniGate runs a small planned gate (plan pre-pass + table
 // assembly) under a fresh tracer and returns the assembled span tree.
 // fig16 exercises every span kind at once: warm streams/schemes, perf
-// cells on the sharded timing engine, the perf grid, cache hits during
+// cells and their timing-model runs, the perf grid, cache hits during
 // table assembly, and the table span itself.
-func tracedMiniGate(t *testing.T, shards int) *span.Tree {
+func tracedMiniGate(t *testing.T) *span.Tree {
 	t.Helper()
 	SetWarmReuse(true)
 	ResetCache()
 	ResetReuse()
 	tr := span.New()
-	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 4, TimingShards: shards, Spans: tr}
+	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 4, Spans: tr}
 	plan, err := BuildPlan([]string{"fig16"}, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -38,11 +38,10 @@ func tracedMiniGate(t *testing.T, shards int) *span.Tree {
 
 // TestPlanSpanStructureDeterminism pins the tracer's core contract at
 // gate scope: two identical runs produce identical span structure even
-// though the cell pool and costing shards schedule work differently each
-// time. Run under -race via the Makefile's race-timing target.
+// though the cell pool schedules work differently each time. Run under -race via the Makefile's race-timing target.
 func TestPlanSpanStructureDeterminism(t *testing.T) {
-	first := tracedMiniGate(t, 2)
-	second := tracedMiniGate(t, 2)
+	first := tracedMiniGate(t)
+	second := tracedMiniGate(t)
 	t.Cleanup(ResetCache)
 	if first.Spans == 0 {
 		t.Fatal("traced gate produced no spans")
@@ -55,8 +54,7 @@ func TestPlanSpanStructureDeterminism(t *testing.T) {
 		t.Errorf("span structure is schedule-dependent:\nrun1:\n%s\nrun2:\n%s", a, b)
 	}
 	for _, want := range []string{"plan.build", "plan.execute", "cell/perf",
-		"warm-stream", "warm-scheme", "warmup", "timing.run", "timing.shard",
-		"grid/perf", "table/fig16", "cache-hit"} {
+		"warm-stream", "warm-scheme", "warmup", "timing.run", "grid/perf", "table/fig16", "cache-hit"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("traced gate structure is missing %q spans", want)
 		}

@@ -94,62 +94,30 @@ func TestWarmForkActuallyForks(t *testing.T) {
 	}
 }
 
-// TestWarmPerfBitIdentical: warm-forked timed cells must match cold runs
-// on both the sequential and the sharded engine, and the two engines must
-// keep matching each other (the §9 contract composed with warm forking).
+// TestWarmPerfBitIdentical: warm-forked timed cells must match cold runs.
 func TestWarmPerfBitIdentical(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []core.Kind{core.KindDeuce, core.KindEncrFNW} {
-		for _, shards := range []int{1, 2} {
-			rc := RunConfig{Writebacks: 400, Lines: 64, Seed: 3, TimingShards: shards}
-			cold := coldRun(t, func() (PerfResult, error) {
-				return RunPerf(prof, kind, core.Params{}, rc)
-			})
-			SetWarmReuse(true)
-			ResetCache()
-			ResetReuse()
-			warm, err := RunPerf(prof, kind, core.Params{}, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cold != warm {
-				t.Errorf("%s shards=%d: warm-forked perf diverges\n cold: %+v\n warm: %+v",
-					kind, shards, cold, warm)
-			}
+		rc := RunConfig{Writebacks: 400, Lines: 64, Seed: 3}
+		cold := coldRun(t, func() (PerfResult, error) {
+			return RunPerf(prof, kind, core.Params{}, rc)
+		})
+		SetWarmReuse(true)
+		ResetCache()
+		ResetReuse()
+		warm, err := RunPerf(prof, kind, core.Params{}, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold != warm {
+			t.Errorf("%s: warm-forked perf diverges\n cold: %+v\n warm: %+v",
+				kind, cold, warm)
 		}
 	}
 	ResetCache()
-}
-
-// TestWarmSequentialShardedShareCell: a sequential run and a sharded run
-// of the same cell must be served from one cache entry (TimingShards is
-// excluded from the key by the determinism contract).
-func TestWarmSequentialShardedShareCell(t *testing.T) {
-	prof, err := workload.ByName("libq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetWarmReuse(true)
-	ResetCache()
-	t.Cleanup(ResetCache)
-	seq, err := RunPerf(prof, core.KindDeuce, core.Params{}, RunConfig{Writebacks: 300, Lines: 64, Seed: 1, TimingShards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := RunPerfCalls()
-	sh, err := RunPerf(prof, core.KindDeuce, core.Params{}, RunConfig{Writebacks: 300, Lines: 64, Seed: 1, TimingShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RunPerfCalls(); got != before {
-		t.Errorf("sharded twin re-executed the cell: RunPerfCalls %d -> %d", before, got)
-	}
-	if seq != sh {
-		t.Errorf("cached cell served different results: %+v vs %+v", seq, sh)
-	}
 }
 
 // TestWarmWearBitIdentical: wear cells cannot fork (wrapped array) but are

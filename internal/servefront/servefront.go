@@ -4,14 +4,12 @@
 // region store behind its own mutex, with key→shard routing by hash.
 // Thousands of client goroutines hammering distinct keys land on disjoint
 // shards and never contend, while the per-shard lock serializes each
-// region exactly like a single-goroutine owner would — the same
-// single-writer-line discipline the deterministic timing engine enforces
-// via timing.ErrSharedLine (DESIGN.md §9), here made unviolable by
-// construction: a line belongs to exactly one shard, and only that
-// shard's lock holder can touch it.
+// region exactly like a single-goroutine owner would. The single-writer-
+// line discipline holds by construction: a line belongs to exactly one
+// shard, and only that shard's lock holder can touch it.
 //
-// Per-shard scheme instances mirror exp.runPerfSharded: shard state
-// (cells, counters, epochs, scratch) is fully disjoint, so per-cell write
+// Each shard owns its own scheme instance, so shard state (cells,
+// counters, epochs, scratch) is fully disjoint and per-cell write
 // accounting stays exact and Stats can merge the per-shard deuce.Stats
 // integer counters bit-for-bit — the currency of the paper's evaluation
 // survives sharding untouched. The differential suite pins this: the

@@ -12,13 +12,9 @@
 // writebacks with finite write buffering): the paper's speedups are memory
 // effects, and this is the minimal machine that exhibits them.
 //
-// Concurrency: the sequential engine is single-owner state driven by one
-// goroutine. The sharded engine partitions lines across shards that each
-// run the sequential algorithm on their own goroutine; a line belongs to
-// exactly one shard, enforced by ErrSharedLine, and the merge of shard
-// timelines is deterministic — sharded and sequential runs are
-// bit-identical by contract (DESIGN.md §9, pinned by the differential
-// suite in this package).
+// Concurrency: a Simulator is single-owner state driven by one goroutine.
+// Experiment sweeps get their parallelism from running independent
+// simulations side by side, one per grid cell.
 package timing
 
 import (

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build vet test race race-timing race-durability bench-smoke bench-writehot bench-timing bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
+.PHONY: check fmt-check doclint build vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
 
 # check is the pre-merge gate: static checks, full tests under the race
 # detector, and a short smoke of the steady-state write benchmark so a
@@ -55,6 +55,12 @@ race-durability:
 	$(GO) test -race -run 'TestBackend' ./internal/pcmdev/ ./internal/ctrstore/
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
+
+# fuzz-smoke runs the DEUCE write-kernel fuzz target for ten seconds: the
+# lane-mask deuceStepInto and dualDecryptInto against their byte-loop
+# decrypt-then-step references on fuzzed line state.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay
 # allocation-free; 100 iterations is too few for timing, use bench-writehot

@@ -8,6 +8,7 @@ package deuce
 // the same experiments at full size with per-workload tables.
 
 import (
+	"flag"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -40,26 +41,71 @@ func lastRowPercents(t *exp.Table) []float64 {
 	return out
 }
 
-// runExperiment is the shared bench body.
-func runExperiment(b *testing.B, id string, metricNames []string) {
-	b.Helper()
-	e, err := exp.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var table *exp.Table
-	for i := 0; i < b.N; i++ {
-		table, err = e.Run(benchRC())
+// experimentBody runs experiment id at rc once per iteration and reports
+// the final table's average row as custom metrics. The process-wide
+// experiment cache is reset before every iteration, and the body fails
+// unless each iteration executes experiment cells (RunPerf or RunFlips), so
+// no iteration after the first is timed as a memoized hit.
+func experimentBody(id string, rc exp.RunConfig, metricNames []string) func(*testing.B) {
+	return func(b *testing.B) {
+		e, err := exp.ByID(id)
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	for i, v := range lastRowPercents(table) {
-		name := "value"
-		if i < len(metricNames) {
-			name = metricNames[i]
+		var table *exp.Table
+		for i := 0; i < b.N; i++ {
+			exp.ResetCache()
+			before := exp.RunPerfCalls() + exp.RunFlipsCalls()
+			table, err = e.Run(rc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if exp.RunPerfCalls()+exp.RunFlipsCalls() == before {
+				b.Fatalf("%s iteration %d executed no experiment cells", id, i)
+			}
 		}
-		b.ReportMetric(v, name)
+		for i, v := range lastRowPercents(table) {
+			name := "value"
+			if i < len(metricNames) {
+				name = metricNames[i]
+			}
+			b.ReportMetric(v, name)
+		}
+	}
+}
+
+// runExperiment is the shared bench body at the benchRC size.
+func runExperiment(b *testing.B, id string, metricNames []string) {
+	b.Helper()
+	experimentBody(id, benchRC(), metricNames)(b)
+}
+
+// TestExperimentBodiesExecute drives the experiment benchmarks' body
+// through testing.Benchmark for three iterations at toy scale; the body
+// itself fails any iteration that executes no cells, so no experiment
+// benchmark can silently degrade into timing cache hits. fig14 is left to
+// its benchmark: its wear cells run at least 40000 writebacks whatever the
+// scale, about 20 s per iteration.
+func TestExperimentBodiesExecute(t *testing.T) {
+	bt := flag.Lookup("test.benchtime")
+	if bt == nil {
+		t.Fatal("test.benchtime flag not registered")
+	}
+	prev := bt.Value.String()
+	if err := bt.Value.Set("3x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := bt.Value.Set(prev); err != nil {
+			t.Error(err)
+		}
+		exp.ResetCache()
+	})
+	rc := exp.RunConfig{Writebacks: 300, Lines: 64, Seed: 1}
+	for _, id := range []string{"fig5", "fig8", "fig9", "fig10", "table3", "fig12", "fig15", "fig16", "fig17", "fig18"} {
+		if res := testing.Benchmark(experimentBody(id, rc, nil)); res.N != 3 {
+			t.Errorf("%s: benchmark body failed or ran its final round at b.N=%d, want 3", id, res.N)
+		}
 	}
 }
 
@@ -195,7 +241,7 @@ func BenchmarkSchemeWrite(b *testing.B) {
 		b.Run(string(k), func(b *testing.B) {
 			s, err := core.New(k, core.Params{Lines: 1024})
 			if err != nil {
-				b.Fatal(b)
+				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(1))
 			data := make([]byte, 64)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"deuce/internal/bitutil"
 	"deuce/internal/fnw"
 	"deuce/internal/otp"
@@ -24,6 +26,14 @@ import (
 // Security is inherited from the baseline OTP scheme: a word's ciphertext
 // only ever changes under a counter value that has never been used for that
 // line before, so no pad encrypts two different values (§4.3.5).
+//
+// A write derives two pads, not three: it never decrypts the old line.
+// Between boundaries the old and new counters share one TCTR, so a word
+// whose modified bit is clear still holds plaintext ^ padT, and comparing
+// oldCT ^ padT with the new plaintext finds exactly the changed words (see
+// deuceStepInto). The TCTR pad is only compared against, never used to
+// encrypt new data, and the stored image is byte-identical to decrypting
+// first, so the §4.3.5 argument is unchanged.
 type Deuce struct {
 	*base
 	epochMask uint64
@@ -49,12 +59,64 @@ func (s *Deuce) OverheadBits() int { return s.words() }
 // tctr derives the trailing counter from a leading counter value.
 func tctr(ctr, epochMask uint64) uint64 { return ctr &^ epochMask }
 
+// The DEUCE kernels work on 8-byte lanes. A lane holds 8/w tracking words
+// of w bytes, whose modified bits form one (8/w)-bit group of the metadata
+// image; since 8/w divides 8, a group never straddles a metadata byte.
+// laneTab holds, for one word width, the two translations a kernel needs
+// between a lane's bytes and its group of word bits.
+type laneTab struct {
+	bits uint // word bits per lane (8/w)
+	// words maps a lane's nonzero-byte pattern (bit i: byte i nonzero) to
+	// its nonzero-word bits (bit j: word j has a nonzero byte).
+	words [256]uint8
+	// expand maps a lane's word bits to a byte mask: 0xff on every byte of
+	// a word whose bit is set. Only the first 1<<bits entries are used.
+	expand [256]uint64
+}
+
+// laneTabs is indexed by word width in bytes (1, 2, 4 or 8, the widths
+// Params.validate accepts); it is filled once at package initialization.
+var laneTabs = func() (t [9]*laneTab) {
+	for _, w := range []int{1, 2, 4, 8} {
+		lt := &laneTab{bits: uint(8 / w)}
+		for v := 0; v < 256; v++ {
+			for i := 0; i < 8; i++ {
+				if v&(1<<i) != 0 {
+					lt.words[v] |= 1 << (i / w)
+				}
+				if v < 1<<lt.bits && v&(1<<(i/w)) != 0 {
+					lt.expand[v] |= 0xff << (8 * i)
+				}
+			}
+		}
+		t[w] = lt
+	}
+	return t
+}()
+
+// group returns the word bits of lane k from a metadata image.
+func (lt *laneTab) group(meta []byte, k int) uint8 {
+	off := uint(k) * lt.bits
+	return meta[off>>3] >> (off & 7) & uint8(1<<lt.bits-1)
+}
+
+// nonzeroBytes returns the byte pattern of x: bit i is set iff byte i of x
+// is nonzero. The sum sets each byte's high bit iff its low seven bits are
+// nonzero (no carry crosses a byte); the multiply gathers the eight high
+// bits into the top byte without collisions.
+func nonzeroBytes(x uint64) uint8 {
+	const lo7 = 0x7f7f7f7f7f7f7f7f
+	h := ((x & lo7) + lo7 | x) &^ lo7
+	return uint8(h * 0x0002040810204081 >> 56)
+}
+
 // dualDecryptInto reconstructs the plaintext of a DEUCE-encrypted region
 // into dst. ct is the stored ciphertext, mod the modified-bit image (bit i
 // covers word i), ctr the line counter. Words with the modified bit set
-// decrypt with the LCTR pad; the rest with the TCTR pad (Figure 7).
-// lpadBuf and tpadBuf are caller-owned pad scratch of len(ct) bytes; their
-// contents after the call are the two pads. dst must not alias ct.
+// decrypt with the LCTR pad; the rest with the TCTR pad (Figure 7): per
+// lane, dst = ct ^ (padT &^ M | padL & M) with M the lane's modified words
+// as a byte mask. lpadBuf and tpadBuf are caller-owned pad scratch of
+// len(ct) bytes; their contents after the call are the two pads.
 func dualDecryptInto(dst []byte, gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int, ct, mod, lpadBuf, tpadBuf []byte) {
 	gen.PadInto(lpadBuf, line, ctr)
 	t := tctr(ctr, epochMask)
@@ -63,18 +125,12 @@ func dualDecryptInto(dst []byte, gen *otp.Generator, line, ctr, epochMask uint64
 		bitutil.XOR(dst, ct, lpadBuf)
 		return
 	}
-	// Decrypt the whole line with the trailing pad word-parallel, then
-	// redo the (typically few) modified words with the leading pad.
 	gen.PadInto(tpadBuf, line, t)
-	bitutil.XOR(dst, ct, tpadBuf)
-	words := len(ct) / wordBytes
-	for i := 0; i < words; i++ {
-		if bitutil.GetBit(mod, i) {
-			off := i * wordBytes
-			for j := off; j < off+wordBytes; j++ {
-				dst[j] = ct[j] ^ lpadBuf[j]
-			}
-		}
+	lt := laneTabs[wordBytes]
+	for k, off := 0, 0; off < len(ct); k, off = k+1, off+8 {
+		m := lt.expand[lt.group(mod, k)]
+		pad := binary.LittleEndian.Uint64(tpadBuf[off:])&^m | binary.LittleEndian.Uint64(lpadBuf[off:])&m
+		binary.LittleEndian.PutUint64(dst[off:], binary.LittleEndian.Uint64(ct[off:])^pad)
 	}
 }
 
@@ -91,40 +147,46 @@ func dualDecrypt(gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int,
 // deuceStepInto computes the ciphertext image and modified bits produced by
 // one DEUCE write, into caller-owned newCT (line-sized) and newMod (at least
 // metaBytes(words) bytes; exactly that prefix is written). oldCT and oldMod
-// describe the pre-write stored state, oldPlain the pre-write plaintext, ctr
-// the already-incremented counter. lpadBuf is line-sized pad scratch. newCT
-// must not alias oldCT or plaintext; newMod must not alias oldMod.
+// describe the pre-write stored state, ctr the already-incremented counter.
+// lpadBuf and tpadBuf are line-sized pad scratch; on return lpadBuf holds
+// the LCTR pad for ctr. newCT must not alias oldCT or plaintext; newMod must
+// not alias oldMod.
+//
+// The old plaintext is never reconstructed. Off an epoch boundary ctr-1
+// and ctr share one TCTR, so a word not yet modified this epoch still holds
+// its TCTR ciphertext, and oldCT ^ padT ^ plaintext is zero exactly on the
+// unchanged words. Words already modified stay modified whatever they hold:
+//
+//	newMod = oldMod | nonzeroWords(oldCT ^ padT ^ plaintext)
+//	newCT  = oldCT &^ M | (plaintext ^ padL) & M,  M = newMod as a byte mask
+//
+// That is two pads per write off a boundary and one at it.
 func deuceStepInto(newCT, newMod []byte, gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int,
-	oldCT, oldMod, oldPlain, plaintext, lpadBuf []byte) {
+	oldCT, oldMod, plaintext, lpadBuf, tpadBuf []byte) {
 
-	words := len(plaintext) / wordBytes
-	mb := metaBytes(words)
+	mb := metaBytes(len(plaintext) / wordBytes)
+	gen.PadInto(lpadBuf, line, ctr)
 	if ctr&epochMask == 0 {
 		// Epoch boundary: full re-encryption, modified bits reset
 		// (TCTR catches up to LCTR).
-		gen.EncryptInto(newCT, line, ctr, plaintext)
+		bitutil.XOR(newCT, plaintext, lpadBuf)
 		for i := range newMod[:mb] {
 			newMod[i] = 0
 		}
 		return
 	}
 
+	gen.PadInto(tpadBuf, line, tctr(ctr, epochMask))
 	copy(newMod[:mb], oldMod[:mb])
-	for i := 0; i < words; i++ {
-		if !bitutil.WordsEqual(oldPlain, plaintext, wordBytes, i) {
-			bitutil.SetBit(newMod, i, true)
-		}
-	}
-
-	gen.PadInto(lpadBuf, line, ctr)
-	copy(newCT, oldCT)
-	for i := 0; i < words; i++ {
-		if bitutil.GetBit(newMod, i) {
-			off := i * wordBytes
-			for j := off; j < off+wordBytes; j++ {
-				newCT[j] = plaintext[j] ^ lpadBuf[j]
-			}
-		}
+	lt := laneTabs[wordBytes]
+	for k, off := 0, 0; off < len(plaintext); k, off = k+1, off+8 {
+		ct := binary.LittleEndian.Uint64(oldCT[off:])
+		pt := binary.LittleEndian.Uint64(plaintext[off:])
+		g := lt.group(oldMod, k) | lt.words[nonzeroBytes(ct^binary.LittleEndian.Uint64(tpadBuf[off:])^pt)]
+		bit := uint(k) * lt.bits
+		newMod[bit>>3] |= g << (bit & 7)
+		m := lt.expand[g]
+		binary.LittleEndian.PutUint64(newCT[off:], ct&^m|(pt^binary.LittleEndian.Uint64(lpadBuf[off:]))&m)
 	}
 }
 
@@ -143,19 +205,17 @@ func (s *Deuce) initLine(line uint64) {
 }
 
 // Write implements Scheme. The steady-state path allocates nothing: the
-// stored image, the reconstructed plaintext, the pads and the new image all
-// live in the scheme's scratch buffers.
+// stored image, the pads and the new image all live in the scheme's
+// scratch buffers.
 func (s *Deuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.checkPlain(plaintext)
 	s.initLine(line)
 
 	oldCT, oldMod := s.scr.oldData, s.scr.oldMeta
 	s.dev.PeekInto(line, oldCT, oldMod)
-	dualDecryptInto(s.scr.oldPlain, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes,
-		oldCT, oldMod, s.scr.padL, s.scr.padT)
 	ctr, _ := s.ctrs.Increment(line)
 	deuceStepInto(s.scr.newData, s.scr.newMeta, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
-		oldCT, oldMod, s.scr.oldPlain, plaintext, s.scr.padL)
+		oldCT, oldMod, plaintext, s.scr.padL, s.scr.padT)
 	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
 }
 
@@ -247,13 +307,11 @@ func (s *DeuceFNW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.dev.PeekInto(line, oldCells, oldMeta)
 	oldMod, oldFlips := s.split(oldMeta)
 	s.codec.DecodeInto(s.oldCTBuf, oldCells, oldFlips)
-	dualDecryptInto(s.scr.oldPlain, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes,
-		s.oldCTBuf, oldMod, s.scr.padL, s.scr.padT)
 
 	ctr, _ := s.ctrs.Increment(line)
 	newMod, newFlips := s.split(s.scr.newMeta)
 	deuceStepInto(s.newCTBuf, newMod, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
-		s.oldCTBuf, oldMod, s.scr.oldPlain, plaintext, s.scr.padL)
+		s.oldCTBuf, oldMod, plaintext, s.scr.padL, s.scr.padT)
 	s.codec.EncodeInto(s.scr.newData, newFlips, oldCells, oldFlips, s.newCTBuf)
 	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
 }

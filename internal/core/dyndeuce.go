@@ -110,8 +110,6 @@ func (s *DynDeuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	oldCells, oldMeta := s.scr.oldData, s.scr.oldMeta
 	s.dev.PeekInto(line, oldCells, oldMeta)
 	fnwMode := bitutil.GetBit(oldMeta, s.modeBit())
-	oldPlain := s.scr.oldPlain
-	s.plainOfInto(oldPlain, line, oldCells, oldMeta)
 	ctr, _ := s.ctrs.Increment(line)
 
 	newCells, newMeta := s.scr.newData, s.scr.newMeta
@@ -135,13 +133,14 @@ func (s *DynDeuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	default:
 		// DEUCE mode: estimate both candidates and pick the cheaper
 		// (Figure 11). Costs include the tracking-bit changes so the
-		// comparison is apples to apples.
+		// comparison is apples to apples. The FNW candidate is the whole
+		// line under the LCTR pad the DEUCE step just derived.
 		deuceStepInto(s.deuceCTBuf, s.deuceModBuf, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
-			oldCells, oldMeta, oldPlain, plaintext, s.scr.padL)
+			oldCells, oldMeta, plaintext, s.scr.padL, s.scr.padT)
 		deuceCost := bitutil.Hamming(oldCells, s.deuceCTBuf) +
 			bitutil.Hamming(oldMeta[:s.trackBytes], s.deuceModBuf[:s.trackBytes])
 
-		s.gen.EncryptInto(s.fnwCTBuf, line, ctr, plaintext)
+		bitutil.XOR(s.fnwCTBuf, plaintext, s.scr.padL)
 		fnwCost := s.codec.CountFlips(oldCells, oldMeta, s.fnwCTBuf) + 1 // +1: mode bit
 
 		if fnwCost < deuceCost {

@@ -31,9 +31,11 @@ race:
 
 # race-timing is the focused race pass for the deterministic-parallelism
 # machinery: the timing model's suite in internal/timing, the parallel
-# cell-pool grid / warm-fork / planner paths in internal/exp, the fork bit-identity suites in internal/core and
-# internal/workload, the concurrent serving telemetry (the atomic
-# obs registry, the striped lock-free histograms with their merge
+# cell-pool grid / warm-fork / planner paths in internal/exp, the fork
+# bit-identity suites in internal/core and internal/workload, the
+# read-only Fork/PositionWrites contract of internal/pcmdev that
+# concurrent warm forks rely on, the concurrent serving telemetry (the
+# atomic obs registry, the striped lock-free histograms with their merge
 # property test, and the serving harness), and the sharded serving
 # front end's differential replay suite (internal/servefront), all under
 # the race detector. A subset of `race`, split out so CI can run it on
@@ -41,7 +43,7 @@ race:
 race-timing:
 	$(GO) test -race ./internal/timing/
 	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
-	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/workload/
+	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/workload/ ./internal/pcmdev/
 	$(GO) test -race ./internal/obs/ ./internal/obs/serve/ ./internal/servebench/ ./internal/servefront/
 
 # race-durability is the focused race pass for the persistence layer: the
@@ -56,11 +58,16 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs the DEUCE write-kernel fuzz target for ten seconds: the
-# lane-mask deuceStepInto and dualDecryptInto against their byte-loop
-# decrypt-then-step references on fuzzed line state.
+# fuzz-smoke runs three fuzz targets for ten seconds each: the DEUCE write
+# kernel (the lane-mask deuceStepInto and dualDecryptInto against their
+# byte-loop decrypt-then-step references on fuzzed line state), the
+# device's bit-sliced wear accounting against its per-flip reference on
+# fuzzed geometry and images, and pcmdev.Restore on arbitrary snapshots
+# (typed errors only, never a partial restore).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
+	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 10s ./internal/pcmdev
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay
 # allocation-free; 100 iterations is too few for timing, use bench-writehot

@@ -12,7 +12,8 @@ import "deuce/internal/backend"
 //
 // The fork always lands on the in-memory backend, whatever the original
 // runs on: warm cells are RAM-resident working copies, never a second
-// handle on the same durable file.
+// handle on the same durable file. On a Pager backend Fork only reads d,
+// so one frozen device may be forked from many goroutines at once.
 func (d *Device) Fork() *Device {
 	nd := MustNew(d.cfg)
 	mem := nd.pg.(*backend.Mem)
@@ -21,12 +22,13 @@ func (d *Device) Fork() *Device {
 	}
 	nd.stats = d.stats
 	copy(nd.posWrites, d.posWrites)
+	copy(nd.planes, d.planes)
+	nd.pending = d.pending
 	copy(nd.lineWrites, d.lineWrites)
 	if d.lineWear != nil {
 		for i, w := range d.lineWear {
 			copy(nd.lineWear[i], w)
 		}
 	}
-	nd.slotScratch = make([]int, len(d.slotScratch))
 	return nd
 }

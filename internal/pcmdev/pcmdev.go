@@ -46,6 +46,15 @@ const (
 	MaxFlipsPerSlot  = 64  // internal FNW provisioning per slot [22]
 )
 
+// planeDepth is the number of bit planes behind each word of cells, so a
+// position's pending program count holds planeDepth bits. Write adds at
+// most one program per position, so the planes fold into the profile every
+// foldEvery programming writes, before any count could overflow.
+const (
+	planeDepth = 8
+	foldEvery  = 1<<planeDepth - 1
+)
+
 // Config describes a simulated PCM array.
 type Config struct {
 	// Lines is the number of cache lines in the array.
@@ -144,8 +153,14 @@ type WriteResult struct {
 // TotalFlips returns data plus metadata flips for the write.
 func (r WriteResult) TotalFlips() int { return r.DataFlips + r.MetaFlips }
 
-// Device is a simulated PCM array. It is not safe for concurrent use; the
-// experiment harness runs one device per goroutine.
+// Device is a simulated PCM array. Write, Read, Load and ResetStats mutate
+// it and need one goroutine at a time; the experiment harness runs one
+// device per goroutine. A device nobody writes any more may be read from
+// many goroutines at once when its backend is a Pager (RAM, mmap): Stats,
+// PositionWrites, LineWrites and Fork only read it (PositionWrites and Fork
+// combine the pending wear planes with the folded profile instead of
+// folding in place), which is what lets the warm cache fork one frozen
+// device per grid cell concurrently.
 type Device struct {
 	cfg Config
 
@@ -162,10 +177,18 @@ type Device struct {
 
 	stats Stats
 
-	// posWrites[p] counts programs of bit position p (0..LineBits-1 data,
-	// then MetaBits metadata positions), aggregated over all lines. This
-	// is exactly the Figure 12 profile.
+	// The Figure 12 profile — programs of each bit position (LineBits data
+	// positions, then MetaBits metadata positions) aggregated over all
+	// lines — is posWrites plus the pending counts in planes. planes[w][k]
+	// holds bit k of the pending count of positions w*64..w*64+63: words
+	// [0,LineBytes/8) are data, the rest metadata, the page's own
+	// [data][meta] order. Write adds each flip word into the planes with a
+	// carry-save ripple instead of one posWrites increment per cell;
+	// pending counts the writes added since the last fold, and fold moves
+	// the planes into posWrites every foldEvery of them.
 	posWrites []uint64
+	planes    [][planeDepth]uint64
+	pending   int
 
 	// lineWrites[l] counts write operations per physical line — the
 	// inter-line wear profile that vertical wear leveling flattens.
@@ -211,6 +234,7 @@ func NewOnBackend(cfg Config, be backend.Backend) (*Device, error) {
 		lineBytes:   cfg.LineBytes,
 		metaBytes:   (cfg.MetaBits + 7) / 8,
 		posWrites:   make([]uint64, cfg.TotalBitsPerLine()),
+		planes:      make([][planeDepth]uint64, cfg.LineBytes/8+(cfg.MetaBits+63)/64),
 		lineWrites:  make([]uint64, cfg.Lines),
 		slotScratch: make([]int, 0, cfg.LineBytes*8/SlotBits),
 	}
@@ -342,6 +366,11 @@ func (d *Device) ReadInto(line uint64, data, meta []byte) {
 // Write stores newData and newMeta into the line using Data Comparison
 // Write: only cells that differ from the stored image are programmed. It
 // returns the exact cost. newMeta may be nil when MetaBits is zero.
+//
+// One pass over the page does all the accounting: per 128-bit slot it
+// loads the two words of old ⊕ new once, popcounts them for the slot's
+// flips and adds them into the wear planes (see addWear). Metadata cells
+// take the same path as the words after the data.
 func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 	d.checkLine(line)
 	if len(newData) != d.cfg.LineBytes {
@@ -353,38 +382,54 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 
 	p := d.page(line)
 	old := p[:d.lineBytes]
+	var lw []uint32
+	if d.lineWear != nil {
+		lw = d.lineWear[line]
+	}
 	res := WriteResult{}
 
-	// Per-slot flip accounting over 128-bit chunks of the data payload.
+	// Data cells, one 128-bit slot (two words) at a time.
 	d.slotScratch = d.slotScratch[:0]
-	slotBytes := SlotBits / 8
-	for s := 0; s*slotBytes < d.cfg.LineBytes; s++ {
-		off := s * slotBytes
-		f := bitutil.HammingRange(old, newData, off, slotBytes)
-		if f > 0 {
-			res.Slots++
-			d.slotScratch = append(d.slotScratch, f)
-			res.DataFlips += f
+	dataWords := d.lineBytes / 8
+	for w := 0; w < dataWords; w += SlotBits / 64 {
+		x0 := binary.LittleEndian.Uint64(old[w*8:]) ^ binary.LittleEndian.Uint64(newData[w*8:])
+		x1 := binary.LittleEndian.Uint64(old[w*8+8:]) ^ binary.LittleEndian.Uint64(newData[w*8+8:])
+		f := bits.OnesCount64(x0) + bits.OnesCount64(x1)
+		if f == 0 {
+			continue
 		}
+		res.Slots++
+		d.slotScratch = append(d.slotScratch, f)
+		res.DataFlips += f
+		d.addWear(lw, w, x0)
+		d.addWear(lw, w+1, x1)
 	}
 	res.SlotFlips = d.slotScratch
-
-	// Wear bookkeeping for flipped data cells.
 	if res.DataFlips > 0 {
-		d.recordFlips(line, old, newData, 0, d.cfg.LineBits())
 		copy(old, newData)
 	}
 
-	// Metadata cells, same DCW treatment.
+	// Metadata cells, same DCW treatment; bits past MetaBits in the last
+	// byte are padding and never count.
 	if d.cfg.MetaBits > 0 {
 		oldMeta := p[d.lineBytes:]
-		res.MetaFlips = d.recordFlips(line, oldMeta, newMeta, d.cfg.LineBits(), d.cfg.MetaBits)
+		for off := 0; off < d.metaBytes; off += 8 {
+			x := loadWord(oldMeta[off:]) ^ loadWord(newMeta[off:])
+			if rem := d.cfg.MetaBits - off*8; rem < 64 {
+				x &= uint64(1)<<uint(rem) - 1
+			}
+			res.MetaFlips += bits.OnesCount64(x)
+			d.addWear(lw, dataWords+off/8, x)
+		}
 		if res.MetaFlips > 0 {
 			copy(oldMeta, newMeta)
 		}
 	}
 	if res.DataFlips+res.MetaFlips > 0 {
 		d.flushPage(line, p)
+		if d.pending++; d.pending == foldEvery {
+			d.fold()
+		}
 	}
 
 	d.stats.Writes++
@@ -398,57 +443,58 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 	return res
 }
 
-// recordFlips advances the wear counters for every bit position (of the
-// nbits live bits) where old and new differ, offsetting positions by bitBase
-// in the per-position profile, and returns the number of differing bits. It
-// walks the images eight bytes at a time and visits only set bits of the
-// XOR through TrailingZeros64, so its cost scales with the flips, not the
-// line size — this loop used to be the single hottest path in the whole
-// simulator (one GetBit pair per cell per write).
-func (d *Device) recordFlips(line uint64, old, new []byte, bitBase, nbits int) int {
-	var lw []uint32
-	if d.lineWear != nil {
-		lw = d.lineWear[line]
-	}
-	flips := 0
-	i := 0
-	for ; i+8 <= len(old); i += 8 {
-		diff := binary.LittleEndian.Uint64(old[i:]) ^ binary.LittleEndian.Uint64(new[i:])
-		if rem := nbits - i*8; rem < 64 {
-			if rem <= 0 {
-				break
-			}
-			diff &= (uint64(1) << uint(rem)) - 1
-		}
-		for diff != 0 {
-			p := bitBase + i*8 + bits.TrailingZeros64(diff)
-			d.posWrites[p]++
-			if lw != nil {
-				lw[p]++
-			}
-			flips++
-			diff &= diff - 1
+// addWear counts one program of every cell set in x, the flips of word w
+// (positions w*64 to w*64+63), into the pending wear planes: a carry-save
+// increment of 64 bit-sliced counters at once, rippling a carry word up
+// the planes until it is zero. With per-line wear tracked it also bumps
+// lw once per set bit; posWrites is only ever touched by fold.
+func (d *Device) addWear(lw []uint32, w int, x uint64) {
+	if lw != nil {
+		for y := x; y != 0; y &= y - 1 {
+			lw[w*64+bits.TrailingZeros64(y)]++
 		}
 	}
-	for ; i < len(old); i++ {
-		diff := uint(old[i] ^ new[i])
-		if rem := nbits - i*8; rem < 8 {
-			if rem <= 0 {
-				break
+	pl := &d.planes[w]
+	for k := 0; x != 0; k++ {
+		c := pl[k] & x
+		pl[k] ^= x
+		x = c
+	}
+}
+
+// fold moves the pending plane counts into posWrites and clears the
+// planes. Write calls it after every foldEvery-th programming write, the
+// last moment before a planeDepth-bit count could overflow.
+func (d *Device) fold() {
+	addPlanes(d.posWrites, d.planes)
+	clear(d.planes)
+	d.pending = 0
+}
+
+// addPlanes adds the counts held in bit-sliced planes to the per-position
+// profile pos: bit k of planes[w][k] at bit b is worth 2^k programs of
+// position w*64+b.
+func addPlanes(pos []uint64, planes [][planeDepth]uint64) {
+	for w := range planes {
+		for k, x := range planes[w] {
+			for ; x != 0; x &= x - 1 {
+				pos[w*64+bits.TrailingZeros64(x)] += 1 << uint(k)
 			}
-			diff &= (uint(1) << uint(rem)) - 1
-		}
-		for diff != 0 {
-			p := bitBase + i*8 + bits.TrailingZeros(diff)
-			d.posWrites[p]++
-			if lw != nil {
-				lw[p]++
-			}
-			flips++
-			diff &= diff - 1
 		}
 	}
-	return flips
+}
+
+// loadWord reads up to eight bytes of b as a little-endian word, leaving
+// the missing high bytes zero when b is shorter.
+func loadWord(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var v uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	return v
 }
 
 // Load stores data (and metadata, which may be nil) into the line without
@@ -480,9 +526,9 @@ func (d *Device) Stats() Stats { return d.stats }
 // then measure).
 func (d *Device) ResetStats() {
 	d.stats = Stats{}
-	for i := range d.posWrites {
-		d.posWrites[i] = 0
-	}
+	clear(d.posWrites)
+	clear(d.planes)
+	d.pending = 0
 	for i := range d.lineWrites {
 		d.lineWrites[i] = 0
 	}
@@ -495,10 +541,13 @@ func (d *Device) ResetStats() {
 
 // PositionWrites returns a copy of the per-bit-position program counts,
 // aggregated over all lines. Indices [0,LineBits) are data cells; indices
-// [LineBits, LineBits+MetaBits) are metadata cells.
+// [LineBits, LineBits+MetaBits) are metadata cells. It adds the pending
+// planes into the copy rather than folding them, so it only reads the
+// device.
 func (d *Device) PositionWrites() []uint64 {
 	out := make([]uint64, len(d.posWrites))
 	copy(out, d.posWrites)
+	addPlanes(out, d.planes)
 	return out
 }
 

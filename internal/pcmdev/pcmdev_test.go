@@ -269,14 +269,41 @@ func TestPeekDoesNotCountRead(t *testing.T) {
 	}
 }
 
+// BenchmarkWrite64 times Device.Write on 64-byte lines in three shapes:
+// sparse rewrites 8 random bytes (a plaintext-DCW update), dense writes a
+// full random line (counter-mode ciphertext, ~256 flips), and meta32
+// rewrites two random words plus 32 metadata cells (a DEUCE write). The
+// inputs are generated before the timer starts, so only the device runs.
 func BenchmarkWrite64(b *testing.B) {
-	d := MustNew(Config{Lines: 1024})
-	rng := rand.New(rand.NewSource(5))
-	data := make([]byte, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rng.Read(data[:8])
-		d.Write(uint64(i%1024), data, nil)
+	for _, bc := range []struct {
+		name     string
+		metaBits int
+		dataLen  int
+	}{
+		{"sparse", 0, 8},
+		{"dense", 0, 64},
+		{"meta32", 32, 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			const lines, images = 1024, 251 // coprime, so a line never sees its own image again
+			d := MustNew(Config{Lines: lines, MetaBits: bc.metaBits})
+			rng := rand.New(rand.NewSource(5))
+			data := make([][]byte, images)
+			meta := make([][]byte, images)
+			for i := range data {
+				data[i] = make([]byte, 64)
+				rng.Read(data[i][:bc.dataLen])
+				if bc.metaBits > 0 {
+					meta[i] = make([]byte, bc.metaBits/8)
+					rng.Read(meta[i])
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Write(uint64(i%lines), data[i%images], meta[i%images])
+			}
+		})
 	}
 }
 

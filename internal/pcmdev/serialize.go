@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"deuce/internal/backend"
 )
 
 // serialization format magic, versioned.
@@ -36,30 +38,37 @@ func (d *Device) Serialize(w io.Writer) error {
 
 // Restore loads state written by Serialize into this array. The geometry
 // must match exactly; contents are replaced, statistics are untouched.
+//
+// Restore is atomic: it reads every page into a staging buffer before it
+// touches the device, so a failed Restore leaves the cells as they were.
+// Every failure is typed: backend.ErrCorrupt for a bad magic,
+// backend.ErrGeometry for a geometry mismatch and backend.ErrTruncated for
+// a snapshot that ends (or fails to read) early.
 func (d *Device) Restore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("pcmdev: reading header: %w", err)
+		return fmt.Errorf("pcmdev: reading header: %w: %w", backend.ErrTruncated, err)
 	}
 	if magic != devMagic {
-		return fmt.Errorf("pcmdev: bad magic %q", magic)
+		return fmt.Errorf("pcmdev: bad magic %q: %w", magic, backend.ErrCorrupt)
 	}
-	var lines, lineBytes, metaBits uint64
-	for _, p := range []*uint64{&lines, &lineBytes, &metaBits} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return fmt.Errorf("pcmdev: %w", err)
-		}
+	var hdr [3]uint64 // lines, line bytes, metadata bits
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return fmt.Errorf("pcmdev: reading geometry: %w: %w", backend.ErrTruncated, err)
 	}
-	if int(lines) != d.cfg.Lines || int(lineBytes) != d.cfg.LineBytes || int(metaBits) != d.cfg.MetaBits {
-		return fmt.Errorf("pcmdev: geometry mismatch: snapshot %dx%dB+%db, device %dx%dB+%db",
-			lines, lineBytes, metaBits, d.cfg.Lines, d.cfg.LineBytes, d.cfg.MetaBits)
+	if hdr != [3]uint64{uint64(d.cfg.Lines), uint64(d.cfg.LineBytes), uint64(d.cfg.MetaBits)} {
+		return fmt.Errorf("pcmdev: snapshot %dx%dB+%db, device %dx%dB+%db: %w",
+			hdr[0], hdr[1], hdr[2], d.cfg.Lines, d.cfg.LineBytes, d.cfg.MetaBits, backend.ErrGeometry)
+	}
+	pageBytes := d.cfg.PageBytes()
+	stage := make([]byte, d.cfg.Lines*pageBytes)
+	if n, err := io.ReadFull(br, stage); err != nil {
+		return fmt.Errorf("pcmdev: snapshot holds %d of %d page bytes: %w: %w", n, len(stage), backend.ErrTruncated, err)
 	}
 	for line := 0; line < d.cfg.Lines; line++ {
 		p := d.page(uint64(line))
-		if _, err := io.ReadFull(br, p); err != nil {
-			return fmt.Errorf("pcmdev: line %d: %w", line, err)
-		}
+		copy(p, stage[line*pageBytes:])
 		d.flushPage(uint64(line), p)
 	}
 	return nil

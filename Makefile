@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
+.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
 
 # check is the pre-merge gate: static checks, full tests under the race
-# detector, and a short smoke of the steady-state write benchmark so a
-# regression that reintroduces hot-path allocations fails fast.
-check: fmt-check doclint vet build test race bench-smoke
+# detector, a cross-build of the portable code paths, and a short smoke of
+# the steady-state write benchmark so a regression that reintroduces
+# hot-path allocations fails fast.
+check: fmt-check doclint vet build build-arm64 test race bench-smoke
 
 # fmt-check fails (listing the offenders) when any file is not gofmt-clean.
 fmt-check:
@@ -19,6 +20,11 @@ doclint:
 
 build:
 	$(GO) build ./...
+
+# build-arm64 cross-builds and vets for a non-amd64 target, so the
+# crypto/aes pad path internal/otp falls back to off amd64 keeps compiling.
+build-arm64:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/otp/
 
 vet:
 	$(GO) vet ./...
@@ -37,14 +43,16 @@ race:
 # concurrent warm forks rely on, the concurrent serving telemetry (the
 # atomic obs registry, the striped lock-free histograms with their merge
 # property test, and the serving harness), and the sharded serving
-# front end's differential replay suite (internal/servefront), all under
-# the race detector. A subset of `race`, split out so CI can run it on
+# front end's differential replay suite (internal/servefront), and the
+# one-Generator-per-goroutine contract of the pad kernel (internal/otp),
+# all under the race detector. A subset of `race`, split out so CI can run it on
 # every push even when the full race matrix is pruned.
 race-timing:
 	$(GO) test -race ./internal/timing/
 	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
 	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/workload/ ./internal/pcmdev/
 	$(GO) test -race ./internal/obs/ ./internal/obs/serve/ ./internal/servebench/ ./internal/servefront/
+	$(GO) test -race -count=10 -run TestOneGeneratorPerGoroutine ./internal/otp/
 
 # race-durability is the focused race pass for the persistence layer: the
 # backend implementations and their failure-path tests, the pcmdev /
@@ -58,16 +66,18 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs three fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs four fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
-# fuzzed geometry and images, and pcmdev.Restore on arbitrary snapshots
-# (typed errors only, never a partial restore).
+# fuzzed geometry and images, pcmdev.Restore on arbitrary snapshots
+# (typed errors only, never a partial restore), and the pad kernel
+# (PadInto and PadPairInto on both pad paths against crypto/aes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 10s ./internal/pcmdev
+	$(GO) test -run '^$$' -fuzz FuzzPad -fuzztime 10s ./internal/otp
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay
 # allocation-free; 100 iterations is too few for timing, use bench-writehot

@@ -177,33 +177,6 @@ func BenchmarkFig18(b *testing.B) {
 
 // --- Ablation and microbenchmarks beyond the paper's figures ---
 
-// BenchmarkAblationPadCache measures DEUCE write throughput with and
-// without the controller-side pad cache (see core.Params.PadCacheEntries):
-// the cache elides most AES invocations for lines with counter locality.
-func BenchmarkAblationPadCache(b *testing.B) {
-	for _, entries := range []int{0, 4096} {
-		entries := entries
-		name := "off"
-		if entries > 0 {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, err := core.New(core.KindDeuce, core.Params{Lines: 1024, PadCacheEntries: entries})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1))
-			data := make([]byte, 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				data[rng.Intn(64)] = byte(rng.Int())
-				s.Write(uint64(i%1024), data)
-			}
-		})
-	}
-}
-
 // BenchmarkWriteHot measures the steady-state write path alone: every line
 // is installed before the timer starts, so the loop exercises exactly the
 // zero-allocation scratch-buffer path that the AllocsPerRun tests in

@@ -55,27 +55,3 @@ func TestWriteZeroAllocsAddrPad(t *testing.T)  { testWriteAllocs(t, KindAddrPad,
 // the shared scratch, SlotFlips staged in the scheme-owned buffer, the
 // preallocated intrusive LRU) that used to cost 5 allocations per op.
 func TestWriteZeroAllocsINVMM(t *testing.T) { testWriteAllocs(t, KindINVMM, 0) }
-
-// The pad cache must not reintroduce allocations once its slots are warm.
-func TestWriteZeroAllocsDeuceWithPadCache(t *testing.T) {
-	s, err := New(KindDeuce, Params{Lines: 8, PadCacheEntries: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	for i := 0; i < 8; i++ {
-		s.Write(uint64(i), buf)
-	}
-	// Warm every epoch position so each (line, ctr) slot has been sized.
-	for i := 0; i < 64; i++ {
-		buf[i%64]++
-		s.Write(uint64(i%8), buf)
-	}
-	n := testing.AllocsPerRun(200, func() {
-		buf[0]++
-		s.Write(0, buf)
-	})
-	if n != 0 {
-		t.Errorf("DEUCE with pad cache: steady-state Write allocates %.2f times per call, want 0", n)
-	}
-}

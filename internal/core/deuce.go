@@ -115,17 +115,20 @@ func nonzeroBytes(x uint64) uint8 {
 // covers word i), ctr the line counter. Words with the modified bit set
 // decrypt with the LCTR pad; the rest with the TCTR pad (Figure 7): per
 // lane, dst = ct ^ (padT &^ M | padL & M) with M the lane's modified words
-// as a byte mask. lpadBuf and tpadBuf are caller-owned pad scratch of
-// len(ct) bytes; their contents after the call are the two pads.
-func dualDecryptInto(dst []byte, gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int, ct, mod, lpadBuf, tpadBuf []byte) {
-	gen.PadInto(lpadBuf, line, ctr)
+// as a byte mask. pads is caller-owned scratch of 2*len(ct) bytes; after
+// the call its first half holds the LCTR pad and, off an epoch boundary,
+// its second half the TCTR pad. Off a boundary both pads come from one
+// PadPairInto call, as the paper's two pad engines run side by side.
+func dualDecryptInto(dst []byte, gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int, ct, mod, pads []byte) {
+	lpadBuf, tpadBuf := pads[:len(ct)], pads[len(ct):2*len(ct)]
 	t := tctr(ctr, epochMask)
 	if t == ctr {
 		// Epoch boundary state: every word is LCTR-encrypted.
+		gen.PadInto(lpadBuf, line, ctr)
 		bitutil.XOR(dst, ct, lpadBuf)
 		return
 	}
-	gen.PadInto(tpadBuf, line, t)
+	gen.PadPairInto(pads[:2*len(ct)], line, ctr, t)
 	lt := laneTabs[wordBytes]
 	for k, off := 0, 0; off < len(ct); k, off = k+1, off+8 {
 		m := lt.expand[lt.group(mod, k)]
@@ -138,9 +141,7 @@ func dualDecryptInto(dst []byte, gen *otp.Generator, line, ctr, epochMask uint64
 // read paths where a fresh plaintext slice is the return value anyway.
 func dualDecrypt(gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int, ct, mod []byte) []byte {
 	out := make([]byte, len(ct))
-	lpad := make([]byte, len(ct))
-	tpad := make([]byte, len(ct))
-	dualDecryptInto(out, gen, line, ctr, epochMask, wordBytes, ct, mod, lpad, tpad)
+	dualDecryptInto(out, gen, line, ctr, epochMask, wordBytes, ct, mod, make([]byte, 2*len(ct)))
 	return out
 }
 
@@ -148,9 +149,9 @@ func dualDecrypt(gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int,
 // one DEUCE write, into caller-owned newCT (line-sized) and newMod (at least
 // metaBytes(words) bytes; exactly that prefix is written). oldCT and oldMod
 // describe the pre-write stored state, ctr the already-incremented counter.
-// lpadBuf and tpadBuf are line-sized pad scratch; on return lpadBuf holds
-// the LCTR pad for ctr. newCT must not alias oldCT or plaintext; newMod must
-// not alias oldMod.
+// pads is pad scratch of two lines; on return its first half holds the LCTR
+// pad for ctr. newCT must not alias oldCT or plaintext; newMod must not
+// alias oldMod.
 //
 // The old plaintext is never reconstructed. Off an epoch boundary ctr-1
 // and ctr share one TCTR, so a word not yet modified this epoch still holds
@@ -160,15 +161,18 @@ func dualDecrypt(gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int,
 //	newMod = oldMod | nonzeroWords(oldCT ^ padT ^ plaintext)
 //	newCT  = oldCT &^ M | (plaintext ^ padL) & M,  M = newMod as a byte mask
 //
-// That is two pads per write off a boundary and one at it.
+// That is two pads per write off a boundary, derived together by one
+// PadPairInto call, and one at it.
 func deuceStepInto(newCT, newMod []byte, gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int,
-	oldCT, oldMod, plaintext, lpadBuf, tpadBuf []byte) {
+	oldCT, oldMod, plaintext, pads []byte) {
 
-	mb := metaBytes(len(plaintext) / wordBytes)
-	gen.PadInto(lpadBuf, line, ctr)
+	n := len(plaintext)
+	lpadBuf, tpadBuf := pads[:n], pads[n:2*n]
+	mb := metaBytes(n / wordBytes)
 	if ctr&epochMask == 0 {
 		// Epoch boundary: full re-encryption, modified bits reset
 		// (TCTR catches up to LCTR).
+		gen.PadInto(lpadBuf, line, ctr)
 		bitutil.XOR(newCT, plaintext, lpadBuf)
 		for i := range newMod[:mb] {
 			newMod[i] = 0
@@ -176,7 +180,7 @@ func deuceStepInto(newCT, newMod []byte, gen *otp.Generator, line, ctr, epochMas
 		return
 	}
 
-	gen.PadInto(tpadBuf, line, tctr(ctr, epochMask))
+	gen.PadPairInto(pads[:2*n], line, ctr, tctr(ctr, epochMask))
 	copy(newMod[:mb], oldMod[:mb])
 	lt := laneTabs[wordBytes]
 	for k, off := 0, 0; off < len(plaintext); k, off = k+1, off+8 {
@@ -215,7 +219,7 @@ func (s *Deuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.dev.PeekInto(line, oldCT, oldMod)
 	ctr, _ := s.ctrs.Increment(line)
 	deuceStepInto(s.scr.newData, s.scr.newMeta, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
-		oldCT, oldMod, plaintext, s.scr.padL, s.scr.padT)
+		oldCT, oldMod, plaintext, s.scr.pads)
 	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
 }
 
@@ -231,7 +235,7 @@ func (s *Deuce) ReadInto(line uint64, dst []byte) {
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	dualDecryptInto(dst, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes,
-		s.scr.oldData, s.scr.oldMeta, s.scr.padL, s.scr.padT)
+		s.scr.oldData, s.scr.oldMeta, s.scr.pads)
 }
 
 // DeuceFNW stacks a Flip-N-Write stage between DEUCE's ciphertext image and
@@ -311,7 +315,7 @@ func (s *DeuceFNW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	ctr, _ := s.ctrs.Increment(line)
 	newMod, newFlips := s.split(s.scr.newMeta)
 	deuceStepInto(s.newCTBuf, newMod, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
-		s.oldCTBuf, oldMod, plaintext, s.scr.padL, s.scr.padT)
+		s.oldCTBuf, oldMod, plaintext, s.scr.pads)
 	s.codec.EncodeInto(s.scr.newData, newFlips, oldCells, oldFlips, s.newCTBuf)
 	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
 }
@@ -332,5 +336,5 @@ func (s *DeuceFNW) ReadInto(line uint64, dst []byte) {
 	mod, flips := s.split(s.scr.oldMeta)
 	s.codec.DecodeInto(s.oldCTBuf, s.scr.oldData, flips)
 	dualDecryptInto(dst, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes,
-		s.oldCTBuf, mod, s.scr.padL, s.scr.padT)
+		s.oldCTBuf, mod, s.scr.pads)
 }

@@ -315,9 +315,9 @@ func FuzzDeuceStep(f *testing.F) {
 			oldCT[i] = oldPlain[i] ^ pad[i]
 		}
 
-		padL, padT := make([]byte, lb), make([]byte, lb)
+		pads := make([]byte, 2*lb)
 		dec, refDec := make([]byte, lb), make([]byte, lb)
-		dualDecryptInto(dec, gen, line, oldCtr, epochMask, wb, oldCT, oldMod, padL, padT)
+		dualDecryptInto(dec, gen, line, oldCtr, epochMask, wb, oldCT, oldMod, pads)
 		refDualDecryptInto(refDec, gen, line, oldCtr, epochMask, wb, oldCT, oldMod)
 		if !bitutil.Equal(dec, oldPlain) || !bitutil.Equal(refDec, oldPlain) {
 			t.Fatal("old state does not decrypt to its plaintext")
@@ -325,28 +325,28 @@ func FuzzDeuceStep(f *testing.F) {
 
 		newCT, newMod := make([]byte, lb), make([]byte, len(oldMod))
 		refCT, refMod := make([]byte, lb), make([]byte, len(oldMod))
-		deuceStepInto(newCT, newMod, gen, line, ctr, epochMask, wb, oldCT, oldMod, plain, padL, padT)
+		deuceStepInto(newCT, newMod, gen, line, ctr, epochMask, wb, oldCT, oldMod, plain, pads)
 		refDeuceStepInto(refCT, refMod, gen, line, ctr, epochMask, wb, oldCT, oldMod, oldPlain, plain)
 		if !bitutil.Equal(newCT, refCT) || !bitutil.Equal(newMod, refMod) {
 			t.Fatalf("step differs from reference: ct %x / %x, mod %x / %x", newCT, refCT, newMod, refMod)
 		}
-		if !bitutil.Equal(padL, gen.Pad(line, ctr, lb)) {
-			t.Fatal("lpadBuf does not hold the LCTR pad after the step")
+		if !bitutil.Equal(pads[:lb], gen.Pad(line, ctr, lb)) {
+			t.Fatal("pads does not hold the LCTR pad after the step")
 		}
-		dualDecryptInto(dec, gen, line, ctr, epochMask, wb, newCT, newMod, padL, padT)
+		dualDecryptInto(dec, gen, line, ctr, epochMask, wb, newCT, newMod, pads)
 		if !bitutil.Equal(dec, plain) {
 			t.Fatal("new state does not decrypt to the written plaintext")
 		}
 	})
 }
 
-// TestDeucePadsPerWrite pins the pads a write derives, counted as pad
-// cache lookups (hits plus misses: one per PadInto call): two mid-epoch
-// (LCTR and TCTR) and one at an epoch boundary, and for DynDEUCE one in
-// FNW mode, where the line re-encrypts whole.
+// TestDeucePadsPerWrite pins the pads a write derives, counted by the
+// generator (a PadPairInto counts two): two mid-epoch (LCTR and TCTR) and
+// one at an epoch boundary, and for DynDEUCE one in FNW mode, where the
+// line re-encrypts whole.
 func TestDeucePadsPerWrite(t *testing.T) {
 	for _, kind := range stepKinds {
-		s, err := newStepScheme(kind, Params{Lines: 2, EpochInterval: 8, PadCacheEntries: 64})
+		s, err := newStepScheme(kind, Params{Lines: 2, EpochInterval: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,10 +364,9 @@ func TestDeucePadsPerWrite(t *testing.T) {
 			case kind == KindDynDeuce && bitutil.GetBit(meta, s.b.words()):
 				want, what = 1, "fnw-mode"
 			}
-			h0, m0 := s.b.gen.CacheStats()
+			before := s.b.gen.PadsDerived()
 			s.Write(0, buf)
-			h1, m1 := s.b.gen.CacheStats()
-			if got := int(h1 + m1 - h0 - m0); got != want {
+			if got := int(s.b.gen.PadsDerived() - before); got != want {
 				t.Fatalf("%s write %d (%s): derived %d pads, want %d", kind, i, what, got, want)
 			}
 			seen[what]++

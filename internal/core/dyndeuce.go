@@ -90,7 +90,7 @@ func (s *DynDeuce) plainOfInto(dst []byte, line uint64, cells, meta []byte) {
 		s.gen.DecryptInto(dst, line, ctr, dst)
 		return
 	}
-	dualDecryptInto(dst, s.gen, line, ctr, s.epochMask, s.p.WordBytes, cells, meta, s.scr.padL, s.scr.padT)
+	dualDecryptInto(dst, s.gen, line, ctr, s.epochMask, s.p.WordBytes, cells, meta, s.scr.pads)
 }
 
 // plainOf is the allocating convenience for the read path.
@@ -136,7 +136,7 @@ func (s *DynDeuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 		// comparison is apples to apples. The FNW candidate is the whole
 		// line under the LCTR pad the DEUCE step just derived.
 		deuceStepInto(s.deuceCTBuf, s.deuceModBuf, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
-			oldCells, oldMeta, plaintext, s.scr.padL, s.scr.padT)
+			oldCells, oldMeta, plaintext, s.scr.pads)
 		deuceCost := bitutil.Hamming(oldCells, s.deuceCTBuf) +
 			bitutil.Hamming(oldMeta[:s.trackBytes], s.deuceModBuf[:s.trackBytes])
 

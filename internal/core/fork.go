@@ -34,10 +34,9 @@ func Fork(s Scheme) (Scheme, error) {
 	return f.Fork()
 }
 
-// fork deep-copies the shared base state. The pad generator cannot be
-// copied (it owns an AES cipher and a direct-mapped pad cache), but it is
-// also pure: a fresh generator over the same key produces identical pads,
-// and the cache only memoizes them, so rebuilding both is exact.
+// fork deep-copies the shared base state. The pad generator is not copied
+// (it owns an AES cipher and per-call scratch), but it is pure: a fresh
+// generator over the same key produces identical pads.
 func (b *base) fork() (*base, error) {
 	dev, ok := b.dev.(*pcmdev.Device)
 	if !ok {
@@ -47,10 +46,7 @@ func (b *base) fork() (*base, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.p.PadCacheEntries > 0 {
-		gen.EnableCache(b.p.PadCacheEntries)
-	}
-	return &base{
+	f := &base{
 		p:      b.p,
 		dev:    dev.Fork(),
 		gen:    gen,
@@ -62,10 +58,10 @@ func (b *base) fork() (*base, error) {
 			oldPlain: forkBytes(b.scr.oldPlain),
 			oldMeta:  forkBytes(b.scr.oldMeta),
 			newMeta:  forkBytes(b.scr.newMeta),
-			padL:     forkBytes(b.scr.padL),
-			padT:     forkBytes(b.scr.padT),
 		},
-	}, nil
+	}
+	f.scr.setPads(forkBytes(b.scr.pads))
+	return f, nil
 }
 
 // forkBytes deep-copies a scratch buffer, preserving nil. The contents are

@@ -90,11 +90,6 @@ type Params struct {
 	// set costs a full re-encryption, so an undersized hot set pushes
 	// i-NVMM's write cost toward the encrypted baseline.
 	HotCapacity int
-	// PadCacheEntries enables memoization of recently generated one-time
-	// pads, modelling the counter/pad caches real secure-memory
-	// controllers keep next to the AES pipelines. 0 disables. This is a
-	// pure simulation speedup ablation: results are bit-identical.
-	PadCacheEntries int
 	// Trace, when non-nil, receives one obs.WriteEvent per line write
 	// (sampling happens inside the trace). The trace shares the scheme's
 	// single-goroutine contract; with a nil Trace the write path pays one
@@ -184,8 +179,11 @@ func (p *Params) validate() error {
 	default:
 		return fmt.Errorf("core: WordBytes must be 1, 2, 4 or 8, got %d", p.WordBytes)
 	}
-	if p.LineBytes%otp.BlockSize != 0 {
-		return fmt.Errorf("core: LineBytes must be a multiple of %d, got %d", otp.BlockSize, p.LineBytes)
+	// A pad's 8-bit block index caps a line at 256 AES blocks; past that
+	// two blocks of one line would share a pad.
+	if p.LineBytes%otp.BlockSize != 0 || p.LineBytes < otp.BlockSize || p.LineBytes > otp.MaxPadBlocks*otp.BlockSize {
+		return fmt.Errorf("core: LineBytes must be a multiple of %d between %d and %d, got %d",
+			otp.BlockSize, otp.BlockSize, otp.MaxPadBlocks*otp.BlockSize, p.LineBytes)
 	}
 	return nil
 }
@@ -214,8 +212,15 @@ type scratch struct {
 	oldPlain []byte // decrypted pre-write plaintext (LineBytes)
 	oldMeta  []byte // stored metadata image
 	newMeta  []byte // metadata image to be written
-	padL     []byte // leading-counter pad (LineBytes)
-	padT     []byte // trailing-counter pad (LineBytes)
+	pads     []byte // padL ‖ padT, one otp.PadPairInto target (2*LineBytes)
+	padL     []byte // leading-counter pad, pads[:LineBytes]
+	padT     []byte // trailing-counter pad, pads[LineBytes:]
+}
+
+// setPads installs pads (2*LineBytes) as the pad scratch and its two views.
+func (s *scratch) setPads(pads []byte) {
+	n := len(pads) / 2
+	s.pads, s.padL, s.padT = pads, pads[:n:n], pads[n:]
 }
 
 func newBase(p Params, metaBits int, blockCtrs bool) (*base, error) {
@@ -253,9 +258,6 @@ func newBase(p Params, metaBits int, blockCtrs bool) (*base, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.PadCacheEntries > 0 {
-		gen.EnableCache(p.PadCacheEntries)
-	}
 	nCtrs := p.Lines
 	if blockCtrs {
 		nCtrs = p.Lines * (p.LineBytes / otp.BlockSize)
@@ -279,9 +281,8 @@ func newBase(p Params, metaBits int, blockCtrs bool) (*base, error) {
 		oldData:  make([]byte, p.LineBytes),
 		newData:  make([]byte, p.LineBytes),
 		oldPlain: make([]byte, p.LineBytes),
-		padL:     make([]byte, p.LineBytes),
-		padT:     make([]byte, p.LineBytes),
 	}
+	b.scr.setPads(make([]byte, 2*p.LineBytes))
 	if mb > 0 {
 		b.scr.oldMeta = make([]byte, mb)
 		b.scr.newMeta = make([]byte, mb)

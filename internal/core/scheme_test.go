@@ -56,6 +56,36 @@ func TestParamValidation(t *testing.T) {
 	}
 }
 
+// A pad tweak carries an 8-bit block index, so a line longer than 256 AES
+// blocks would reuse pads within itself: an 8192-byte encr-dcw line once
+// stored identical ciphertext at bytes 0 and 4096 for an all-zero write.
+// Every scheme refuses such lines and non-positive ones, and at the
+// 4096-byte limit every block of a zero line encrypts differently.
+func TestLineBytesBounds(t *testing.T) {
+	for _, k := range allKinds {
+		for _, lb := range []int{-16, -4096, 4096 + 16, 8192} {
+			if _, err := New(k, Params{Lines: 1, LineBytes: lb}); err == nil {
+				t.Errorf("%s: LineBytes %d accepted", k, lb)
+			}
+		}
+		for _, lb := range []int{16, 4096} {
+			if _, err := New(k, Params{Lines: 1, LineBytes: lb}); err != nil {
+				t.Errorf("%s: LineBytes %d refused: %v", k, lb, err)
+			}
+		}
+	}
+	s := MustNew(KindEncrDCW, Params{Lines: 1, LineBytes: 4096})
+	s.Write(0, make([]byte, 4096))
+	cells, _ := s.Device().Peek(0)
+	seen := map[string]int{}
+	for i := 0; i < len(cells); i += 16 {
+		if j, dup := seen[string(cells[i:i+16])]; dup {
+			t.Fatalf("blocks %d and %d of a zero line share a pad", j, i/16)
+		}
+		seen[string(cells[i:i+16])] = i / 16
+	}
+}
+
 // Invariant 1 from DESIGN.md: every scheme returns the last written
 // plaintext, under long random write/read sequences against a shadow model.
 func TestRoundTripShadowModel(t *testing.T) {

@@ -117,7 +117,7 @@ func (s *Secret) encodeLineInto(cells, meta []byte, line, ctr uint64, fullReencr
 func (s *Secret) decodeLineInto(dst []byte, line uint64, cells, meta []byte) {
 	mod, zero := s.split(meta)
 	ctr := s.ctrs.Get(line)
-	dualDecryptInto(dst, s.gen, line, ctr, s.epochMask, s.p.WordBytes, cells, mod, s.scr.padL, s.scr.padT)
+	dualDecryptInto(dst, s.gen, line, ctr, s.epochMask, s.p.WordBytes, cells, mod, s.scr.pads)
 	w := s.p.WordBytes
 	for i := 0; i < s.words(); i++ {
 		if bitutil.GetBit(zero, i) {

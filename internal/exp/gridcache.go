@@ -187,10 +187,9 @@ func paramsKey(p core.Params) (string, bool) {
 	}
 	p = p.Canonical()
 	keyDigest := sha256.Sum256(p.Key)
-	return fmt.Sprintf("lines=%d lb=%d keysha=%s epoch=%d word=%d ctr=%d wear=%t hot=%d pad=%d",
+	return fmt.Sprintf("lines=%d lb=%d keysha=%s epoch=%d word=%d ctr=%d wear=%t hot=%d",
 		p.Lines, p.LineBytes, hex.EncodeToString(keyDigest[:8]), p.EpochInterval,
-		p.WordBytes, p.CounterBits, p.TrackPerLineWear, p.HotCapacity,
-		p.PadCacheEntries), true
+		p.WordBytes, p.CounterBits, p.TrackPerLineWear, p.HotCapacity), true
 }
 
 // colsKey canonically encodes a column set; ok is false when any column

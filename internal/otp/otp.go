@@ -17,12 +17,16 @@
 // The paper's hardware has dedicated AES pipelines that produce pads in
 // parallel with the PCM array access. In this simulator pad generation is
 // a function call; the latency aspect is modelled separately by
-// internal/timing.
+// internal/timing. On amd64 with AES-NI the call is an assembly kernel
+// that runs eight blocks through interleaved AESENC chains (a 128-byte
+// line's pad, or a 64-byte line's LCTR and TCTR pads together via
+// PadPairInto); elsewhere it is a crypto/aes loop. Both produce the same
+// bytes.
 //
-// The ...Into variants (PadInto, EncryptInto, BlockPadInto) write into
-// caller-owned buffers and perform no heap allocation in steady state; they
-// are the hot-path API the schemes in internal/core use. Pad/Encrypt/Decrypt
-// are allocating conveniences layered on top.
+// The ...Into variants (PadInto, PadPairInto, EncryptInto, BlockPadInto)
+// write into caller-owned buffers and perform no heap allocation in steady
+// state; they are the hot-path API the schemes in internal/core use.
+// Pad/Encrypt/Decrypt are allocating conveniences layered on top.
 package otp
 
 import (
@@ -38,37 +42,46 @@ import (
 // this size; a 64-byte cache line needs four blocks.
 const BlockSize = 16
 
+// MaxPadBlocks is the most AES blocks one pad may span. The tweak carries
+// the block index in 8 bits, so a 257th block would reuse block 0's pad;
+// PadInto and PadPairInto refuse longer pads (4096 bytes).
+const MaxPadBlocks = 256
+
+// runBlocks is the kernel's unit of work: a run of four consecutive blocks
+// of one pad. A kernel call encrypts one run or two.
+const runBlocks = 4
+
 // Generator produces one-time pads for a fixed secret key.
 //
-// A Generator is NOT safe for concurrent use: the pad memoization cache and
-// its hit/miss counters (and the internal encrypt scratch buffer) are
-// unguarded mutable state. The contract throughout this repository is one
-// Generator per goroutine — the experiment harness constructs a fresh scheme
-// (and therefore a fresh Generator) per sweep cell, and the -race regression
-// test in otp_race_test.go pins that usage down. Sharing a Generator across
-// goroutines is a data race even when the cache is disabled, because
-// Encrypt/EncryptInto reuse the scratch buffer.
+// A Generator is NOT safe for concurrent use: its kernel and encrypt
+// scratch buffers and its pad counter are unguarded mutable state. The
+// contract throughout this repository is one Generator per goroutine — the
+// experiment harness constructs a fresh scheme (and therefore a fresh
+// Generator) per sweep cell, and the -race regression test in
+// otp_race_test.go pins that usage down.
 type Generator struct {
 	block cipher.Block
 
-	// cache memoizes recently generated pads to model the pad locality a
-	// hardware implementation would get from counter caches. It is a
-	// correctness-neutral speedup: entries are keyed by the full
-	// (addr, counter) tuple, so a hit returns exactly the pad that would
-	// have been recomputed.
-	cache     *padCache
-	cacheHits uint64
-	cacheMiss uint64
+	// xk is the FIPS-197 expansion of the key, the round keys the AES-NI
+	// kernel reads. kernel selects that kernel; it is haveAESNI at
+	// construction, and tests clear it to force the crypto/aes loop.
+	xk     [roundKeyBytes]byte
+	kernel bool
+
+	// pads counts the pads derived: one per line pad or block pad, two
+	// per PadPairInto.
+	pads uint64
 
 	// scratch backs EncryptInto's pad so steady-state encryption performs
 	// no heap allocation; grown on demand, never shared across calls.
 	scratch []byte
 
-	// tweak is the AES input block scratch. A local array would escape to
-	// the heap at every fillBlock call (the cipher.Block interface call
-	// defeats escape analysis); as a field it is allocated once with the
-	// Generator.
-	tweak [BlockSize]byte
+	// tail takes the last, partial run of each of up to two pads, whose
+	// blocks beyond the pad's end are computed and dropped; the crypto/aes
+	// loop uses its first block as the tweak. A local array would escape
+	// to the heap (the cipher.Block interface call defeats escape
+	// analysis); as a field it is allocated once with the Generator.
+	tail [2 * runBlocks * BlockSize]byte
 }
 
 // NewGenerator returns a Generator for the given 16-byte AES-128 key.
@@ -80,7 +93,9 @@ func NewGenerator(key []byte) (*Generator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("otp: %w", err)
 	}
-	return &Generator{block: b}, nil
+	g := &Generator{block: b, kernel: haveAESNI}
+	expandKey(&g.xk, key)
+	return g, nil
 }
 
 // MustNewGenerator is NewGenerator for static keys known to be valid.
@@ -92,76 +107,45 @@ func MustNewGenerator(key []byte) *Generator {
 	return g
 }
 
-// padCache is a direct-mapped, fixed-slot pad cache. Each (addr, counter)
-// tuple hashes to exactly one slot; a colliding insert overwrites the slot
-// in place. Compared to the map-with-wholesale-eviction it replaced, lookups
-// and inserts are allocation-free in steady state (each slot's pad buffer is
-// allocated once and reused) and hot entries are never mass-evicted by an
-// unrelated fill.
-type padCache struct {
-	slots []padSlot
-	mask  uint64
-}
-
-type padSlot struct {
-	addr uint64
-	ctr  uint64
-	pad  []byte // nil until the slot is first filled; len is the cached pad size
-}
-
-// slotFor hashes (addr, ctr) to a slot index with a splitmix64-style mixer.
-func (c *padCache) slotFor(addr, ctr uint64) *padSlot {
-	z := addr*0x9e3779b97f4a7c15 + ctr ^ 0x94d049bb133111eb
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return &c.slots[(z^(z>>31))&c.mask]
-}
-
-// EnableCache turns on pad memoization with at least the given number of
-// slots (rounded up to a power of two for direct mapping). capacity <= 0
-// disables the cache.
-func (g *Generator) EnableCache(capacity int) {
-	if capacity <= 0 {
-		g.cache = nil
-		return
-	}
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	g.cache = &padCache{slots: make([]padSlot, n), mask: uint64(n - 1)}
-}
-
-// CacheStats returns the number of cache hits and misses since creation.
-func (g *Generator) CacheStats() (hits, misses uint64) {
-	return g.cacheHits, g.cacheMiss
-}
+// PadsDerived returns the number of pads derived since creation: one per
+// PadInto (and so per EncryptInto), one per block pad, two per
+// PadPairInto.
+func (g *Generator) PadsDerived() uint64 { return g.pads }
 
 // PadInto fills dst with the pad for (lineAddr, counter). len(dst) must be a
-// multiple of BlockSize. Block i of dst is AES_K(lineAddr ‖ counter ‖ i).
-// It performs no heap allocation once the cache slots are warm.
+// multiple of BlockSize and at most MaxPadBlocks blocks. Block i of dst is
+// AES_K(lineAddr ‖ counter ‖ i). It performs no heap allocation.
 func (g *Generator) PadInto(dst []byte, lineAddr, counter uint64) {
-	if len(dst)%BlockSize != 0 {
-		panic(fmt.Sprintf("otp: pad length %d not a multiple of %d", len(dst), BlockSize))
+	n := padBlocks(len(dst))
+	g.pads++
+	g.derive(dst, lineAddr, [2]uint64{counter}, 1, n)
+}
+
+// PadPairInto fills dst with two pads of one line back to back: the first
+// half is the pad for (lineAddr, ctrA), the second the pad for
+// (lineAddr, ctrB), each as PadInto would derive it. On a 64-byte line the
+// two pads are one eight-block kernel call — the software image of the two
+// AES engines DEUCE runs side by side for its LCTR and TCTR pads. len(dst)
+// must be an even number of blocks, each half at most MaxPadBlocks.
+func (g *Generator) PadPairInto(dst []byte, lineAddr, ctrA, ctrB uint64) {
+	if len(dst)%(2*BlockSize) != 0 {
+		panic(fmt.Sprintf("otp: pad pair length %d not a multiple of %d", len(dst), 2*BlockSize))
 	}
-	if g.cache == nil {
-		g.generateInto(dst, lineAddr, counter)
-		return
+	n := padBlocks(len(dst) / 2)
+	g.pads += 2
+	g.derive(dst, lineAddr, [2]uint64{ctrA, ctrB}, 2, n)
+}
+
+// padBlocks returns the blocks in an n-byte pad, panicking on a length the
+// tweak cannot cover.
+func padBlocks(n int) int {
+	if n%BlockSize != 0 {
+		panic(fmt.Sprintf("otp: pad length %d not a multiple of %d", n, BlockSize))
 	}
-	s := g.cache.slotFor(lineAddr, counter)
-	if s.pad != nil && s.addr == lineAddr && s.ctr == counter && len(s.pad) >= len(dst) {
-		g.cacheHits++
-		copy(dst, s.pad[:len(dst)])
-		return
+	if n > MaxPadBlocks*BlockSize {
+		panic(fmt.Sprintf("otp: pad length %d exceeds %d blocks; block indices would wrap", n, MaxPadBlocks))
 	}
-	g.cacheMiss++
-	g.generateInto(dst, lineAddr, counter)
-	if cap(s.pad) < len(dst) {
-		s.pad = make([]byte, len(dst))
-	}
-	s.pad = s.pad[:len(dst)]
-	copy(s.pad, dst)
-	s.addr, s.ctr = lineAddr, counter
+	return n / BlockSize
 }
 
 // Pad returns an n-byte pad for (lineAddr, counter). n must be a multiple of
@@ -179,29 +163,76 @@ func (g *Generator) BlockPadInto(dst []byte, lineAddr, counter uint64, blockIdx 
 	if len(dst) != BlockSize {
 		panic(fmt.Sprintf("otp: block pad length %d, want %d", len(dst), BlockSize))
 	}
-	g.fillBlock(dst, lineAddr, counter, blockIdx)
+	if blockIdx < 0 || blockIdx >= MaxPadBlocks {
+		panic(fmt.Sprintf("otp: block index %d outside [0, %d)", blockIdx, MaxPadBlocks))
+	}
+	// One block has nothing to interleave: both paths use crypto/aes.
+	g.pads++
+	g.block.Encrypt(dst, g.tweak(lineAddr, counter, blockIdx))
 }
 
 // BlockPad returns the single 16-byte pad for AES block blockIdx of the line.
 // It equals Pad(lineAddr, counter, (blockIdx+1)*16)[blockIdx*16:].
 func (g *Generator) BlockPad(lineAddr, counter uint64, blockIdx int) []byte {
 	out := make([]byte, BlockSize)
-	g.fillBlock(out, lineAddr, counter, blockIdx)
+	g.BlockPadInto(out, lineAddr, counter, blockIdx)
 	return out
 }
 
-func (g *Generator) generateInto(dst []byte, lineAddr, counter uint64) {
-	for i := 0; i < len(dst)/BlockSize; i++ {
-		g.fillBlock(dst[i*BlockSize:(i+1)*BlockSize], lineAddr, counter, i)
+// derive fills dst with npads pads of n blocks each for lineAddr, pad q
+// under counter ctrs[q]. Block i of a pad is AES_K of the tweak
+// lineAddr ‖ counter<<8 | i, both halves little-endian: 56 bits of counter
+// and 8 of block index (line counters in the paper are 28 bits, so 56 is
+// ample headroom; padBlocks keeps i below 256).
+//
+// The kernel splits each pad into runs of four blocks and encrypts two runs
+// per call, so a 64-byte line's pad pair, or a 128-byte line's pad, is one
+// call with eight blocks in flight. A pad's last run, when partial, lands
+// in the tail scratch and is copied out once every call has been made.
+func (g *Generator) derive(dst []byte, lineAddr uint64, ctrs [2]uint64, npads, n int) {
+	if !g.kernel {
+		for q := 0; q < npads; q++ {
+			for i := 0; i < n; i++ {
+				off := (q*n + i) * BlockSize
+				g.block.Encrypt(dst[off:off+BlockSize], g.tweak(lineAddr, ctrs[q], i))
+			}
+		}
+		return
+	}
+	var held *byte // a run waiting for a second run to share a call
+	var heldHi uint64
+	for q := 0; q < npads; q++ {
+		for i := 0; i < n; i += runBlocks {
+			out := g.tail[q*runBlocks*BlockSize:]
+			if i+runBlocks <= n {
+				out = dst[(q*n+i)*BlockSize:]
+			}
+			hi := ctrs[q]<<8 | uint64(i)
+			if held == nil {
+				held, heldHi = &out[0], hi
+				continue
+			}
+			encrypt8(&g.xk, held, &out[0], lineAddr, heldHi, hi)
+			held = nil
+		}
+	}
+	if held != nil {
+		encrypt4(&g.xk, held, lineAddr, heldHi)
+	}
+	if r := n % runBlocks; r != 0 {
+		for q := 0; q < npads; q++ {
+			copy(dst[((q+1)*n-r)*BlockSize:(q+1)*n*BlockSize], g.tail[q*runBlocks*BlockSize:])
+		}
 	}
 }
 
-func (g *Generator) fillBlock(dst []byte, lineAddr, counter uint64, blockIdx int) {
-	binary.LittleEndian.PutUint64(g.tweak[0:8], lineAddr)
-	// 56 bits of counter and 8 bits of block index. Line counters in the
-	// paper are 28 bits, so 56 is ample headroom.
-	binary.LittleEndian.PutUint64(g.tweak[8:16], counter<<8|uint64(blockIdx)&0xff)
-	g.block.Encrypt(dst, g.tweak[:])
+// tweak writes the AES input for block blockIdx of the pad for
+// (lineAddr, counter) into the tail scratch and returns it.
+func (g *Generator) tweak(lineAddr, counter uint64, blockIdx int) []byte {
+	t := g.tail[:BlockSize]
+	binary.LittleEndian.PutUint64(t[0:8], lineAddr)
+	binary.LittleEndian.PutUint64(t[8:16], counter<<8|uint64(blockIdx))
+	return t
 }
 
 // scratchPad returns the generator-owned scratch buffer resized to n bytes.

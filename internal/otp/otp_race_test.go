@@ -1,12 +1,11 @@
 package otp
 
 // Regression tests for the Generator concurrency contract and the
-// allocation-free ...Into hot paths. The doc comment once claimed a
-// Generator was "safe for concurrent use" while the memoization cache was
-// unguarded shared state; the contract is now explicitly one Generator per
-// goroutine, and TestOneGeneratorPerGoroutine pins the supported usage down
-// under -race (sharing a single cache-enabled Generator across goroutines
-// would fail -race, which is exactly the point of the corrected contract).
+// allocation-free ...Into hot paths. A Generator owns unguarded scratch
+// (the kernel's tweak block, EncryptInto's pad, the pad counter), so the
+// contract is one Generator per goroutine; TestOneGeneratorPerGoroutine
+// pins the supported usage down under -race (sharing one Generator across
+// goroutines would fail -race, which is exactly the point of the contract).
 
 import (
 	"bytes"
@@ -16,8 +15,8 @@ import (
 
 // TestOneGeneratorPerGoroutine exercises the supported concurrency pattern —
 // a fresh Generator per goroutine, same key — under the race detector, and
-// checks that all goroutines agree on the pads (the cipher state reached
-// through the shared key material is read-only after key expansion).
+// checks that all goroutines agree on the pads (the key material is
+// read-only after expansion).
 func TestOneGeneratorPerGoroutine(t *testing.T) {
 	const workers = 8
 	const pads = 200
@@ -28,11 +27,11 @@ func TestOneGeneratorPerGoroutine(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			g := MustNewGenerator(testKey)
-			g.EnableCache(64)
-			sum := make([]byte, 64)
-			buf := make([]byte, 64)
+			sum := make([]byte, 128)
+			buf := make([]byte, 128)
 			for i := 0; i < pads; i++ {
-				g.PadInto(buf, uint64(i%32), uint64(i%7))
+				g.PadInto(buf[:64], uint64(i%32), uint64(i%7))
+				g.PadPairInto(buf, uint64(i%32), uint64(i%7), uint64(i%5))
 				for j := range sum {
 					sum[j] ^= buf[j]
 				}
@@ -88,60 +87,49 @@ func TestEncryptIntoRoundTripAliased(t *testing.T) {
 	}
 }
 
-// The cache-hit path and the EncryptInto path must be allocation-free in
-// steady state — this is what makes zero-alloc scheme writes possible.
+// The pad paths must be allocation-free in steady state, on the kernel and
+// on the crypto/aes loop — this is what makes zero-alloc scheme writes
+// possible.
 func TestIntoPathsDoNotAllocate(t *testing.T) {
-	g := gen(t)
-	g.EnableCache(64)
-	buf := make([]byte, 64)
-	g.PadInto(buf, 1, 2) // warm the slot and the scratch buffer
-	g.EncryptInto(buf, 1, 2, buf)
+	for _, kernel := range paths() {
+		g := gen(t)
+		g.kernel = kernel
+		buf := make([]byte, 128)
+		g.EncryptInto(buf[:64], 1, 2, buf[:64]) // size the scratch buffer
 
-	if n := testing.AllocsPerRun(100, func() { g.PadInto(buf, 1, 2) }); n != 0 {
-		t.Errorf("PadInto cache hit allocates %.1f times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { g.EncryptInto(buf, 1, 2, buf) }); n != 0 {
-		t.Errorf("EncryptInto allocates %.1f times per call, want 0", n)
-	}
-	hits, _ := g.CacheStats()
-	if hits == 0 {
-		t.Error("expected cache hits during the alloc runs")
-	}
-}
-
-// A direct-mapped collision must evict the old entry, not corrupt it: after
-// any interleaving of requests every returned pad equals the uncached pad.
-func TestDirectMappedCollisions(t *testing.T) {
-	g := gen(t)
-	ref := gen(t)
-	g.EnableCache(2) // tiny cache maximizes slot collisions
-	buf := make([]byte, 64)
-	for i := 0; i < 2000; i++ {
-		addr, ctr := uint64(i%13), uint64(i%5)
-		g.PadInto(buf, addr, ctr)
-		if !bytes.Equal(buf, ref.Pad(addr, ctr, 64)) {
-			t.Fatalf("collision corrupted pad for (%d,%d) at step %d", addr, ctr, i)
+		allocs := map[string]func(){
+			"PadInto":      func() { g.PadInto(buf[:64], 1, 2) },
+			"PadInto/128":  func() { g.PadInto(buf, 1, 2) },
+			"PadPairInto":  func() { g.PadPairInto(buf, 1, 2, 0) },
+			"EncryptInto":  func() { g.EncryptInto(buf[:64], 1, 2, buf[:64]) },
+			"BlockPadInto": func() { g.BlockPadInto(buf[:BlockSize], 1, 2, 3) },
+		}
+		for name, f := range allocs {
+			if n := testing.AllocsPerRun(100, f); n != 0 {
+				t.Errorf("kernel=%t: %s allocates %.1f times per call, want 0", kernel, name, n)
+			}
 		}
 	}
 }
 
-// Requesting a shorter pad after a longer one (and vice versa) through the
-// same slot must stay correct: the slot keeps the longest pad it has seen
-// only as long as the tuple matches.
+// Requesting a shorter pad after a longer one for the same tuple (and vice
+// versa) through one generator must stay correct: the short pad is the
+// prefix of the long one, and no scratch sized by an earlier request may
+// leak into a later one.
 func TestCacheMixedLengths(t *testing.T) {
-	g := gen(t)
-	ref := gen(t)
-	g.EnableCache(4)
-	long := make([]byte, 64)
-	short := make([]byte, 16)
-	g.PadInto(long, 3, 3)
-	g.PadInto(short, 3, 3) // hit: prefix of the cached 64-byte pad
-	if !bytes.Equal(short, ref.Pad(3, 3, 16)) {
-		t.Fatal("short pad after long pad is wrong")
-	}
-	g.PadInto(short, 4, 4) // miss: slot now holds a 16-byte pad
-	g.PadInto(long, 4, 4)  // miss again (cached pad too short), must regenerate
-	if !bytes.Equal(long, ref.Pad(4, 4, 64)) {
-		t.Fatal("long pad after short pad is wrong")
+	for _, kernel := range paths() {
+		g := newGen(t, testKey, kernel)
+		long := make([]byte, 64)
+		short := make([]byte, 16)
+		g.PadInto(long, 3, 3)
+		g.PadInto(short, 3, 3)
+		if !bytes.Equal(short, refPad(t, testKey, 3, 3, 16)) || !bytes.Equal(short, long[:16]) {
+			t.Fatalf("kernel=%t: short pad after long pad is wrong", kernel)
+		}
+		g.PadInto(short, 4, 4)
+		g.PadInto(long, 4, 4)
+		if !bytes.Equal(long, refPad(t, testKey, 4, 4, 64)) {
+			t.Fatalf("kernel=%t: long pad after short pad is wrong", kernel)
+		}
 	}
 }

@@ -142,66 +142,84 @@ func TestDifferentKeysDifferentPads(t *testing.T) {
 	}
 }
 
+// There is no pad cache: every request is derived afresh from scratch the
+// generator reuses (tweak block, keystream buffers). 500 repeated requests
+// over a small set of tuples, on one long-lived generator, must agree with
+// a fresh crypto/aes reference each time, and each must be counted.
 func TestCacheCorrectness(t *testing.T) {
-	g := gen(t)
-	ref := gen(t)
-	g.EnableCache(8)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 500; i++ {
-		addr, ctr := uint64(rng.Intn(16)), uint64(rng.Intn(4))
-		if !bytes.Equal(g.Pad(addr, ctr, 64), ref.Pad(addr, ctr, 64)) {
-			t.Fatalf("cached pad differs at (%d,%d)", addr, ctr)
+	for _, kernel := range paths() {
+		g := newGen(t, testKey, kernel)
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 500; i++ {
+			addr, ctr := uint64(rng.Intn(16)), uint64(rng.Intn(4))
+			if !bytes.Equal(g.Pad(addr, ctr, 64), refPad(t, testKey, addr, ctr, 64)) {
+				t.Fatalf("kernel=%t: repeated pad differs at (%d,%d)", kernel, addr, ctr)
+			}
+		}
+		if got := g.PadsDerived(); got != 500 {
+			t.Errorf("kernel=%t: PadsDerived = %d, want 500", kernel, got)
 		}
 	}
-	hits, misses := g.CacheStats()
-	if hits == 0 {
-		t.Error("expected some cache hits")
-	}
-	if hits+misses != 500 {
-		t.Errorf("hits+misses = %d, want 500", hits+misses)
+}
+
+// Mutating a returned pad must not corrupt future results: Pad hands out a
+// fresh slice, never the generator's tweak or encrypt scratch.
+func TestPadReturnsCopies(t *testing.T) {
+	for _, kernel := range paths() {
+		g := gen(t)
+		g.kernel = kernel
+		a := g.Pad(7, 7, 64)
+		want := bitutil.Clone(a)
+		for i := range a {
+			a[i] = 0
+		}
+		if !bytes.Equal(g.Pad(7, 7, 64), want) {
+			t.Errorf("kernel=%t: mutating a returned pad changed a later pad", kernel)
+		}
 	}
 }
 
-func TestCacheDisable(t *testing.T) {
+func TestPadsDerived(t *testing.T) {
 	g := gen(t)
-	g.EnableCache(8)
-	g.Pad(1, 1, 64)
-	g.EnableCache(0) // disable
-	g.Pad(1, 1, 64)
-	hits, _ := g.CacheStats()
-	if hits != 0 {
-		t.Errorf("hits after disable = %d, want 0", hits)
+	buf := make([]byte, 128)
+	g.PadInto(buf[:64], 1, 1)
+	g.EncryptInto(buf[:64], 1, 1, buf[:64])
+	g.PadPairInto(buf, 1, 2, 3)
+	g.BlockPadInto(buf[:BlockSize], 1, 1, 0)
+	if got := g.PadsDerived(); got != 5 {
+		t.Errorf("PadsDerived = %d, want 5 (pad, encrypt, pair of two, block pad)", got)
 	}
 }
 
-// Mutating a returned pad must not corrupt future results (no aliasing of
-// cache internals).
-func TestCacheReturnsCopies(t *testing.T) {
-	g := gen(t)
-	g.EnableCache(8)
-	a := g.Pad(7, 7, 64)
-	want := bitutil.Clone(a)
-	for i := range a {
-		a[i] = 0
-	}
-	if !bytes.Equal(g.Pad(7, 7, 64), want) {
-		t.Error("mutating a returned pad corrupted the cache")
-	}
-}
-
+// BenchmarkPad64 times one pad derivation per iteration into a reused
+// buffer: a 64-byte line (four blocks), a 128-byte line (eight) and the
+// LCTR+TCTR pair of a 64-byte line (eight, one kernel call), each on the
+// path NewGenerator selects and on the crypto/aes loop.
 func BenchmarkPad64(b *testing.B) {
-	g := MustNewGenerator(testKey)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Pad(uint64(i), uint64(i), 64)
-	}
-}
-
-func BenchmarkPad64Cached(b *testing.B) {
-	g := MustNewGenerator(testKey)
-	g.EnableCache(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Pad(uint64(i%512), 3, 64)
+	cases := []struct {
+		name string
+		n    int
+		pair bool
+	}{{"line64", 64, false}, {"line128", 128, false}, {"pair", 128, true}}
+	for _, kernel := range paths() {
+		for _, c := range cases {
+			name := c.name + "/crypto-aes"
+			if kernel {
+				name = c.name + "/kernel"
+			}
+			b.Run(name, func(b *testing.B) {
+				g := MustNewGenerator(testKey)
+				g.kernel = kernel
+				buf := make([]byte, c.n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if c.pair {
+						g.PadPairInto(buf, uint64(i), uint64(i), uint64(i)&^31)
+					} else {
+						g.PadInto(buf, uint64(i), uint64(i))
+					}
+				}
+			})
+		}
 	}
 }

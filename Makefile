@@ -56,27 +56,31 @@ race-timing:
 
 # race-durability is the focused race pass for the persistence layer: the
 # backend implementations and their failure-path tests, the pcmdev /
-# ctrstore page mapping, the durable snapshot framing, and the restart
+# ctrstore page mapping, the typed-error Restore tests of both (a failed
+# Restore changes nothing), the durable snapshot framing with its
+# truncate-at-every-offset atomicity test, and the restart
 # differential suite (every scheme replayed on mem vs file vs dir vs a
 # mid-trace close/reopen — all four must be bit-identical). A subset of
 # `race`, split out so the CI durability job can run it on every push.
 race-durability:
 	$(GO) test -race ./internal/backend/
-	$(GO) test -race -run 'TestBackend' ./internal/pcmdev/ ./internal/ctrstore/
+	$(GO) test -race -run 'TestBackend|TestRestore' ./internal/pcmdev/ ./internal/ctrstore/
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs four fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs five fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
-# fuzzed geometry and images, pcmdev.Restore on arbitrary snapshots
-# (typed errors only, never a partial restore), and the pad kernel
-# (PadInto and PadPairInto on both pad paths against crypto/aes).
+# fuzzed geometry and images, pcmdev.Restore and ctrstore.Restore on
+# arbitrary snapshots (typed errors only, never a partial restore, never
+# a counter past its width), and the pad kernel (PadInto and PadPairInto
+# on both pad paths against crypto/aes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 10s ./internal/pcmdev
+	$(GO) test -run '^$$' -fuzz FuzzCounterRestore -fuzztime 10s ./internal/ctrstore
 	$(GO) test -run '^$$' -fuzz FuzzPad -fuzztime 10s ./internal/otp
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay

@@ -128,6 +128,7 @@ func (b *base) saveState(schemeName string, w io.Writer) error {
 }
 
 // loadState is the shared implementation behind every scheme's LoadState.
+// It is atomic: a snapshot that fails to parse anywhere installs nothing.
 func (b *base) loadState(schemeName string, r io.Reader) error {
 	dev, err := b.device()
 	if err != nil {
@@ -159,13 +160,24 @@ func (b *base) loadState(schemeName string, r io.Reader) error {
 	if err := b.checkHeader(schemeName, string(nameBuf), h); err != nil {
 		return err
 	}
-	if _, err := io.ReadFull(br, b.inited.Bytes()); err != nil {
-		return fmt.Errorf("core: %w", err)
+	// Stage the bitmap and the counters, and install them only once the
+	// cells (restored last, atomically) have parsed too: a snapshot cut
+	// anywhere leaves the memory as it was, never a new bitmap or new
+	// counters over old cells.
+	inited := make([]byte, len(b.inited.Bytes()))
+	if _, err := io.ReadFull(br, inited); err != nil {
+		return fmt.Errorf("core: reading the touched-line bitmap: %w", err)
 	}
-	if err := b.ctrs.Restore(br); err != nil {
+	installCtrs, err := b.ctrs.Stage(br)
+	if err != nil {
 		return err
 	}
-	return dev.Restore(br)
+	if err := dev.Restore(br); err != nil {
+		return err
+	}
+	installCtrs()
+	copy(b.inited.Bytes(), inited)
+	return nil
 }
 
 // SaveState / LoadState implementations. Each scheme names itself so a

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,6 +120,63 @@ func TestLoadStateRejectsGarbage(t *testing.T) {
 	err := s.(Persistent).LoadState(bytes.NewReader([]byte("DST1rest-of-old-snapshot")))
 	if err == nil || !strings.Contains(err.Error(), "v1") {
 		t.Errorf("v1 snapshot error %v does not name the retired framing", err)
+	}
+}
+
+// memoryState is every line's plaintext (through ReadInto), every line
+// counter and the touched-line bitmap of a DEUCE memory.
+func memoryState(s *Deuce) (plain [][]byte, ctrs []uint64, inited []byte) {
+	for l := uint64(0); l < uint64(s.p.Lines); l++ {
+		dst := make([]byte, s.p.LineBytes)
+		s.ReadInto(l, dst)
+		plain = append(plain, dst)
+		ctrs = append(ctrs, s.ctrs.Get(l))
+	}
+	return plain, ctrs, bytes.Clone(s.inited.Bytes())
+}
+
+// TestLoadStateAtomicUnderTruncation cuts a valid DEUCE snapshot at every
+// byte offset: each cut must fail, and leave every line's plaintext, every
+// counter and the touched-line bitmap of the memory loading it as they
+// were — not a new bitmap or new counters over old cells. The loading
+// memory holds different lines, counters and bitmap than the snapshot, so
+// a partial install would show.
+func TestLoadStateAtomicUnderTruncation(t *testing.T) {
+	params := Params{Lines: 16, EpochInterval: 4}
+	fill := func(seed int64, lines int) *Deuce {
+		s := MustNew(KindDeuce, params).(*Deuce)
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 64)
+		for i := 0; i < 40*lines; i++ {
+			rng.Read(data[:8])
+			s.Write(uint64(rng.Intn(lines)), data)
+		}
+		return s
+	}
+	var snap bytes.Buffer
+	if err := fill(1, 16).SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	full := snap.Bytes()
+	s := fill(2, 9)
+	plain, ctrs, inited := memoryState(s)
+	for cut := 0; cut < len(full); cut++ {
+		if err := s.LoadState(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("snapshot cut at byte %d of %d loaded", cut, len(full))
+		}
+		gotPlain, gotCtrs, gotInited := memoryState(s)
+		if !slices.EqualFunc(gotPlain, plain, bytes.Equal) || !slices.Equal(gotCtrs, ctrs) || !bytes.Equal(gotInited, inited) {
+			t.Fatalf("failed LoadState of a snapshot cut at byte %d of %d changed the memory", cut, len(full))
+		}
+	}
+	// Control: the whole snapshot loads and replaces all three.
+	if err := s.LoadState(bytes.NewReader(full)); err != nil {
+		t.Fatal(err)
+	}
+	wantPlain, wantCtrs, wantInited := memoryState(fill(1, 16))
+	gotPlain, gotCtrs, gotInited := memoryState(s)
+	if !slices.EqualFunc(gotPlain, wantPlain, bytes.Equal) || !slices.Equal(gotCtrs, wantCtrs) || !bytes.Equal(gotInited, wantInited) {
+		t.Fatal("the whole snapshot did not restore the saved memory")
 	}
 }
 

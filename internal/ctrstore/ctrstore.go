@@ -142,23 +142,47 @@ func (s *Store) Serialize(w io.Writer) error {
 }
 
 // Restore loads counters written by Serialize; the geometry must match.
+// It is Stage followed by the install, so a failed Restore leaves every
+// counter as it was.
 func (s *Store) Restore(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var n, bits uint64
-	for _, p := range []*uint64{&n, &bits} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return fmt.Errorf("ctrstore: %w", err)
-		}
+	install, err := s.Stage(r)
+	if err != nil {
+		return err
 	}
-	if int(n) != len(s.counters) || uint(bits) != s.bits {
-		return fmt.Errorf("ctrstore: geometry mismatch: snapshot %dx%db, store %dx%db",
-			n, bits, len(s.counters), s.bits)
-	}
-	for i := range s.counters {
-		if err := binary.Read(br, binary.LittleEndian, &s.counters[i]); err != nil {
-			return fmt.Errorf("ctrstore: counter %d: %w", i, err)
-		}
-	}
-	s.markAllDirty()
+	install()
 	return nil
+}
+
+// Stage decodes a snapshot written by Serialize without touching the
+// store and returns the function that installs it, so a caller restoring
+// several pieces of state can install none of them unless all parsed.
+// Every failure is typed: backend.ErrGeometry for a snapshot of another
+// counter count or width, backend.ErrCorrupt for a counter wider than the
+// width (installing it would let a later Increment roll the counter back
+// and reuse a pad) and backend.ErrTruncated for a snapshot that ends (or
+// fails to read) early.
+func (s *Store) Stage(r io.Reader) (install func(), err error) {
+	br := bufio.NewReader(r)
+	var hdr [2]uint64 // counters, width
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("ctrstore: reading header: %w: %w", backend.ErrTruncated, err)
+	}
+	if hdr != [2]uint64{uint64(len(s.counters)), uint64(s.bits)} {
+		return nil, fmt.Errorf("ctrstore: geometry mismatch: snapshot %dx%db, store %dx%db: %w",
+			hdr[0], hdr[1], len(s.counters), s.bits, backend.ErrGeometry)
+	}
+	raw := make([]byte, 8*len(s.counters))
+	if n, err := io.ReadFull(br, raw); err != nil {
+		return nil, fmt.Errorf("ctrstore: snapshot holds %d of %d counters: %w: %w", n/8, len(s.counters), backend.ErrTruncated, err)
+	}
+	counters := make([]uint64, len(s.counters))
+	for i := range counters {
+		if counters[i] = binary.LittleEndian.Uint64(raw[8*i:]); counters[i] > s.mask {
+			return nil, fmt.Errorf("ctrstore: counter %d is %d, wider than %d bits: %w", i, counters[i], s.bits, backend.ErrCorrupt)
+		}
+	}
+	return func() {
+		copy(s.counters, counters)
+		s.markAllDirty()
+	}, nil
 }

@@ -24,6 +24,8 @@ func (d *Device) Fork() *Device {
 	copy(nd.posWrites, d.posWrites)
 	copy(nd.planes, d.planes)
 	nd.pending = d.pending
+	copy(nd.stage, d.stage)
+	nd.nstaged = d.nstaged
 	copy(nd.lineWrites, d.lineWrites)
 	if d.lineWear != nil {
 		for i, w := range d.lineWear {

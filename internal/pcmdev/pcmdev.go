@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"deuce/internal/backend"
 	"deuce/internal/bitutil"
@@ -46,13 +47,16 @@ const (
 	MaxFlipsPerSlot  = 64  // internal FNW provisioning per slot [22]
 )
 
-// planeDepth is the number of bit planes behind each word of cells, so a
-// position's pending program count holds planeDepth bits. Write adds at
-// most one program per position, so the planes fold into the profile every
-// foldEvery programming writes, before any count could overflow.
+// Wear accounting runs in three tiers. Write stages each programming
+// write's flip words as one row of a stageDepth-row stage; a full stage is
+// absorbed into planeDepth bit planes per word of cells, so a position's
+// pending program count holds planeDepth bits; and the planes fold into
+// the profile every foldEvery programming writes — whole stages, the most
+// that fit under the planes' 2^planeDepth−1 bound.
 const (
 	planeDepth = 8
-	foldEvery  = 1<<planeDepth - 1
+	stageDepth = 16
+	foldEvery  = (1<<planeDepth - 1) / stageDepth * stageDepth
 )
 
 // Config describes a simulated PCM array.
@@ -89,6 +93,10 @@ func (c Config) PageBytes() int {
 
 // TotalBitsPerLine returns data plus metadata cells per line.
 func (c Config) TotalBitsPerLine() int { return c.LineBytes*8 + c.MetaBits }
+
+// wearWords returns the 64-cell words wear is accounted in: the data words,
+// then the metadata cells rounded up to a word.
+func (c Config) wearWords() int { return c.LineBytes/8 + (c.MetaBits+63)/64 }
 
 // Stats aggregates device activity since creation (or the last ResetStats).
 type Stats struct {
@@ -157,10 +165,11 @@ func (r WriteResult) TotalFlips() int { return r.DataFlips + r.MetaFlips }
 // it and need one goroutine at a time; the experiment harness runs one
 // device per goroutine. A device nobody writes any more may be read from
 // many goroutines at once when its backend is a Pager (RAM, mmap): Stats,
-// PositionWrites, LineWrites and Fork only read it (PositionWrites and Fork
-// combine the pending wear planes with the folded profile instead of
-// folding in place), which is what lets the warm cache fork one frozen
-// device per grid cell concurrently.
+// PositionWrites, LineWrites and Fork only read it (PositionWrites adds the
+// staged rows and pending wear planes into a copy of the folded profile,
+// and Fork copies all three, instead of absorbing or folding in place),
+// which is what lets the warm cache fork one frozen device per grid cell
+// concurrently.
 type Device struct {
 	cfg Config
 
@@ -179,16 +188,22 @@ type Device struct {
 
 	// The Figure 12 profile — programs of each bit position (LineBits data
 	// positions, then MetaBits metadata positions) aggregated over all
-	// lines — is posWrites plus the pending counts in planes. planes[w][k]
-	// holds bit k of the pending count of positions w*64..w*64+63: words
-	// [0,LineBytes/8) are data, the rest metadata, the page's own
-	// [data][meta] order. Write adds each flip word into the planes with a
-	// carry-save ripple instead of one posWrites increment per cell;
-	// pending counts the writes added since the last fold, and fold moves
-	// the planes into posWrites every foldEvery of them.
+	// lines — is posWrites plus the pending counts in planes plus the
+	// flips staged in stage. planes[w][k] holds bit k of the pending count
+	// of positions w*64..w*64+63: words [0,LineBytes/8) are data, the rest
+	// metadata, the page's own [data][meta] order. stage[w][r] holds the
+	// flips of those positions in staged row r, one row per programming
+	// write: Write fills row nstaged instead of touching any counter,
+	// absorb adds a full stage into the planes with a carry-save tree,
+	// pending counts the writes absorbed since the last fold, and fold
+	// moves the planes into posWrites every foldEvery of them. posWrites
+	// spans whole words; the positions of the last metadata word past
+	// MetaBits are padding and stay zero.
 	posWrites []uint64
 	planes    [][planeDepth]uint64
 	pending   int
+	stage     [][stageDepth]uint64
+	nstaged   int
 
 	// lineWrites[l] counts write operations per physical line — the
 	// inter-line wear profile that vertical wear leveling flattens.
@@ -233,8 +248,9 @@ func NewOnBackend(cfg Config, be backend.Backend) (*Device, error) {
 		pg:          backend.AsPager(be),
 		lineBytes:   cfg.LineBytes,
 		metaBytes:   (cfg.MetaBits + 7) / 8,
-		posWrites:   make([]uint64, cfg.TotalBitsPerLine()),
-		planes:      make([][planeDepth]uint64, cfg.LineBytes/8+(cfg.MetaBits+63)/64),
+		posWrites:   make([]uint64, 64*cfg.wearWords()),
+		planes:      make([][planeDepth]uint64, cfg.wearWords()),
+		stage:       make([][stageDepth]uint64, cfg.wearWords()),
 		lineWrites:  make([]uint64, cfg.Lines),
 		slotScratch: make([]int, 0, cfg.LineBytes*8/SlotBits),
 	}
@@ -369,8 +385,10 @@ func (d *Device) ReadInto(line uint64, data, meta []byte) {
 //
 // One pass over the page does all the accounting: per 128-bit slot it
 // loads the two words of old ⊕ new once, popcounts them for the slot's
-// flips and adds them into the wear planes (see addWear). Metadata cells
-// take the same path as the words after the data.
+// flips and stores them into the next stage row. Metadata cells take the
+// same path as the words after the data. A write that programs no cell
+// leaves its row to be overwritten; every stageDepth-th programming write
+// absorbs the stage into the wear planes (see absorb).
 func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 	d.checkLine(line)
 	if len(newData) != d.cfg.LineBytes {
@@ -382,29 +400,24 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 
 	p := d.page(line)
 	old := p[:d.lineBytes]
-	var lw []uint32
-	if d.lineWear != nil {
-		lw = d.lineWear[line]
-	}
+	// nstaged is always below stageDepth; the mask tells the compiler so.
+	stage, r := d.stage, d.nstaged&(stageDepth-1)
 	res := WriteResult{}
 
 	// Data cells, one 128-bit slot (two words) at a time.
-	d.slotScratch = d.slotScratch[:0]
+	slots := d.slotScratch[:0]
 	dataWords := d.lineBytes / 8
 	for w := 0; w < dataWords; w += SlotBits / 64 {
 		x0 := binary.LittleEndian.Uint64(old[w*8:]) ^ binary.LittleEndian.Uint64(newData[w*8:])
 		x1 := binary.LittleEndian.Uint64(old[w*8+8:]) ^ binary.LittleEndian.Uint64(newData[w*8+8:])
-		f := bits.OnesCount64(x0) + bits.OnesCount64(x1)
-		if f == 0 {
-			continue
+		stage[w][r], stage[w+1][r] = x0, x1
+		if f := bits.OnesCount64(x0) + bits.OnesCount64(x1); f > 0 {
+			slots = append(slots, f)
+			res.DataFlips += f
 		}
-		res.Slots++
-		d.slotScratch = append(d.slotScratch, f)
-		res.DataFlips += f
-		d.addWear(lw, w, x0)
-		d.addWear(lw, w+1, x1)
 	}
-	res.SlotFlips = d.slotScratch
+	d.slotScratch = slots
+	res.Slots, res.SlotFlips = len(slots), slots
 	if res.DataFlips > 0 {
 		copy(old, newData)
 	}
@@ -418,8 +431,8 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 			if rem := d.cfg.MetaBits - off*8; rem < 64 {
 				x &= uint64(1)<<uint(rem) - 1
 			}
+			stage[dataWords+off/8][r] = x
 			res.MetaFlips += bits.OnesCount64(x)
-			d.addWear(lw, dataWords+off/8, x)
 		}
 		if res.MetaFlips > 0 {
 			copy(oldMeta, newMeta)
@@ -427,8 +440,11 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 	}
 	if res.DataFlips+res.MetaFlips > 0 {
 		d.flushPage(line, p)
-		if d.pending++; d.pending == foldEvery {
-			d.fold()
+		if d.lineWear != nil {
+			addLineWear(d.lineWear[line], stage, r)
+		}
+		if d.nstaged++; d.nstaged == stageDepth {
+			d.absorb()
 		}
 	}
 
@@ -443,28 +459,73 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 	return res
 }
 
-// addWear counts one program of every cell set in x, the flips of word w
-// (positions w*64 to w*64+63), into the pending wear planes: a carry-save
-// increment of 64 bit-sliced counters at once, rippling a carry word up
-// the planes until it is zero. With per-line wear tracked it also bumps
-// lw once per set bit; posWrites is only ever touched by fold.
-func (d *Device) addWear(lw []uint32, w int, x uint64) {
-	if lw != nil {
-		for y := x; y != 0; y &= y - 1 {
-			lw[w*64+bits.TrailingZeros64(y)]++
+// addLineWear counts one program of every cell set in staged row r into
+// the per-line wear counters lw, one increment per set bit.
+func addLineWear(lw []uint32, stage [][stageDepth]uint64, r int) {
+	for w := range stage {
+		for x := stage[w][r]; x != 0; x &= x - 1 {
+			lw[w*64+bits.TrailingZeros64(x)]++
 		}
 	}
-	pl := &d.planes[w]
-	for k := 0; x != 0; k++ {
-		c := pl[k] & x
-		pl[k] ^= x
-		x = c
+}
+
+// absorb adds the full stage into the planes and empties it, folding the
+// planes into posWrites once they hold foldEvery writes.
+func (d *Device) absorb() {
+	absorbStage(d.planes, d.stage)
+	d.nstaged = 0
+	if d.pending += stageDepth; d.pending == foldEvery {
+		d.fold()
+	}
+}
+
+// csa is a carry-save adder over 64 bit lanes: per lane, a+b+c = 2·hi+lo.
+func csa(a, b, c uint64) (hi, lo uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
+}
+
+// absorbStage adds the stageDepth rows of stage into the planes: one
+// program per set bit. Per word a Harley–Seal tree of 15 carry-save adders
+// counts the 16 rows into a bit-sliced 5-bit sum, and a ripple-carry add of
+// fixed depth puts the sum into the planes; no branch depends on the data.
+// The caller keeps every plane count plus stageDepth within 2^planeDepth−1.
+func absorbStage(planes [][planeDepth]uint64, stage [][stageDepth]uint64) {
+	for w := range planes {
+		s := &stage[w]
+		var ones, twos, fours, eights, twosA, twosB, foursA, foursB, eightsA, eightsB uint64
+		twosA, ones = csa(ones, s[0], s[1])
+		twosB, ones = csa(ones, s[2], s[3])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, s[4], s[5])
+		twosB, ones = csa(ones, s[6], s[7])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsA, fours = csa(fours, foursA, foursB)
+		twosA, ones = csa(ones, s[8], s[9])
+		twosB, ones = csa(ones, s[10], s[11])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, s[12], s[13])
+		twosB, ones = csa(ones, s[14], s[15])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsB, fours = csa(fours, foursA, foursB)
+		sixteens, eights := csa(eights, eightsA, eightsB)
+
+		pl := &planes[w]
+		var c uint64
+		c, pl[0] = csa(pl[0], ones, 0)
+		c, pl[1] = csa(pl[1], twos, c)
+		c, pl[2] = csa(pl[2], fours, c)
+		c, pl[3] = csa(pl[3], eights, c)
+		c, pl[4] = csa(pl[4], sixteens, c)
+		for k := 5; k < planeDepth; k++ {
+			pl[k], c = pl[k]^c, pl[k]&c
+		}
 	}
 }
 
 // fold moves the pending plane counts into posWrites and clears the
-// planes. Write calls it after every foldEvery-th programming write, the
-// last moment before a planeDepth-bit count could overflow.
+// planes. absorb calls it once the planes hold foldEvery writes, the last
+// whole stage before a planeDepth-bit count could overflow.
 func (d *Device) fold() {
 	addPlanes(d.posWrites, d.planes)
 	clear(d.planes)
@@ -473,15 +534,62 @@ func (d *Device) fold() {
 
 // addPlanes adds the counts held in bit-sliced planes to the per-position
 // profile pos: bit k of planes[w][k] at bit b is worth 2^k programs of
-// position w*64+b.
+// position w*64+b. Byte j of the eight planes of a word is an 8×8 bit
+// matrix whose transpose holds the counts of positions w*64+8j to
+// w*64+8j+7, one byte each: a byte transpose gathers each column's matrix
+// into one word, a bit transpose turns it into counts.
 func addPlanes(pos []uint64, planes [][planeDepth]uint64) {
 	for w := range planes {
-		for k, x := range planes[w] {
-			for ; x != 0; x &= x - 1 {
-				pos[w*64+bits.TrailingZeros64(x)] += 1 << uint(k)
+		cnt := (*[64]uint64)(pos[w*64:])
+		for j, col := range transposeBytes(planes[w]) {
+			c := transpose8(col)
+			for b := 0; b < 8; b++ {
+				cnt[8*j+b] += c >> (8 * b) & 0xff
 			}
 		}
 	}
+}
+
+// transposeBytes transposes the 8×8 byte matrix whose row k is a[k]: byte
+// j of a[k] moves to byte k of the result's word j.
+func transposeBytes(a [8]uint64) [8]uint64 {
+	for k := 0; k < 4; k++ {
+		t := (a[k]>>32 ^ a[k+4]) & 0x00000000ffffffff
+		a[k], a[k+4] = a[k]^t<<32, a[k+4]^t
+	}
+	for _, k := range [4]int{0, 1, 4, 5} {
+		t := (a[k]>>16 ^ a[k+2]) & 0x0000ffff0000ffff
+		a[k], a[k+2] = a[k]^t<<16, a[k+2]^t
+	}
+	for k := 0; k < 8; k += 2 {
+		t := (a[k]>>8 ^ a[k+1]) & 0x00ff00ff00ff00ff
+		a[k], a[k+1] = a[k]^t<<8, a[k+1]^t
+	}
+	return a
+}
+
+// transpose8 transposes the 8×8 bit matrix whose row r is byte r of x:
+// bit c of byte r moves to bit r of byte c.
+func transpose8(x uint64) uint64 {
+	t := (x ^ x>>7) & 0x00aa00aa00aa00aa
+	x ^= t ^ t<<7
+	t = (x ^ x>>14) & 0x0000cccc0000cccc
+	x ^= t ^ t<<14
+	t = (x ^ x>>28) & 0x00000000f0f0f0f0
+	return x ^ t ^ t<<28
+}
+
+// pendingPlanes returns a copy of the planes with the staged rows added
+// in, leaving the device untouched: the readers' view of every count not
+// yet folded into posWrites.
+func (d *Device) pendingPlanes() [][planeDepth]uint64 {
+	planes := slices.Clone(d.planes)
+	stage := make([][stageDepth]uint64, len(d.stage))
+	for w := range stage {
+		copy(stage[w][:d.nstaged], d.stage[w][:])
+	}
+	absorbStage(planes, stage)
+	return planes
 }
 
 // loadWord reads up to eight bytes of b as a little-endian word, leaving
@@ -529,6 +637,8 @@ func (d *Device) ResetStats() {
 	clear(d.posWrites)
 	clear(d.planes)
 	d.pending = 0
+	clear(d.stage)
+	d.nstaged = 0
 	for i := range d.lineWrites {
 		d.lineWrites[i] = 0
 	}
@@ -542,13 +652,12 @@ func (d *Device) ResetStats() {
 // PositionWrites returns a copy of the per-bit-position program counts,
 // aggregated over all lines. Indices [0,LineBits) are data cells; indices
 // [LineBits, LineBits+MetaBits) are metadata cells. It adds the pending
-// planes into the copy rather than folding them, so it only reads the
-// device.
+// planes and the staged rows into the copy rather than absorbing or
+// folding them, so it only reads the device.
 func (d *Device) PositionWrites() []uint64 {
-	out := make([]uint64, len(d.posWrites))
-	copy(out, d.posWrites)
-	addPlanes(out, d.planes)
-	return out
+	out := slices.Clone(d.posWrites)
+	addPlanes(out, d.pendingPlanes())
+	return out[:d.cfg.TotalBitsPerLine()]
 }
 
 // LineWrites returns a copy of the per-physical-line write counts — the

@@ -307,6 +307,30 @@ func BenchmarkWrite64(b *testing.B) {
 	}
 }
 
+// TestWriteZeroAllocs pins Device.Write allocation-free in the dense
+// (counter-mode) and meta32 (DEUCE) shapes. Each measured run is
+// foldEvery+stageDepth writes, so it always crosses a fold and several
+// absorbs, and any allocation among them shows in the per-run count.
+func TestWriteZeroAllocs(t *testing.T) {
+	for _, metaBits := range []int{0, 32} {
+		d := MustNew(Config{Lines: 8, MetaBits: metaBits})
+		rng := rand.New(rand.NewSource(3))
+		data, meta := make([]byte, 64), make([]byte, metaBits/8)
+		i := 0
+		allocs := testing.AllocsPerRun(5, func() {
+			for n := 0; n < foldEvery+stageDepth; n++ {
+				rng.Read(data)
+				rng.Read(meta)
+				d.Write(uint64(i%8), data, meta)
+				i++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("meta%d: %v allocations per %d writes, want 0", metaBits, allocs, foldEvery+stageDepth)
+		}
+	}
+}
+
 func TestLoadBypassesAccounting(t *testing.T) {
 	d := MustNew(Config{Lines: 2, MetaBits: 8})
 	data := make([]byte, 64)

@@ -186,6 +186,69 @@ func TestWearMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWearStageBoundaries walks one lineage through every programming-write
+// count n in [0, 2·foldEvery+stageDepth], so every stage row, every absorb
+// and the first two folds are each observed. At each n it compares the
+// profiles with the reference, then forks the pair and writes the fork past
+// its next absorb (checking the original did not move), and resets a
+// second fork, checking it and its next writes. Every programming write is
+// followed by a zero-flip rewrite, which must not take a stage row.
+func TestWearStageBoundaries(t *testing.T) {
+	for _, cfg := range []Config{
+		{Lines: 3},
+		{Lines: 3, MetaBits: 33, TrackPerLineWear: true},
+	} {
+		t.Run(fmt.Sprintf("meta%d", cfg.MetaBits), func(t *testing.T) {
+			cfg.setDefaults()
+			rng := rand.New(rand.NewSource(int64(cfg.MetaBits)))
+			// program writes a fresh random image to a random line of
+			// p, then rewrites the line unchanged.
+			program := func(p *wearPair) error {
+				line := uint64(rng.Intn(cfg.Lines))
+				page := make([]byte, cfg.PageBytes())
+				rng.Read(page)
+				data, meta := page[:cfg.LineBytes], page[cfg.LineBytes:]
+				if cfg.MetaBits == 0 {
+					meta = nil
+				}
+				if err := p.write(line, data, meta); err != nil {
+					return err
+				}
+				return p.write(line, data, meta)
+			}
+			p := &wearPair{d: MustNew(cfg), r: newRef(cfg)}
+			for n := 0; n <= 2*foldEvery+stageDepth; n++ {
+				if p.progWrites != n {
+					t.Fatalf("lineage took %d programming writes, want %d", p.progWrites, n)
+				}
+				if err := diffDevice(p.d, p.r, allLines(cfg)); err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				f := p.fork()
+				for i := 0; i <= stageDepth; i++ {
+					if err := program(f); err != nil {
+						t.Fatalf("n=%d, fork write %d: %v", n, i, err)
+					}
+				}
+				if err := diffDevice(p.d, p.r, allLines(cfg)); err != nil {
+					t.Fatalf("n=%d, original after the fork's writes: %v", n, err)
+				}
+				g := p.fork()
+				g.reset()
+				if err := diffDevice(g.d, g.r, allLines(cfg)); err != nil {
+					t.Fatalf("n=%d, after ResetStats: %v", n, err)
+				}
+				if err := program(g); err != nil {
+					t.Fatalf("n=%d, write after ResetStats: %v", n, err)
+				}
+				if err := program(p); err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+			}
+		})
+	}
+}
+
 // FuzzDeviceWrite checks the device against the per-flip reference on
 // fuzzed geometry and images. The first three bytes pick the geometry;
 // then each op byte (low two bits) writes an image, forks, resets, or
@@ -195,6 +258,12 @@ func FuzzDeviceWrite(f *testing.F) {
 	f.Add([]byte{3, 32, 0, 0, 0, 0xff, 0x0f})
 	f.Add([]byte{7, 65, 3, 0xff, 1, 0xaa, 0x55, 1, 2, 0xfe, 3})
 	f.Add(append([]byte{3, 33, 1, 0xff, 0}, bytes.Repeat([]byte{0x5a}, 80)...))
+	// Stop mid-stage: 17 alternating writes leave one row staged after an
+	// absorb; a fork then takes a second row; 241 writes leave one row
+	// staged after a fold, then a reset and one more write.
+	f.Add(append([]byte{3, 33, 0, 3 | 2<<2, 0}, bytes.Repeat([]byte{0xc3}, 69)...))
+	f.Add(append(append([]byte{3, 0, 2, 3 | 2<<2, 1}, bytes.Repeat([]byte{0x3c}, 64)...), 1, 0, 0, 1, 0xff))
+	f.Add(append(append([]byte{3, 32, 1, 3 | 30<<2, 0}, bytes.Repeat([]byte{0x96}, 68)...), 2, 0, 0, 0, 0x01))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
@@ -275,8 +344,8 @@ func TestForkConcurrentReadOnly(t *testing.T) {
 		rng.Read(meta)
 		d.Write(uint64(rng.Intn(cfg.Lines)), data, meta)
 	}
-	if d.pending == 0 {
-		t.Fatal("warmup left no pending plane counts; the test would not exercise them")
+	if d.pending == 0 || d.nstaged == 0 {
+		t.Fatalf("warmup left %d writes in the planes and %d staged; the test would not exercise both", d.pending, d.nstaged)
 	}
 	wantPW, wantStats, wantLW := d.PositionWrites(), d.Stats(), d.LineWrites()
 	pages := make([][]byte, cfg.Lines)

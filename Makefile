@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing bench-warm bench-spans bench-serve bench-backend fidelity fidelity-report fidelity-reverdict
+.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing bench-warm bench-backend fidelity fidelity-report fidelity-reverdict
 
 # check is the pre-merge gate: static checks, full tests under the race
 # detector, a cross-build of the portable code paths, and a short smoke of
@@ -40,18 +40,17 @@ race:
 # cell-pool grid / warm-fork / planner paths in internal/exp, the fork
 # bit-identity suites in internal/core and internal/workload, the
 # read-only Fork/PositionWrites contract of internal/pcmdev that
-# concurrent warm forks rely on, the concurrent serving telemetry (the
-# atomic obs registry, the striped lock-free histograms with their merge
-# property test, and the serving harness), and the sharded serving
-# front end's differential replay suite (internal/servefront), and the
-# one-Generator-per-goroutine contract of the pad kernel (internal/otp),
-# all under the race detector. A subset of `race`, split out so CI can run it on
-# every push even when the full race matrix is pruned.
+# concurrent warm forks rely on, the atomic obs registry's concurrent
+# hammer, the sharded serving front end's differential replay suite
+# (internal/servefront), and the one-Generator-per-goroutine contract of
+# the pad kernel (internal/otp), all under the race detector. A subset of
+# `race`, split out so CI can run it on every push even when the full
+# race matrix is pruned.
 race-timing:
 	$(GO) test -race ./internal/timing/
 	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
 	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/workload/ ./internal/pcmdev/
-	$(GO) test -race ./internal/obs/ ./internal/obs/serve/ ./internal/servebench/ ./internal/servefront/
+	$(GO) test -race ./internal/obs/ ./internal/servefront/
 	$(GO) test -race -count=10 -run TestOneGeneratorPerGoroutine ./internal/otp/
 
 # race-durability is the focused race pass for the persistence layer: the
@@ -107,24 +106,6 @@ bench-timing:
 # identically.
 bench-warm:
 	$(GO) run ./ci/benchwarm -writebacks 6000 -lines 512 -out BENCH_warm.json
-
-# bench-spans regenerates BENCH_spans.json: the fidelity gate's wall clock
-# with span tracing off vs on (min of two runs per leg), pinning the
-# tracer's <2% overhead target. Also cross-checks that the traced and
-# untraced gates verdict identically.
-bench-spans:
-	$(GO) run ./ci/benchspans -writebacks 6000 -lines 512 -out BENCH_spans.json
-
-# bench-serve regenerates BENCH_serve.json: the concurrent serving
-# harness (N clients, Zipfian mixed read/write workload against the KV
-# store) once per scheme × front end — the coarse single-lock baseline
-# and the sharded single-writer-line front — recording throughput and
-# p50/p90/p99/p999 latency from the lock-free striped histograms. The
-# record is validated (complete, mixed, no misses, monotone quantiles)
-# before it is written; `deucereport record -serve` ingests it into the
-# perf ledger.
-bench-serve:
-	$(GO) run ./ci/benchserve -clients 8 -ops 60000 -lines 4096 -fronts coarse,sharded -shards 8 -out BENCH_serve.json
 
 # bench-backend regenerates BENCH_backend.json: the steady-state write
 # path once per storage backend (mem, mmap file, the pread/pwrite

@@ -17,7 +17,6 @@
 //	deucereport check -experiment all -ledger runs.jsonl -id $(git rev-parse --short HEAD)
 //	deucereport ledger -ledger runs.jsonl -seed ci/ledger-seed.jsonl -keep 200
 //	deucereport record -ledger runs.jsonl -id pr-7 -bench BENCH_writehot.json -metrics out.json
-//	deucereport record -ledger serve.jsonl -id pr-7 -serve BENCH_serve.json
 //	deucereport compare -ledger runs.jsonl HEAD~1 HEAD
 //	deucereport compare -ledger runs.jsonl -baseline 3 HEAD
 //	deucereport compare -ledger runs.jsonl -baseline 5 -gate -out drift.md HEAD   # CI drift gate
@@ -89,11 +88,10 @@ subcommands:
            DAG a gate run would execute, without running anything;
            -profile executes the cells traced and renders the DAG critical path
   record   append a run's metrics (bench json/text, obs snapshots, runmeta,
-           span self-profiles, serving-benchmark records) to the ledger
+           span self-profiles) to the ledger
   compare  benchstat-style per-metric deltas between two ledger runs;
            -gate turns significant drift vs the baseline into a non-zero exit,
            -walltime-threshold additionally gates walltime: duration metrics
-           and serve: throughput/latency metrics (both are wall clock)
   report   markdown artifact: fidelity matrix + time attribution + cross-run trends
   ledger   maintenance for a persisted ledger: seed from a committed fallback, compact
 
@@ -429,13 +427,12 @@ func cmdRecord(args []string) error {
 	id := fs.String("id", "", "run ID (required; a commit SHA, PR number, or label)")
 	source := fs.String("source", "", "what produced the metrics (tool, CI job)")
 	commit := fs.String("commit", "", "VCS revision (defaults to the runmeta build revision when ingested)")
-	var metrics, bench, benchtext, runmeta, spanprofile, serve multiFlag
+	var metrics, bench, benchtext, runmeta, spanprofile multiFlag
 	fs.Var(&metrics, "metrics", "obs snapshot JSON (the cmds' -metrics output); repeatable")
 	fs.Var(&bench, "bench", "BENCH_writehot.json-style benchmark record; repeatable")
 	fs.Var(&benchtext, "benchtext", "raw 'go test -bench' output file; repeatable")
 	fs.Var(&runmeta, "runmeta", "runmeta.json manifest; repeatable")
 	fs.Var(&spanprofile, "spanprofile", "span self-profile JSON (the check -spans self-profile.json artifact), ingested as walltime: metrics; repeatable")
-	fs.Var(&serve, "serve", "BENCH_serve.json serving-benchmark record (cmd/deuceserve, ci/benchserve), ingested as serve: metrics; repeatable")
 	fs.Parse(args)
 
 	if *ledger == "" || *id == "" {
@@ -465,7 +462,6 @@ func cmdRecord(args []string) error {
 		{benchtext, func(r *regress.Run, f *os.File) error { return regress.IngestBenchText(r, f) }},
 		{runmeta, func(r *regress.Run, f *os.File) error { return regress.IngestRunMetaJSON(r, f) }},
 		{spanprofile, func(r *regress.Run, f *os.File) error { return regress.IngestSpanProfile(r, f) }},
-		{serve, func(r *regress.Run, f *os.File) error { return regress.IngestServeJSON(r, f) }},
 	}
 	for _, s := range steps {
 		if err := ingest(s.paths, s.f); err != nil {
@@ -473,7 +469,7 @@ func cmdRecord(args []string) error {
 		}
 	}
 	if len(run.Metrics) == 0 {
-		return fmt.Errorf("no metrics ingested (pass at least one of -metrics, -bench, -benchtext, -runmeta, -spanprofile, -serve)")
+		return fmt.Errorf("no metrics ingested (pass at least one of -metrics, -bench, -benchtext, -runmeta, -spanprofile)")
 	}
 	if err := regress.Append(*ledger, run); err != nil {
 		return err
@@ -490,7 +486,7 @@ func cmdCompare(args []string) error {
 	all := fs.Bool("all", false, "list every metric, including ones within the noise threshold")
 	out := fs.String("out", "", "also write the comparison as markdown to this file")
 	gate := fs.Bool("gate", false, "exit non-zero when a metric present in both runs drifts beyond the threshold; metrics that only appeared or vanished are reported but do not gate, and an empty baseline passes (fresh ledger)")
-	wallThreshold := fs.Float64("walltime-threshold", 0, "percent drift at which walltime: metrics (gate/span durations) and serve: metrics (serving throughput/latency) gate; 0 reports them without gating — wall clock is noisy, so neither ever rides the value threshold")
+	wallThreshold := fs.Float64("walltime-threshold", 0, "percent drift at which walltime: metrics (gate/span durations) gate; 0 reports them without gating — wall clock is noisy, so they never ride the value threshold")
 	fs.Parse(args)
 
 	if *ledger == "" {
@@ -553,13 +549,12 @@ func cmdCompare(args []string) error {
 	}
 	var drifted []driftEntry
 	for _, d := range deltas {
-		// Walltime metrics (span/gate durations) and serve metrics
-		// (serving throughput/latency) never ride the value threshold:
-		// wall clock drifts with machine load in ways simulated values
-		// cannot, so they gate only at their own opted-into threshold
-		// and are merely reported otherwise.
+		// Walltime metrics (span/gate durations) never ride the value
+		// threshold: wall clock drifts with machine load in ways
+		// simulated values cannot, so they gate only at their own
+		// opted-into threshold and are merely reported otherwise.
 		th := *threshold
-		if regress.IsWalltime(d.Metric) || regress.IsServe(d.Metric) {
+		if regress.IsWalltime(d.Metric) {
 			if *wallThreshold <= 0 {
 				continue
 			}
@@ -578,7 +573,7 @@ func cmdCompare(args []string) error {
 	}
 	fmt.Printf("\n%d of %d metrics changed beyond ±%.3g%%\n", sig, len(deltas), *threshold)
 	if *wallThreshold > 0 {
-		fmt.Printf("(walltime: and serve: metrics gated at ±%.3g%%)\n", *wallThreshold)
+		fmt.Printf("(walltime: metrics gated at ±%.3g%%)\n", *wallThreshold)
 	}
 	if *gate && len(drifted) > 0 {
 		for _, e := range drifted {
@@ -704,28 +699,10 @@ func cmdReport(args []string) error {
 				names = kept
 			}
 			sort.Strings(names)
-			// Serving metrics get their own section: they are wall-clock
-			// measurements from the concurrent harness, read under different
-			// expectations (loose thresholds, host-sensitive) than simulated
-			// values, and mixing them into one table buries both.
-			var serveNames, valueNames []string
-			for _, n := range names {
-				if regress.IsServe(n) {
-					serveNames = append(serveNames, n)
-				} else {
-					valueNames = append(valueNames, n)
-				}
-			}
-			if len(valueNames) > 0 {
+			if len(names) > 0 {
 				fmt.Fprintf(&b, "## Cross-run trends\n\n%d runs in `%s` (oldest → newest):\n\n",
 					len(runs), filepath.Base(*ledger))
-				b.WriteString(regress.TrendMarkdown(runs, valueNames, *width))
-				b.WriteString("\n")
-			}
-			if len(serveNames) > 0 {
-				fmt.Fprintf(&b, "## Serving trends\n\nConcurrent serving harness (cmd/deuceserve) throughput and latency quantiles across %d runs — wall-clock metrics, gated at the loose walltime threshold, never the value threshold:\n\n",
-					len(runs))
-				b.WriteString(regress.TrendMarkdown(runs, serveNames, *width))
+				b.WriteString(regress.TrendMarkdown(runs, names, *width))
 				b.WriteString("\n")
 			}
 		}

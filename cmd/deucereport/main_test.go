@@ -10,7 +10,6 @@ import (
 
 	"deuce/internal/obs/span"
 	"deuce/internal/regress"
-	"deuce/internal/servebench"
 )
 
 // gateLedger writes a three-run ledger: two stable baseline runs and a
@@ -197,102 +196,5 @@ func TestWriteSpanArtifacts(t *testing.T) {
 		if !strings.Contains(string(md), want) {
 			t.Errorf("critical-path.md missing %q:\n%s", want, md)
 		}
-	}
-}
-
-// serveLedger writes a ledger whose simulated values are stable but whose
-// serving throughput drops 40% at head — the shape a front-end lock
-// regression produces.
-func serveLedger(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "serve.jsonl")
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	runs := []regress.Run{
-		{ID: "r1", Time: base, Metrics: map[string]float64{
-			"bench:X:ns_per_op": 100, "serve:deuce:ops_per_sec": 600000, "serve:deuce:p99_ns": 5000}},
-		{ID: "r2", Time: base.Add(time.Hour), Metrics: map[string]float64{
-			"bench:X:ns_per_op": 100, "serve:deuce:ops_per_sec": 610000, "serve:deuce:p99_ns": 5100}},
-		{ID: "head", Time: base.Add(2 * time.Hour), Metrics: map[string]float64{
-			"bench:X:ns_per_op": 100, "serve:deuce:ops_per_sec": 360000, "serve:deuce:p99_ns": 9800}},
-	}
-	for _, r := range runs {
-		if err := regress.Append(path, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return path
-}
-
-// Serving metrics are wall clock: a serve drift must not fail the value
-// gate unless the walltime threshold is explicitly opted into.
-func TestCompareGateIgnoresServeByDefault(t *testing.T) {
-	ledger := serveLedger(t)
-	if err := cmdCompare([]string{"-ledger", ledger, "-baseline", "2", "-gate", "head"}); err != nil {
-		t.Errorf("value gate failed on a serve-only drift: %v", err)
-	}
-}
-
-func TestCompareGateFailsOnServeDrift(t *testing.T) {
-	ledger := serveLedger(t)
-	err := cmdCompare([]string{"-ledger", ledger, "-baseline", "2", "-gate",
-		"-walltime-threshold", "25", "head"})
-	if err == nil {
-		t.Fatal("serve gate passed a 40% throughput drop")
-	}
-	if !strings.Contains(err.Error(), "drifted") {
-		t.Errorf("gate error %q does not name the drift", err)
-	}
-}
-
-func TestCompareServeThresholdTolerance(t *testing.T) {
-	ledger := serveLedger(t)
-	if err := cmdCompare([]string{"-ledger", ledger, "-baseline", "2", "-gate",
-		"-walltime-threshold", "95", "head"}); err != nil {
-		t.Errorf("serve gate failed inside its own threshold: %v", err)
-	}
-}
-
-// TestRecordServeRoundTrip drives the full serving-telemetry pipeline at
-// tiny scale: run the harness, write BENCH_serve.json, ingest it with
-// `record -serve`, and confirm the ledger holds gateable serve: metrics.
-func TestRecordServeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	res, err := servebench.Run(servebench.Config{Clients: 2, Ops: 400, Lines: 512}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := servebench.NewBenchDoc(servebench.Config{Clients: 2, Ops: 400, Lines: 512},
-		[]servebench.Result{res}, "2026-01-01")
-	bench := filepath.Join(dir, "BENCH_serve.json")
-	if err := doc.WriteJSON(bench); err != nil {
-		t.Fatal(err)
-	}
-	ledger := filepath.Join(dir, "serve.jsonl")
-	if err := cmdRecord([]string{"-ledger", ledger, "-id", "rt", "-serve", bench}); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := regress.Load(ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 1 {
-		t.Fatalf("ledger has %d runs, want 1", len(runs))
-	}
-	m := runs[0].Metrics
-	for _, name := range []string{
-		"serve:deuce:coarse:ops_per_sec", "serve:deuce:coarse:p50_ns", "serve:deuce:coarse:p99_ns",
-		"serve:deuce:coarse:read_p99_ns", "serve:deuce:coarse:write_p99_ns",
-	} {
-		if m[name] <= 0 {
-			t.Errorf("round-tripped metric %s = %v, want > 0", name, m[name])
-		}
-	}
-	// And the recorded run gates cleanly against itself via compare.
-	if err := regress.Append(ledger, regress.Run{ID: "head", Time: time.Now().UTC(), Metrics: m}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdCompare([]string{"-ledger", ledger, "-baseline", "1", "-gate",
-		"-walltime-threshold", "30", "head"}); err != nil {
-		t.Errorf("identical serve run failed its own gate: %v", err)
 	}
 }

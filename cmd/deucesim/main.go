@@ -101,7 +101,7 @@ func run() error {
 		EpochInterval: *epoch,
 		WordBytes:     *word,
 	}
-	// Durable backends (DESIGN.md §14): results are bit-identical to the
+	// Durable backends (DESIGN.md §13): results are bit-identical to the
 	// in-memory run — the flag exists to exercise and inspect on-disk state.
 	switch *backendName {
 	case "mem":

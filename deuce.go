@@ -23,10 +23,9 @@
 // allocation discipline of DESIGN.md §5), and the per-line encryption
 // counters and epoch state mutate on every operation, reads included.
 // Concurrent front ends must impose their own discipline on top: either a
-// single lock around one Memory (internal/servebench's coarse baseline) or
-// a partition of the line space into independently locked regions, each
-// backed by its own Memory instance (internal/servefront's sharded
-// single-writer front end, DESIGN.md §13). Either way, every line has
+// single lock around one Memory or a partition of the line space into
+// independently locked regions, each backed by its own Memory instance
+// (internal/servefront's sharded single-writer front end, DESIGN.md §12). Either way, every line has
 // exactly one writer at a time, which is what keeps a Memory's per-line
 // counters, epochs and write accounting exact.
 //
@@ -124,7 +123,7 @@ const (
 
 // Backend selects where a Memory's durable regions (cell array and
 // encryption counters) are stored. See the package Durability notes in
-// README.md and DESIGN.md §14.
+// README.md and DESIGN.md §13.
 type Backend string
 
 // The available backends.

@@ -3,10 +3,10 @@
 // costs under the baseline encryption versus DEUCE.
 //
 // The store itself lives in internal/kvstore (fixed-size slots, FNV-style
-// hashing with linear probing) and is shared with the concurrent serving
-// harness, cmd/deuceserve — this example is the single-threaded cost
-// comparison; deuceserve is the same store under N client goroutines with
-// latency telemetry.
+// hashing with linear probing) and is shared with the sharded serving
+// front end, internal/servefront — this example is the single-threaded
+// cost comparison; bench/'s serve-zipf and serve-contended workloads
+// measure the same store behind that front end.
 //
 //	go run ./examples/securekv
 package main

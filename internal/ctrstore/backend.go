@@ -27,6 +27,8 @@ func BackendPages(counters int) int {
 // flushed by Sync. Existing backend contents are loaded, so reopening a
 // file backend resumes every counter where the last Sync left it. The
 // backend geometry must be BackendPages(counters) pages of PageBytes each.
+// A persisted counter wider than bits is backend.ErrCorrupt: truncating it
+// would roll the counter back and a later Increment would reuse a pad.
 func NewOnBackend(be backend.Backend, counters int, bits uint) (*Store, error) {
 	s, err := New(counters, bits)
 	if err != nil {
@@ -48,7 +50,11 @@ func NewOnBackend(be backend.Backend, counters int, bits uint) (*Store, error) {
 		}
 		base := p * countersPerPage
 		for i := 0; i < countersPerPage && base+i < counters; i++ {
-			s.counters[base+i] = binary.LittleEndian.Uint64(buf[i*8:]) & s.mask
+			v := binary.LittleEndian.Uint64(buf[i*8:])
+			if v&^s.mask != 0 {
+				return nil, fmt.Errorf("ctrstore: persisted counter %d is %d, wider than %d bits: %w", base+i, v, bits, backend.ErrCorrupt)
+			}
+			s.counters[base+i] = v
 		}
 	}
 	s.pageBuf = buf

@@ -1,6 +1,7 @@
 package ctrstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -86,5 +87,25 @@ func TestBackendGeometry(t *testing.T) {
 	_, err := NewOnBackend(backend.NewMem(1, 512), 100, 28)
 	if !errors.Is(err, backend.ErrGeometry) {
 		t.Fatalf("got %v, want ErrGeometry", err)
+	}
+}
+
+// TestBackendOverWidthCounterCorrupt pins that a persisted counter wider
+// than the store's width is refused rather than masked: masking would roll
+// the counter back, and the next Increment would reuse a pad.
+func TestBackendOverWidthCounterCorrupt(t *testing.T) {
+	const counters, bits = 100, 28
+	be := backend.NewMem(BackendPages(counters), PageBytes)
+	binary.LittleEndian.PutUint64(be.Page(0)[42*8:], 1<<bits+5)
+	if _, err := NewOnBackend(be, counters, bits); !errors.Is(err, backend.ErrCorrupt) {
+		t.Fatalf("NewOnBackend = %v, want ErrCorrupt", err)
+	}
+	binary.LittleEndian.PutUint64(be.Page(0)[42*8:], 1<<bits-1)
+	s, err := NewOnBackend(be, counters, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Get(42); got != 1<<bits-1 {
+		t.Fatalf("counter 42 = %d, want the full-width value %d", got, uint64(1<<bits-1))
 	}
 }

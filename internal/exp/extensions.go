@@ -11,7 +11,7 @@ import (
 )
 
 // Extension experiments: deterministic durability drills over the backend
-// layer (DESIGN.md §14), gated alongside the paper figures but with
+// layer (DESIGN.md §13), gated alongside the paper figures but with
 // structural expectations — every metric is a 0/1 indicator with zero
 // tolerance, because the drills are exact by construction (seeded traces,
 // simulated crashes, digest comparison), not calibrated measurements.

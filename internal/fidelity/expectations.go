@@ -128,7 +128,7 @@ func Expectations() []Expectation {
 }
 
 // ExtensionExpectations gates the durability drills that go beyond the
-// paper (exp.Extensions, DESIGN.md §14). Unlike the calibrated workload
+// paper (exp.Extensions, DESIGN.md §13). Unlike the calibrated workload
 // statistics above, every metric here is a structural 0/1 indicator from a
 // deterministic simulated-crash drill, so the tolerance is exactly zero:
 // any deviation means the persistence-domain model or the recovery

@@ -1,8 +1,8 @@
 // Package kvstore is a minimal persistent key-value store over an
 // encrypted PCM memory: fixed-size slots, FNV hashing with linear
 // probing, one record per 64-byte line. It exists as the shared workload
-// behind examples/securekv and the concurrent serving harness
-// (internal/servebench, cmd/deuceserve).
+// behind examples/securekv and the sharded serving front end
+// (internal/servefront), which bench/'s serving workloads drive.
 //
 // The store is deliberately simple, but its write pattern is realistic
 // for the class of in-memory databases that motivate NVM: each put
@@ -20,8 +20,8 @@
 //
 // The store inherits deuce.Memory's concurrency contract: it is not
 // safe for concurrent use. Concurrent front ends wrap it in their own
-// locking (servebench.Coarse holds a coarse mutex; servefront.Sharded
-// partitions the line space into independently locked shards).
+// locking (servefront.Sharded partitions the line space into
+// independently locked shards).
 package kvstore
 
 import (

@@ -149,7 +149,7 @@ func TestPutGetZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("GetInto allocates %.1f per op, want 0", avg)
 	}
-	// Misses are also hot (servebench counts them): zero allocs too.
+	// Misses are a hot path too: zero allocs.
 	if avg := testing.AllocsPerRun(500, func() {
 		if _, ok := kv.GetInto("z-missing", buf[:]); ok {
 			t.Fatal("phantom key")

@@ -8,9 +8,7 @@
 // happens off the write path, at snapshot or export time. Counter, Gauge
 // and Histogram updates are atomic — lock-free and safe from any number of
 // goroutines (the serving front end records from many clients at once) —
-// while staying allocation-free; heavily contended serving paths should
-// prefer the striped implementations in obs/serve, which remove even
-// cache-line sharing. Registration (the name → handle lookups) takes the
+// while staying allocation-free. Registration (the name → handle lookups) takes the
 // registry mutex and belongs in setup code, never on a hot path.
 package obs
 

@@ -159,7 +159,7 @@ func TestHistogramQuantile(t *testing.T) {
 }
 
 // The expvar rendering must expose live histogram quantiles: ServeDebug's
-// /debug/vars is how a running serving harness is inspected.
+// /debug/vars is how a running process is inspected.
 func TestExpvarIncludesQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("req_lat", []uint64{100, 200, 400})

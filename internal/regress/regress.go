@@ -431,76 +431,6 @@ func IngestSpanProfile(run *Run, r io.Reader) error {
 // holds them to a separate, explicitly opted-into threshold.
 func IsWalltime(metric string) bool { return strings.HasPrefix(metric, "walltime:") }
 
-// serveDoc mirrors the fields of BENCH_serve.json
-// (servebench.BenchDoc) the ledger ingests. A local shadow, like
-// runMetaDoc, so ingestion tolerates record additions.
-type serveDoc struct {
-	Benchmark string `json:"benchmark"`
-	Results   []struct {
-		Scheme    string  `json:"scheme"`
-		Front     string  `json:"front"`
-		OpsPerSec float64 `json:"ops_per_sec"`
-		Lat       struct {
-			MeanNs float64 `json:"mean_ns"`
-			P50Ns  float64 `json:"p50_ns"`
-			P90Ns  float64 `json:"p90_ns"`
-			P99Ns  float64 `json:"p99_ns"`
-			P999Ns float64 `json:"p999_ns"`
-		} `json:"lat"`
-		ReadLat struct {
-			P99Ns float64 `json:"p99_ns"`
-		} `json:"read_lat"`
-		WriteLat struct {
-			P99Ns float64 `json:"p99_ns"`
-		} `json:"write_lat"`
-	} `json:"results"`
-}
-
-// IngestServeJSON merges a BENCH_serve.json serving-benchmark record
-// (cmd/deuceserve, ci/benchserve) as
-// "serve:<scheme>:<front>:{ops_per_sec,mean_ns,p50_ns,p90_ns,p99_ns,p999_ns}"
-// plus the read/write p99 split as read_p99_ns and write_p99_ns. Records
-// that predate front-pluggable serving carry no front label; their
-// results ingest as the "coarse" front they measured. Serving
-// throughput and latency are wall-clock measurements — as host-sensitive
-// as walltime: spans — so compare gates the serve: namespace at the same
-// looser threshold (see IsServe).
-func IngestServeJSON(run *Run, r io.Reader) error {
-	var doc serveDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return fmt.Errorf("regress: serve json: %w", err)
-	}
-	if len(doc.Results) == 0 {
-		return fmt.Errorf("regress: serve record has no results")
-	}
-	for _, res := range doc.Results {
-		if res.Scheme == "" {
-			return fmt.Errorf("regress: serve result missing scheme")
-		}
-		front := res.Front
-		if front == "" {
-			front = "coarse"
-		}
-		pre := "serve:" + res.Scheme + ":" + front + ":"
-		run.Set(pre+"ops_per_sec", res.OpsPerSec)
-		run.Set(pre+"mean_ns", res.Lat.MeanNs)
-		run.Set(pre+"p50_ns", res.Lat.P50Ns)
-		run.Set(pre+"p90_ns", res.Lat.P90Ns)
-		run.Set(pre+"p99_ns", res.Lat.P99Ns)
-		run.Set(pre+"p999_ns", res.Lat.P999Ns)
-		run.Set(pre+"read_p99_ns", res.ReadLat.P99Ns)
-		run.Set(pre+"write_p99_ns", res.WriteLat.P99Ns)
-	}
-	return nil
-}
-
-// IsServe reports whether the metric lives in the "serve:" namespace —
-// serving throughput or latency from the concurrent harness. Like
-// walltime: metrics these are host- and load-sensitive wall-clock
-// measurements, so the compare gate holds them to the walltime threshold
-// rather than the value-drift threshold.
-func IsServe(metric string) bool { return strings.HasPrefix(metric, "serve:") }
-
 // IngestValues merges experiment values (exp.Table.Values, or the full
 // fidelity collection) under "fidelity:<experiment>:<metric>".
 func IngestValues(run *Run, experiment string, values map[string]float64) {

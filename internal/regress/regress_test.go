@@ -289,61 +289,3 @@ func TestIngestSpanProfile(t *testing.T) {
 		t.Error("IsWalltime misclassifies the walltime namespace")
 	}
 }
-
-// TestIngestServeJSON: a BENCH_serve.json serving record lands in the
-// ledger as serve: metrics — throughput and latency quantiles per
-// scheme×front, plus the read/write p99 split. A result without a front
-// label (a record from before the front-pluggable harness) ingests as
-// the coarse front it measured.
-func TestIngestServeJSON(t *testing.T) {
-	doc := `{"benchmark": "BenchmarkServe", "results": [
-		{"scheme": "deuce", "front": "sharded", "ops_per_sec": 650000,
-		 "lat": {"n": 20000, "mean_ns": 900, "p50_ns": 700, "p90_ns": 1200, "p99_ns": 4700, "p999_ns": 29000, "max_ns": 150000},
-		 "read_lat": {"p99_ns": 3800}, "write_lat": {"p99_ns": 5400}},
-		{"scheme": "encr-dcw", "ops_per_sec": 880000,
-		 "lat": {"mean_ns": 800, "p50_ns": 600, "p90_ns": 1100, "p99_ns": 4100, "p999_ns": 21000},
-		 "read_lat": {"p99_ns": 3200}, "write_lat": {"p99_ns": 4800}}]}`
-	var run Run
-	if err := IngestServeJSON(&run, strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{
-		"serve:deuce:sharded:ops_per_sec":   650000,
-		"serve:deuce:sharded:mean_ns":       900,
-		"serve:deuce:sharded:p50_ns":        700,
-		"serve:deuce:sharded:p90_ns":        1200,
-		"serve:deuce:sharded:p99_ns":        4700,
-		"serve:deuce:sharded:p999_ns":       29000,
-		"serve:deuce:sharded:read_p99_ns":   3800,
-		"serve:deuce:sharded:write_p99_ns":  5400,
-		"serve:encr-dcw:coarse:ops_per_sec": 880000,
-		"serve:encr-dcw:coarse:p99_ns":      4100,
-		"serve:encr-dcw:coarse:read_p99_ns": 3200,
-	}
-	for name, v := range want {
-		if run.Metrics[name] != v {
-			t.Errorf("%s = %v, want %v", name, run.Metrics[name], v)
-		}
-	}
-	if len(run.Metrics) != 16 { // 8 metrics per scheme×front
-		t.Errorf("ingested %d metrics, want 16: %v", len(run.Metrics), run.Metrics)
-	}
-	if !IsServe("serve:deuce:coarse:p99_ns") || IsServe("bench:X:ns_per_op") || IsServe("walltime:gate:ns") {
-		t.Error("IsServe misclassifies the serve namespace")
-	}
-}
-
-// TestIngestServeJSONRejectsEmpty: an empty or schemeless record must
-// fail loudly instead of recording a run with no serving metrics.
-func TestIngestServeJSONRejectsEmpty(t *testing.T) {
-	var run Run
-	if err := IngestServeJSON(&run, strings.NewReader(`{"benchmark": "BenchmarkServe", "results": []}`)); err == nil {
-		t.Error("empty results accepted")
-	}
-	if err := IngestServeJSON(&run, strings.NewReader(`{"results": [{"ops_per_sec": 1}]}`)); err == nil {
-		t.Error("schemeless result accepted")
-	}
-	if err := IngestServeJSON(&run, strings.NewReader(`not json`)); err == nil {
-		t.Error("malformed JSON accepted")
-	}
-}

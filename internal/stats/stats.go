@@ -4,7 +4,7 @@
 //
 // Concurrency: every accumulator is unlocked single-owner state — one
 // goroutine feeds it, then reads it. The concurrency-safe counterparts
-// for serving telemetry live in internal/obs/serve, not here.
+// are obs.Registry's atomic Counter, Gauge and Histogram, not here.
 package stats
 
 import (

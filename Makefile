@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing bench-warm bench-backend fidelity fidelity-report fidelity-reverdict
+.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing fidelity fidelity-report fidelity-reverdict
 
 # check is the pre-merge gate: static checks, full tests under the race
 # detector, a cross-build of the portable code paths, and a short smoke of
@@ -58,8 +58,9 @@ race-timing:
 # ctrstore page mapping, the typed-error Restore tests of both (a failed
 # Restore changes nothing), the durable snapshot framing with its
 # truncate-at-every-offset atomicity test, and the restart
-# differential suite (every scheme replayed on mem vs file vs dir vs a
-# mid-trace close/reopen — all four must be bit-identical). A subset of
+# differential suite (every scheme replayed on mem vs file vs file synced
+# every 64 writes vs dir vs a mid-trace close/reopen — all five must be
+# bit-identical). A subset of
 # `race`, split out so the CI durability job can run it on every push.
 race-durability:
 	$(GO) test -race ./internal/backend/
@@ -97,23 +98,6 @@ bench-writehot:
 # cache reset before every iteration.
 bench-timing:
 	$(GO) test -run '^$$' -bench BenchmarkTimedCell -benchmem ./internal/exp/
-
-# bench-warm regenerates BENCH_warm.json: the full fidelity gate's wall
-# clock at CI scale in its three execution modes — cold (warm-state reuse
-# off, the pre-reuse baseline), with warm-state reuse and the planner, and
-# as an incremental recheck against the run's own recording (zero
-# experiment re-runs). Also cross-checks that all three modes verdict
-# identically.
-bench-warm:
-	$(GO) run ./ci/benchwarm -writebacks 6000 -lines 512 -out BENCH_warm.json
-
-# bench-backend regenerates BENCH_backend.json: the steady-state write
-# path once per storage backend (mem, mmap file, the pread/pwrite
-# fallback, sharded dir, and file with a Sync every 64 writes), after
-# verifying all of them bit-identical on a fixed differential trace.
-# `deucereport record -bench` ingests the record into the perf ledger.
-bench-backend:
-	$(GO) run ./ci/benchbackend -out BENCH_backend.json
 
 # fidelity runs the paper-fidelity gate at the reduced CI scale: every
 # EXPERIMENTS.md headline value is checked against the paper with

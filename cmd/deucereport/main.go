@@ -1,8 +1,9 @@
 // Command deucereport is the repository's fidelity gate and regression
 // ledger front-end. It turns EXPERIMENTS.md's "measured vs paper" summary
 // table from prose into an enforced contract (internal/fidelity) and keeps
-// a cross-run JSONL ledger of metrics with noise-aware comparisons
-// (internal/regress).
+// a cross-run JSONL ledger of what check measures — fidelity values, and
+// with -spans the gate's wall-clock profile — with noise-aware
+// comparisons (internal/regress).
 //
 // Usage:
 //
@@ -16,7 +17,6 @@
 //	deucereport plan -experiment all -profile         # execute the DAG traced; per-node durations
 //	deucereport check -experiment all -ledger runs.jsonl -id $(git rev-parse --short HEAD)
 //	deucereport ledger -ledger runs.jsonl -seed ci/ledger-seed.jsonl -keep 200
-//	deucereport record -ledger runs.jsonl -id pr-7 -bench BENCH_writehot.json -metrics out.json
 //	deucereport compare -ledger runs.jsonl HEAD~1 HEAD
 //	deucereport compare -ledger runs.jsonl -baseline 3 HEAD
 //	deucereport compare -ledger runs.jsonl -baseline 5 -gate -out drift.md HEAD   # CI drift gate
@@ -54,8 +54,6 @@ func main() {
 		err = cmdCheck(os.Args[2:])
 	case "plan":
 		err = cmdPlan(os.Args[2:])
-	case "record":
-		err = cmdRecord(os.Args[2:])
 	case "compare":
 		err = cmdCompare(os.Args[2:])
 	case "report":
@@ -87,8 +85,6 @@ subcommands:
   plan     dry-run the experiment planner: the deduplicated warmup/cell/table
            DAG a gate run would execute, without running anything;
            -profile executes the cells traced and renders the DAG critical path
-  record   append a run's metrics (bench json/text, obs snapshots, runmeta,
-           span self-profiles) to the ledger
   compare  benchstat-style per-metric deltas between two ledger runs;
            -gate turns significant drift vs the baseline into a non-zero exit,
            -walltime-threshold additionally gates walltime: duration metrics
@@ -413,69 +409,6 @@ func planProfileMarkdown(p *exp.Plan, nodes []span.DAGNode, tree *span.Tree, ela
 		shown++
 	}
 	return b.String()
-}
-
-// multiFlag collects a repeatable -flag value.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-func cmdRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
-	ledger := fs.String("ledger", "", "JSONL ledger path (required)")
-	id := fs.String("id", "", "run ID (required; a commit SHA, PR number, or label)")
-	source := fs.String("source", "", "what produced the metrics (tool, CI job)")
-	commit := fs.String("commit", "", "VCS revision (defaults to the runmeta build revision when ingested)")
-	var metrics, bench, benchtext, runmeta, spanprofile multiFlag
-	fs.Var(&metrics, "metrics", "obs snapshot JSON (the cmds' -metrics output); repeatable")
-	fs.Var(&bench, "bench", "BENCH_writehot.json-style benchmark record; repeatable")
-	fs.Var(&benchtext, "benchtext", "raw 'go test -bench' output file; repeatable")
-	fs.Var(&runmeta, "runmeta", "runmeta.json manifest; repeatable")
-	fs.Var(&spanprofile, "spanprofile", "span self-profile JSON (the check -spans self-profile.json artifact), ingested as walltime: metrics; repeatable")
-	fs.Parse(args)
-
-	if *ledger == "" || *id == "" {
-		return fmt.Errorf("record requires -ledger and -id")
-	}
-	run := regress.Run{ID: *id, Source: *source, Commit: *commit}
-	ingest := func(paths []string, f func(*regress.Run, *os.File) error) error {
-		for _, p := range paths {
-			file, err := os.Open(p)
-			if err != nil {
-				return err
-			}
-			err = f(&run, file)
-			file.Close()
-			if err != nil {
-				return fmt.Errorf("%s: %w", p, err)
-			}
-		}
-		return nil
-	}
-	steps := []struct {
-		paths []string
-		f     func(*regress.Run, *os.File) error
-	}{
-		{metrics, func(r *regress.Run, f *os.File) error { return regress.IngestSnapshotJSON(r, f) }},
-		{bench, func(r *regress.Run, f *os.File) error { return regress.IngestBenchJSON(r, f) }},
-		{benchtext, func(r *regress.Run, f *os.File) error { return regress.IngestBenchText(r, f) }},
-		{runmeta, func(r *regress.Run, f *os.File) error { return regress.IngestRunMetaJSON(r, f) }},
-		{spanprofile, func(r *regress.Run, f *os.File) error { return regress.IngestSpanProfile(r, f) }},
-	}
-	for _, s := range steps {
-		if err := ingest(s.paths, s.f); err != nil {
-			return err
-		}
-	}
-	if len(run.Metrics) == 0 {
-		return fmt.Errorf("no metrics ingested (pass at least one of -metrics, -bench, -benchtext, -runmeta, -spanprofile)")
-	}
-	if err := regress.Append(*ledger, run); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d metrics as %q in %s\n", len(run.Metrics), *id, *ledger)
-	return nil
 }
 
 func cmdCompare(args []string) error {

@@ -238,8 +238,7 @@ func run() error {
 	}
 	if reg != nil {
 		// Scalar outcomes ride along with the per-write histograms so the
-		// snapshot alone reconstructs the run's headline numbers (and the
-		// regression ledger can ingest them as metrics).
+		// snapshot alone reconstructs the run's headline numbers.
 		reg.Gauge("flip_frac").Set(res.FlipFrac)
 		reg.Gauge("slot_avg").Set(res.SlotAvg)
 		reg.Gauge("wear_skew").Set(wp.Skew())

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"deuce/internal/backend"
 	"deuce/internal/pcmdev"
 )
 
@@ -59,15 +60,16 @@ func (b *base) header(schemeName string) stateHeader {
 
 // checkHeader compares a snapshot header against this scheme field by
 // field, so the error names exactly what differs — both geometries, both
-// scheme kinds — instead of a generic "state mismatch".
+// scheme kinds — instead of a generic "state mismatch". A line-count or
+// line-size mismatch wraps backend.ErrGeometry, as pcmdev.Restore's does.
 func (b *base) checkHeader(schemeName, gotName string, h stateHeader) error {
 	if gotName != schemeName {
 		return fmt.Errorf("core: snapshot holds scheme %q, this memory runs %q", gotName, schemeName)
 	}
 	want := b.header(schemeName)
 	if h.Lines != want.Lines || h.LineBytes != want.LineBytes {
-		return fmt.Errorf("core: geometry mismatch: snapshot %d lines × %dB, memory %d lines × %dB",
-			h.Lines, h.LineBytes, want.Lines, want.LineBytes)
+		return fmt.Errorf("core: geometry mismatch: snapshot %d lines × %dB, memory %d lines × %dB: %w",
+			h.Lines, h.LineBytes, want.Lines, want.LineBytes, backend.ErrGeometry)
 	}
 	if h.Epoch != want.Epoch || h.WordBytes != want.WordBytes || h.CounterBits != want.CounterBits {
 		return fmt.Errorf("core: scheme-parameter mismatch: snapshot epoch=%d word=%dB ctr=%db, memory epoch=%d word=%dB ctr=%db",
@@ -129,6 +131,10 @@ func (b *base) saveState(schemeName string, w io.Writer) error {
 
 // loadState is the shared implementation behind every scheme's LoadState.
 // It is atomic: a snapshot that fails to parse anywhere installs nothing.
+// Framing failures are typed like pcmdev.Restore's and ctrstore.Stage's:
+// backend.ErrTruncated for a snapshot that ends early, backend.ErrCorrupt
+// for a bad (or retired v1) magic, backend.ErrGeometry for a snapshot of
+// another line count or line size.
 func (b *base) loadState(schemeName string, r io.Reader) error {
 	dev, err := b.device()
 	if err != nil {
@@ -137,25 +143,25 @@ func (b *base) loadState(schemeName string, r io.Reader) error {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("core: reading state header: %w", err)
+		return fmt.Errorf("core: reading state magic: %w: %w", backend.ErrTruncated, err)
 	}
 	if magic == stateMagicV1 {
-		return fmt.Errorf("core: snapshot uses the retired v1 framing %q (no scheme-kind field); re-save it with this version", magic)
+		return fmt.Errorf("core: snapshot uses the retired v1 framing %q (no scheme-kind field); re-save it with this version: %w", magic, backend.ErrCorrupt)
 	}
 	if magic != stateMagic {
-		return fmt.Errorf("core: bad state magic %q", magic)
+		return fmt.Errorf("core: bad state magic %q: %w", magic, backend.ErrCorrupt)
 	}
 	var nameLen uint16
 	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: reading scheme name length: %w: %w", backend.ErrTruncated, err)
 	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return fmt.Errorf("core: reading scheme name: %w", err)
+		return fmt.Errorf("core: reading scheme name: %w: %w", backend.ErrTruncated, err)
 	}
 	var h stateHeader
 	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
-		return fmt.Errorf("core: %w", err)
+		return fmt.Errorf("core: reading state header: %w: %w", backend.ErrTruncated, err)
 	}
 	if err := b.checkHeader(schemeName, string(nameBuf), h); err != nil {
 		return err
@@ -166,7 +172,7 @@ func (b *base) loadState(schemeName string, r io.Reader) error {
 	// counters over old cells.
 	inited := make([]byte, len(b.inited.Bytes()))
 	if _, err := io.ReadFull(br, inited); err != nil {
-		return fmt.Errorf("core: reading the touched-line bitmap: %w", err)
+		return fmt.Errorf("core: reading the touched-line bitmap: %w: %w", backend.ErrTruncated, err)
 	}
 	installCtrs, err := b.ctrs.Stage(br)
 	if err != nil {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"deuce/internal/backend"
 	"deuce/internal/bitutil"
 	"deuce/internal/pcmdev"
 	"deuce/internal/wear"
@@ -84,11 +86,13 @@ func TestLoadStateRejectsMismatches(t *testing.T) {
 		// what differs — both scheme kinds, both geometries — instead of
 		// an opaque "state mismatch".
 		want string
+		// is, when set, is the typed error the mismatch must wrap.
+		is error
 	}{
-		{"different scheme", KindEncrDCW, base, `snapshot holds scheme "DEUCE"`},
-		{"different key", KindDeuce, Params{Lines: 8, EpochInterval: 4, Key: []byte("fedcba9876543210")}, "different key"},
-		{"different lines", KindDeuce, Params{Lines: 16, EpochInterval: 4}, "snapshot 8 lines × 64B, memory 16 lines × 64B"},
-		{"different epoch", KindDeuce, Params{Lines: 8, EpochInterval: 8}, "snapshot epoch=4"},
+		{"different scheme", KindEncrDCW, base, `snapshot holds scheme "DEUCE"`, nil},
+		{"different key", KindDeuce, Params{Lines: 8, EpochInterval: 4, Key: []byte("fedcba9876543210")}, "different key", nil},
+		{"different lines", KindDeuce, Params{Lines: 16, EpochInterval: 4}, "snapshot 8 lines × 64B, memory 16 lines × 64B", backend.ErrGeometry},
+		{"different epoch", KindDeuce, Params{Lines: 8, EpochInterval: 8}, "snapshot epoch=4", nil},
 	}
 	for _, c := range cases {
 		s := MustNew(c.kind, c.p)
@@ -100,6 +104,9 @@ func TestLoadStateRejectsMismatches(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not name the mismatch (want substring %q)", c.name, err, c.want)
 		}
+		if c.is != nil && !errors.Is(err, c.is) {
+			t.Errorf("%s: error %q does not wrap %v", c.name, err, c.is)
+		}
 	}
 	// Control: matching configuration loads.
 	s := MustNew(KindDeuce, base)
@@ -110,16 +117,19 @@ func TestLoadStateRejectsMismatches(t *testing.T) {
 
 func TestLoadStateRejectsGarbage(t *testing.T) {
 	s := MustNew(KindDeuce, Params{Lines: 4})
-	if err := s.(Persistent).LoadState(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Error("garbage accepted")
+	if err := s.(Persistent).LoadState(bytes.NewReader([]byte("not a snapshot"))); !errors.Is(err, backend.ErrCorrupt) {
+		t.Errorf("garbage: got %v, want backend.ErrCorrupt", err)
 	}
-	if err := s.(Persistent).LoadState(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
+	if err := s.(Persistent).LoadState(bytes.NewReader(nil)); !errors.Is(err, backend.ErrTruncated) {
+		t.Errorf("empty input: got %v, want backend.ErrTruncated", err)
 	}
 	// Retired v1 framing is named explicitly, not reported as garbage.
 	err := s.(Persistent).LoadState(bytes.NewReader([]byte("DST1rest-of-old-snapshot")))
 	if err == nil || !strings.Contains(err.Error(), "v1") {
 		t.Errorf("v1 snapshot error %v does not name the retired framing", err)
+	}
+	if !errors.Is(err, backend.ErrCorrupt) {
+		t.Errorf("v1 snapshot: got %v, want backend.ErrCorrupt", err)
 	}
 }
 
@@ -136,11 +146,11 @@ func memoryState(s *Deuce) (plain [][]byte, ctrs []uint64, inited []byte) {
 }
 
 // TestLoadStateAtomicUnderTruncation cuts a valid DEUCE snapshot at every
-// byte offset: each cut must fail, and leave every line's plaintext, every
-// counter and the touched-line bitmap of the memory loading it as they
-// were — not a new bitmap or new counters over old cells. The loading
-// memory holds different lines, counters and bitmap than the snapshot, so
-// a partial install would show.
+// byte offset: each cut must fail with backend.ErrTruncated, and leave
+// every line's plaintext, every counter and the touched-line bitmap of the
+// memory loading it as they were — not a new bitmap or new counters over
+// old cells. The loading memory holds different lines, counters and bitmap
+// than the snapshot, so a partial install would show.
 func TestLoadStateAtomicUnderTruncation(t *testing.T) {
 	params := Params{Lines: 16, EpochInterval: 4}
 	fill := func(seed int64, lines int) *Deuce {
@@ -161,8 +171,12 @@ func TestLoadStateAtomicUnderTruncation(t *testing.T) {
 	s := fill(2, 9)
 	plain, ctrs, inited := memoryState(s)
 	for cut := 0; cut < len(full); cut++ {
-		if err := s.LoadState(bytes.NewReader(full[:cut])); err == nil {
+		err := s.LoadState(bytes.NewReader(full[:cut]))
+		if err == nil {
 			t.Fatalf("snapshot cut at byte %d of %d loaded", cut, len(full))
+		}
+		if !errors.Is(err, backend.ErrTruncated) {
+			t.Fatalf("snapshot cut at byte %d of %d: got %v, want backend.ErrTruncated", cut, len(full), err)
 		}
 		gotPlain, gotCtrs, gotInited := memoryState(s)
 		if !slices.EqualFunc(gotPlain, plain, bytes.Equal) || !slices.Equal(gotCtrs, ctrs) || !bytes.Equal(gotInited, inited) {

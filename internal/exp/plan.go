@@ -336,11 +336,6 @@ func (p *Plan) SpanDAG(durByKey map[string]int64) []span.DAGNode {
 	return nodes
 }
 
-// WarmReuseActive reports whether the warm-state fast paths are enabled
-// (see SetWarmReuse). Gate drivers skip the planner pre-pass when reuse is
-// off — without cell caches the pre-pass would double every cell.
-func WarmReuseActive() bool { return warmReuseEnabled() }
-
 // Render writes a human-readable dry-run of the plan: node totals, the
 // sharing summary, and each phase's work items.
 func (p *Plan) Render(w io.Writer) {

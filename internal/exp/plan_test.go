@@ -15,7 +15,7 @@ var gatePlanIDs = []string{"fig5", "fig8", "fig9", "fig10", "table3", "fig12", "
 // them all, and the subsequent table assembly re-runs none.
 func TestPlanCoversGateExecutions(t *testing.T) {
 	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 4}
-	SetWarmReuse(true)
+	setWarmReuse(true)
 	ResetCache()
 	t.Cleanup(ResetCache)
 	plan, err := BuildPlan(gatePlanIDs, rc)

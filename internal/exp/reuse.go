@@ -6,18 +6,11 @@ import (
 	"deuce/internal/obs"
 )
 
-// warmReuseOff disables the warm-state fast paths when set. The zero value
-// means enabled: warm-state reuse is on by default and SetWarmReuse(false)
-// restores the PR-4 baseline (grid- and table-level memoization only).
+// warmReuseOff disables the warm-state fast paths (the per-cell result
+// caches and the warm-fork path that skips per-cell warmup replay) when
+// set. Only tests set it: it is the cold reference the fork bit-identity
+// suites compare warm-forked cells against. The zero value means enabled.
 var warmReuseOff atomic.Bool
-
-// SetWarmReuse toggles warm-state reuse: the per-cell result caches and
-// the warm-fork fast path that skips per-cell warmup replay. Disabling it
-// restores the cold behavior (every cell builds and warms its own scheme),
-// which the cold leg of `make bench-warm` uses as the comparison baseline.
-// Already-cached entries are not dropped; pair with ResetCache for a truly
-// cold run.
-func SetWarmReuse(enabled bool) { warmReuseOff.Store(!enabled) }
 
 // warmReuseEnabled reports whether the warm-state fast paths are active.
 func warmReuseEnabled() bool { return !warmReuseOff.Load() }

@@ -14,7 +14,7 @@ import (
 // table assembly, and the table span itself.
 func tracedMiniGate(t *testing.T) *span.Tree {
 	t.Helper()
-	SetWarmReuse(true)
+	setWarmReuse(true)
 	ResetCache()
 	ResetReuse()
 	tr := span.New()
@@ -66,7 +66,7 @@ func TestPlanSpanStructureDeterminism(t *testing.T) {
 // duration through its "key" attribute, and the DAG critical path is a
 // non-empty chain bounded by the measured wall clock.
 func TestPlanSpanDAGCriticalPath(t *testing.T) {
-	SetWarmReuse(true)
+	setWarmReuse(true)
 	ResetCache()
 	ResetReuse()
 	t.Cleanup(ResetCache)

@@ -9,15 +9,19 @@ import (
 	"deuce/internal/workload"
 )
 
+// setWarmReuse toggles the warm-state fast paths. Only tests turn them
+// off, to get the cold reference the warm-forked results must equal.
+func setWarmReuse(enabled bool) { warmReuseOff.Store(!enabled) }
+
 // coldRun executes fn with warm-state reuse disabled and a cold cache, so
 // its result reflects the historical per-cell behavior (fresh scheme,
 // replayed warmup), then restores reuse for the caller.
 func coldRun[T any](t *testing.T, fn func() (T, error)) T {
 	t.Helper()
-	SetWarmReuse(false)
+	setWarmReuse(false)
 	ResetCache()
 	defer func() {
-		SetWarmReuse(true)
+		setWarmReuse(true)
 		ResetCache()
 	}()
 	v, err := fn()
@@ -46,7 +50,7 @@ func TestWarmFlipBitIdentical(t *testing.T) {
 					cold := coldRun(t, func() (FlipResult, error) {
 						return RunFlips(prof, kind, core.Params{}, rc, true)
 					})
-					SetWarmReuse(true)
+					setWarmReuse(true)
 					ResetCache()
 					ResetReuse()
 					warm, err := RunFlips(prof, kind, core.Params{}, rc, true)
@@ -73,7 +77,7 @@ func TestWarmForkActuallyForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 5}
-	SetWarmReuse(true)
+	setWarmReuse(true)
 	ResetCache()
 	t.Cleanup(ResetCache)
 	ResetReuse()
@@ -105,7 +109,7 @@ func TestWarmPerfBitIdentical(t *testing.T) {
 		cold := coldRun(t, func() (PerfResult, error) {
 			return RunPerf(prof, kind, core.Params{}, rc)
 		})
-		SetWarmReuse(true)
+		setWarmReuse(true)
 		ResetCache()
 		ResetReuse()
 		warm, err := RunPerf(prof, kind, core.Params{}, rc)
@@ -132,7 +136,7 @@ func TestWarmWearBitIdentical(t *testing.T) {
 	cold := coldRun(t, func() (WearResult, error) {
 		return RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
 	})
-	SetWarmReuse(true)
+	setWarmReuse(true)
 	ResetCache()
 	t.Cleanup(ResetCache)
 	warm, err := RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
@@ -157,19 +161,20 @@ func TestWarmWearBitIdentical(t *testing.T) {
 }
 
 // TestWarmDisabledRestoresColdCounting: with reuse off, every cell must
-// execute and warm up for itself — the PR-4 baseline the cold leg of
-// bench-warm depends on.
+// execute and warm up for itself. This proves the cold reference coldRun
+// takes really runs cold, which is what makes the TestWarm*BitIdentical
+// suites compare a warm fork against something other than itself.
 func TestWarmDisabledRestoresColdCounting(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := RunConfig{Writebacks: 200, Lines: 64, Seed: 8}
-	SetWarmReuse(false)
+	setWarmReuse(false)
 	ResetCache()
 	ResetReuse()
 	defer func() {
-		SetWarmReuse(true)
+		setWarmReuse(true)
 		ResetCache()
 	}()
 	before := RunFlipsCalls()

@@ -318,13 +318,13 @@ func CheckWithRecorded(rc exp.RunConfig, exps []Expectation, recorded map[string
 		inc.Reran = append(inc.Reran, id)
 	}
 	// The pre-pass only pays off when cell results are cacheable: with
-	// warm reuse off, or with single-run observability hooks attached,
-	// executed cells would not be served back to the table assembly and
-	// every cell would run twice. Progress and Spans deliberately do not
-	// count as hooks: both are pool-safe and cache-neutral, so a traced
-	// gate keeps the exact execution shape of an untraced one.
+	// single-run observability hooks attached, executed cells would not
+	// be served back to the table assembly and every cell would run
+	// twice. Progress and Spans deliberately do not count as hooks: both
+	// are pool-safe and cache-neutral, so a traced gate keeps the exact
+	// execution shape of an untraced one.
 	hooked := rc.Trace != nil || rc.Heatmap != nil || rc.Metrics != nil
-	if len(inc.Reran) > 0 && exp.WarmReuseActive() && !hooked {
+	if len(inc.Reran) > 0 && !hooked {
 		plan, err := exp.BuildPlan(inc.Reran, rc)
 		if err != nil {
 			return nil, nil, inc, err

@@ -7,14 +7,13 @@
 // events into a pre-sized ring. All aggregation, formatting and export
 // happens off the write path, at snapshot or export time. Counter, Gauge
 // and Histogram updates are atomic — lock-free and safe from any number of
-// goroutines (the serving front end records from many clients at once) —
-// while staying allocation-free. Registration (the name → handle lookups) takes the
-// registry mutex and belongs in setup code, never on a hot path.
+// goroutines — while staying allocation-free. Registration (the name →
+// handle lookups) takes the registry mutex and belongs in setup code, never
+// on a hot path.
 package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -91,22 +90,6 @@ func (h *Histogram) N() uint64 { return h.n.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts,
-// interpolating linearly inside the located bucket; see HistValues.Quantile
-// for the exact convention (including the unbounded overflow bucket).
-func (h *Histogram) Quantile(q float64) float64 {
-	return HistValues{Bounds: h.Bounds(), Counts: h.Counts(), N: h.N(), Sum: h.Sum()}.Quantile(q)
-}
 
 // Counts returns a copy of the bucket counts; the final element counts
 // observations above the last bound.
@@ -220,8 +203,8 @@ func (r *Registry) Reset() {
 }
 
 // HistValues is the detached snapshot of one histogram: bucket bounds and
-// counts plus the running count and sum, so consumers (the regression
-// ledger in internal/regress) can derive means without the live handle.
+// counts plus the running count and sum, readable without the live
+// handle.
 type HistValues struct {
 	// Bounds holds the bucket upper bounds; Counts has one extra final
 	// element counting observations above the last bound.
@@ -229,58 +212,6 @@ type HistValues struct {
 	Counts []uint64 `json:"counts"`
 	N      uint64   `json:"n"`
 	Sum    uint64   `json:"sum"`
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h HistValues) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.N)
-}
-
-// Quantile estimates the q-quantile (q in [0,1], clamped) from the bucket
-// counts. The target rank ceil(q*N) is located by cumulative count and
-// interpolated linearly across its bucket's (lower, upper] bound range —
-// the Prometheus histogram_quantile convention, so a lone observation in a
-// bucket reports the bucket's upper bound. The overflow bucket has no
-// upper bound, so ranks landing there report the last explicit bound (the
-// honest floor on the true value). Returns 0 on an empty histogram.
-func (h HistValues) Quantile(q float64) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(h.N)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if cum < rank {
-			continue
-		}
-		var lo float64
-		if i > 0 && i-1 < len(h.Bounds) {
-			lo = float64(h.Bounds[i-1])
-		}
-		if i >= len(h.Bounds) {
-			return lo // overflow bucket: unbounded above
-		}
-		hi := float64(h.Bounds[i])
-		pos := float64(rank - (cum - c))
-		return lo + (hi-lo)*pos/float64(c)
-	}
-	return 0
 }
 
 // Snapshot is a point-in-time copy of a registry's values, detached from
@@ -395,8 +326,7 @@ func (s Snapshot) String() string {
 
 // WriteJSONFile writes the snapshot as indented JSON to path, creating
 // parent directories as needed. This is the export behind the cmds'
-// -metrics flag and the format internal/regress ingests into the
-// cross-run ledger.
+// -metrics flag.
 func (s Snapshot) WriteJSONFile(path string) error {
 	blob, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
@@ -408,77 +338,4 @@ func (s Snapshot) WriteJSONFile(path string) error {
 		}
 	}
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-var expvarOnce sync.Mutex
-
-// Expvar publishes the registry under the given expvar name, so a debug
-// HTTP endpoint (see ServeDebug) exposes a live snapshot at /debug/vars.
-// Republishing an existing name rebinds it to this registry.
-func (r *Registry) Expvar(name string) {
-	expvarOnce.Lock()
-	defer expvarOnce.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if f, ok := v.(*registryVar); ok {
-			f.mu.Lock()
-			f.r = r
-			f.mu.Unlock()
-			return
-		}
-		panic(fmt.Sprintf("obs: expvar name %q already taken by a non-registry var", name))
-	}
-	expvar.Publish(name, &registryVar{r: r})
-}
-
-// registryVar adapts a Registry to expvar.Var: counters and gauges render
-// verbatim, histograms as {n, mean, p50, p99} quantile summaries, so a
-// /debug/vars scrape shows live percentiles without touching the hot path.
-type registryVar struct {
-	mu sync.Mutex
-	r  *Registry
-}
-
-func (v *registryVar) String() string {
-	v.mu.Lock()
-	r := v.r
-	v.mu.Unlock()
-	snap := r.Snapshot()
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	writePair := func(name, val string) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		fmt.Fprintf(&b, "%q: %s", name, val)
-	}
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		writePair(name, fmt.Sprintf("%d", snap.Counters[name]))
-	}
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		writePair(name, fmt.Sprintf("%g", snap.Gauges[name]))
-	}
-	names = names[:0]
-	for name := range snap.Hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := snap.Hists[name]
-		writePair(name, fmt.Sprintf(`{"n": %d, "mean": %g, "p50": %g, "p99": %g}`,
-			h.N, h.Mean(), h.Quantile(0.50), h.Quantile(0.99)))
-	}
-	b.WriteByte('}')
-	return b.String()
 }

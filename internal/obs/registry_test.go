@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -94,105 +92,6 @@ func TestSnapshotString(t *testing.T) {
 	}
 	if !strings.Contains(s, "g 0.5") {
 		t.Fatalf("gauge missing from rendering:\n%s", s)
-	}
-}
-
-func TestExpvarPublish(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("writes").Add(3)
-	r.Expvar("test_registry")
-	// Republishing with a new registry must rebind, not panic.
-	r2 := NewRegistry()
-	r2.Counter("writes").Add(9)
-	r2.Expvar("test_registry")
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []uint64{10, 20, 40})
-
-	// Empty histogram: every quantile is 0.
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty Quantile(0.5) = %g, want 0", got)
-	}
-
-	// One sample in (10,20]: the lone-observation convention reports the
-	// bucket's upper bound for every q.
-	h.Observe(15)
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := h.Quantile(q); got != 20 {
-			t.Errorf("one-sample Quantile(%g) = %g, want 20", q, got)
-		}
-	}
-
-	// A spread across buckets interpolates inside the located bucket.
-	r.Reset()
-	for v := uint64(1); v <= 10; v++ {
-		h.Observe(v) // 10 samples in [0,10]
-	}
-	for v := uint64(11); v <= 20; v++ {
-		h.Observe(v) // 10 samples in (10,20]
-	}
-	if got := h.Quantile(0.5); got != 10 {
-		t.Errorf("Quantile(0.5) = %g, want 10 (rank 10 of 20 tops bucket 0)", got)
-	}
-	if got := h.Quantile(0.75); got != 15 {
-		t.Errorf("Quantile(0.75) = %g, want 15 (rank 15: position 5 of 10 across (10,20])", got)
-	}
-
-	// Overflow bucket: ranks beyond the last bound report that bound —
-	// the honest floor, since the bucket is unbounded above.
-	r.Reset()
-	h.Observe(1000)
-	h.Observe(2000)
-	if got := h.Quantile(0.99); got != 40 {
-		t.Errorf("overflow Quantile(0.99) = %g, want 40 (last explicit bound)", got)
-	}
-
-	// Out-of-range q clamps instead of misbehaving.
-	if got, want := h.Quantile(-0.5), h.Quantile(0); got != want {
-		t.Errorf("Quantile(-0.5) = %g, want %g", got, want)
-	}
-	if got, want := h.Quantile(1.5), h.Quantile(1); got != want {
-		t.Errorf("Quantile(1.5) = %g, want %g", got, want)
-	}
-}
-
-// The expvar rendering must expose live histogram quantiles: ServeDebug's
-// /debug/vars is how a running process is inspected.
-func TestExpvarIncludesQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("req_lat", []uint64{100, 200, 400})
-	for v := uint64(1); v <= 100; v++ {
-		h.Observe(v)
-	}
-	h.Observe(350)
-	r.Expvar("test_registry_quantiles")
-	v := expvar.Get("test_registry_quantiles")
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(v.String()), &doc); err != nil {
-		t.Fatalf("expvar output is not JSON: %v\n%s", err, v.String())
-	}
-	var hist struct {
-		N    uint64  `json:"n"`
-		Mean float64 `json:"mean"`
-		P50  float64 `json:"p50"`
-		P99  float64 `json:"p99"`
-	}
-	if err := json.Unmarshal(doc["req_lat"], &hist); err != nil {
-		t.Fatalf("histogram entry is not a quantile summary: %v\n%s", err, doc["req_lat"])
-	}
-	if hist.N != 101 {
-		t.Errorf("expvar n = %d, want 101", hist.N)
-	}
-	if hist.P50 <= 0 || hist.P50 > 100 {
-		t.Errorf("expvar p50 = %g, want in (0,100]", hist.P50)
-	}
-	if hist.P99 != 100 {
-		t.Errorf("expvar p99 = %g, want 100 (rank 100 of 101 tops the first bucket)", hist.P99)
 	}
 }
 

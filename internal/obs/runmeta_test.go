@@ -12,9 +12,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 // TestRunMetaSchemaGolden pins the runmeta.json schema: downstream
-// consumers (regress.IngestRunMetaJSON, external audit tooling) key on
-// these field names, so a rename or restructure must show up as a golden
-// diff, not as a silently empty ingestion. Volatile fields (host identity,
+// consumers (external audit tooling) key on these field names, so a
+// rename or restructure must show up as a golden diff, not as a silently
+// empty read. Volatile fields (host identity,
 // build stamp, times, durations) are normalized to fixed values — the
 // test guards the shape, not the machine it runs on.
 func TestRunMetaSchemaGolden(t *testing.T) {
@@ -51,6 +51,6 @@ func TestRunMetaSchemaGolden(t *testing.T) {
 		t.Fatalf("missing golden file (run 'go test ./internal/obs -run TestRunMetaSchemaGolden -update'): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("runmeta.json schema drifted from golden file — if intentional, update the golden AND the consumers (regress.IngestRunMetaJSON)\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("runmeta.json schema drifted from golden file — if intentional, update the golden AND its downstream consumers\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -1,13 +1,12 @@
 // Package regress is the cross-run half of the observability story: an
-// append-only JSONL ledger of runs, each carrying a flat metric map
-// ingested from the sources the repository already produces — fidelity
-// check values, obs.Registry snapshots (-metrics out.json), runmeta.json
-// manifests, BENCH_writehot.json-style benchmark records, and raw
-// `go test -bench` output. On top of the ledger it computes per-metric
-// deltas against a chosen baseline with noise-aware thresholds
-// (median-of-runs, minimum sample counts, benchstat-style percent-change
-// reporting) and renders trends as markdown tables with unicode
-// sparklines (obs.Sparkline).
+// append-only JSONL ledger of runs, each carrying a flat metric map of
+// what `deucereport check` measures — the fidelity values of every
+// experiment table (IngestValues) and, for a traced gate, its span
+// self-profile as wall-clock metrics (IngestSpanProfile). On top of the
+// ledger it computes per-metric deltas against a chosen baseline with
+// noise-aware thresholds (median-of-runs, minimum sample counts,
+// benchstat-style percent-change reporting) and renders trends as
+// markdown tables with unicode sparklines (obs.Sparkline).
 //
 // Concurrency: the ledger is a plain file with no locking — one writer at
 // a time, which CI guarantees by construction (each job appends from a
@@ -28,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"deuce/internal/obs"
 	"deuce/internal/obs/span"
 )
 
@@ -40,11 +38,9 @@ type Run struct {
 	Time time.Time `json:"time"`
 	// Source describes what produced the metrics (tool, CI job).
 	Source string `json:"source,omitempty"`
-	// Commit is the VCS revision, when known (from runmeta build info).
-	Commit string `json:"commit,omitempty"`
 	// Metrics is the flat name → value map. Names are namespaced by
 	// ingestion source, e.g. "fidelity:fig10:flips/DEUCE",
-	// "bench:WriteHot/deuce:ns_per_op", "metrics:write_flips:mean".
+	// "walltime:wall:ns".
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -260,150 +256,6 @@ func median(xs []float64) float64 {
 }
 
 // --- Ingestion -----------------------------------------------------------
-
-// IngestSnapshotJSON merges an obs.Snapshot JSON export (the cmds'
-// -metrics flag) into the run: counters and gauges verbatim, histograms
-// as :mean and :n derived metrics. Names are prefixed "metrics:".
-func IngestSnapshotJSON(run *Run, r io.Reader) error {
-	var snap obs.Snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("regress: metrics snapshot: %w", err)
-	}
-	for name, v := range snap.Counters {
-		run.Set("metrics:"+name, float64(v))
-	}
-	for name, v := range snap.Gauges {
-		run.Set("metrics:"+name, v)
-	}
-	for name, h := range snap.Hists {
-		run.Set("metrics:"+name+":mean", h.Mean())
-		run.Set("metrics:"+name+":n", float64(h.N))
-	}
-	return nil
-}
-
-// runMetaDoc mirrors the fields of obs.RunMeta the ledger cares about.
-// Parsing into a local shadow (rather than obs.RunMeta itself) keeps
-// ingestion tolerant of manifest additions; the schema-stability golden
-// test in internal/obs guards the fields relied on here.
-type runMetaDoc struct {
-	Tool  string `json:"tool"`
-	Build struct {
-		GitSHA string `json:"git_sha"`
-	} `json:"build"`
-	DurationMs float64 `json:"duration_ms"`
-}
-
-// IngestRunMetaJSON merges a runmeta.json manifest: the run duration as a
-// metric, plus tool and commit identity on the Run itself.
-func IngestRunMetaJSON(run *Run, r io.Reader) error {
-	var doc runMetaDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return fmt.Errorf("regress: runmeta: %w", err)
-	}
-	if doc.Tool != "" {
-		if run.Source == "" {
-			run.Source = doc.Tool
-		}
-		run.Set("run:"+doc.Tool+":duration_ms", doc.DurationMs)
-	} else {
-		run.Set("run:duration_ms", doc.DurationMs)
-	}
-	if run.Commit == "" {
-		run.Commit = doc.Build.GitSHA
-	}
-	return nil
-}
-
-// benchDoc mirrors BENCH_writehot.json.
-type benchDoc struct {
-	Benchmark string `json:"benchmark"`
-	Results   []struct {
-		Scheme      string  `json:"scheme"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	} `json:"results"`
-}
-
-// IngestBenchJSON merges a BENCH_writehot.json-style benchmark record as
-// "bench:<benchmark>/<scheme>:{ns_per_op,bytes_per_op,allocs_per_op}".
-// The "Benchmark" function-name prefix is stripped, matching
-// IngestBenchText, so a JSON baseline and raw -bench output of the same
-// benchmark land on the same metric names.
-func IngestBenchJSON(run *Run, r io.Reader) error {
-	var doc benchDoc
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return fmt.Errorf("regress: bench json: %w", err)
-	}
-	name := strings.TrimPrefix(doc.Benchmark, "Benchmark")
-	if name == "" {
-		name = "bench"
-	}
-	for _, res := range doc.Results {
-		pre := "bench:" + name + "/" + res.Scheme + ":"
-		run.Set(pre+"ns_per_op", res.NsPerOp)
-		run.Set(pre+"bytes_per_op", res.BytesPerOp)
-		run.Set(pre+"allocs_per_op", res.AllocsPerOp)
-	}
-	return nil
-}
-
-// IngestBenchText parses standard `go test -bench` output lines, e.g.
-//
-//	BenchmarkWriteHot/deuce-8  1000  1122 ns/op  0 B/op  0 allocs/op
-//
-// into "bench:<Name>/<sub>:{ns_per_op,bytes_per_op,allocs_per_op}" (the
-// -N GOMAXPROCS suffix is stripped so names match across machines).
-// Custom metrics ("22.5 deuce%") become "bench:<name>:<unit>" entries.
-func IngestBenchText(run *Run, r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	found := 0
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		// fields[1] is the iteration count; pairs of (value, unit) follow.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			unit := unitMetric(fields[i+1])
-			run.Set("bench:"+name+":"+unit, v)
-			found++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if found == 0 {
-		return fmt.Errorf("regress: no benchmark lines found in input")
-	}
-	return nil
-}
-
-// unitMetric normalizes a go-bench unit ("ns/op", "B/op", "allocs/op",
-// "deuce%") into a metric-name suffix.
-func unitMetric(unit string) string {
-	switch unit {
-	case "ns/op":
-		return "ns_per_op"
-	case "B/op":
-		return "bytes_per_op"
-	case "allocs/op":
-		return "allocs_per_op"
-	}
-	u := strings.NewReplacer("/", "_per_", "%", "_pct").Replace(unit)
-	return u
-}
 
 // IngestSpanProfile merges a span self-profile (the `check -spans`
 // self-profile.json artifact) as wall-clock timing metrics: the tree's

@@ -152,84 +152,6 @@ func TestTrendMarkdownAndSparkline(t *testing.T) {
 	}
 }
 
-func TestIngestSnapshotJSON(t *testing.T) {
-	blob := `{
-	  "counters": {"writebacks": 3000},
-	  "gauges": {"flip_frac": 0.096},
-	  "hists": {"write_slots": {"bounds": [0,1], "counts": [0, 2, 1], "n": 3, "sum": 4}}
-	}`
-	run := Run{ID: "t"}
-	if err := IngestSnapshotJSON(&run, strings.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
-	if run.Metrics["metrics:writebacks"] != 3000 || run.Metrics["metrics:flip_frac"] != 0.096 {
-		t.Errorf("counters/gauges not ingested: %v", run.Metrics)
-	}
-	if got := run.Metrics["metrics:write_slots:mean"]; got < 1.33 || got > 1.34 {
-		t.Errorf("hist mean = %v, want 4/3", got)
-	}
-	if run.Metrics["metrics:write_slots:n"] != 3 {
-		t.Errorf("hist n = %v, want 3", run.Metrics["metrics:write_slots:n"])
-	}
-}
-
-func TestIngestRunMetaJSON(t *testing.T) {
-	blob := `{"tool": "deucesim", "build": {"git_sha": "abc123"}, "duration_ms": 88.5}`
-	run := Run{ID: "t"}
-	if err := IngestRunMetaJSON(&run, strings.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
-	if run.Metrics["run:deucesim:duration_ms"] != 88.5 {
-		t.Errorf("duration not ingested: %v", run.Metrics)
-	}
-	if run.Commit != "abc123" || run.Source != "deucesim" {
-		t.Errorf("identity not adopted: commit=%q source=%q", run.Commit, run.Source)
-	}
-}
-
-func TestIngestBenchJSON(t *testing.T) {
-	blob := `{"benchmark": "BenchmarkWriteHot", "results": [
-	  {"scheme": "deuce", "ns_per_op": 1122, "bytes_per_op": 0, "allocs_per_op": 0},
-	  {"scheme": "invmm", "ns_per_op": 1496, "bytes_per_op": 277, "allocs_per_op": 5}
-	]}`
-	run := Run{ID: "t"}
-	if err := IngestBenchJSON(&run, strings.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
-	if run.Metrics["bench:WriteHot/deuce:ns_per_op"] != 1122 {
-		t.Errorf("deuce ns_per_op not ingested: %v", run.Metrics)
-	}
-	if run.Metrics["bench:WriteHot/invmm:allocs_per_op"] != 5 {
-		t.Errorf("invmm allocs_per_op not ingested: %v", run.Metrics)
-	}
-}
-
-func TestIngestBenchText(t *testing.T) {
-	out := `goos: linux
-BenchmarkWriteHot/deuce-8         1000000    1122 ns/op    0 B/op    0 allocs/op
-BenchmarkWriteHot/encr-dcw-8       500000     637.9 ns/op  0 B/op    0 allocs/op
-BenchmarkFlipRate                  200000     95.0 ns/op   22.5 flips%
-PASS
-`
-	run := Run{ID: "t"}
-	if err := IngestBenchText(&run, strings.NewReader(out)); err != nil {
-		t.Fatal(err)
-	}
-	// The -8 GOMAXPROCS suffix must be stripped so names match across hosts.
-	if run.Metrics["bench:WriteHot/deuce:ns_per_op"] != 1122 {
-		t.Errorf("WriteHot/deuce not ingested (suffix handling?): %v", run.Metrics)
-	}
-	if run.Metrics["bench:WriteHot/encr-dcw:bytes_per_op"] != 0 {
-		t.Errorf("encr-dcw bytes_per_op missing: %v", run.Metrics)
-	}
-	if run.Metrics["bench:FlipRate:flips_pct"] != 22.5 {
-		t.Errorf("custom unit not normalized: %v", run.Metrics)
-	}
-	if err := IngestBenchText(&Run{ID: "x"}, strings.NewReader("no benchmarks here\n")); err == nil {
-		t.Error("bench text with no benchmark lines should fail")
-	}
-}
-
 func TestIngestValues(t *testing.T) {
 	run := Run{ID: "t"}
 	inf := 1.0

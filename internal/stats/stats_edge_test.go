@@ -6,76 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestHistogramEmpty(t *testing.T) {
-	h := MustNewHistogram(0, 10, 4)
-	if h.N() != 0 {
-		t.Errorf("empty histogram N = %d, want 0", h.N())
-	}
-	for i, b := range h.Bins() {
-		if b != 0 {
-			t.Errorf("empty histogram bin %d = %d, want 0", i, b)
-		}
-	}
-}
-
-func TestHistogramSingleSample(t *testing.T) {
-	h := MustNewHistogram(0, 10, 4)
-	h.Add(2.5)
-	bins := h.Bins()
-	if h.N() != 1 || bins[1] != 1 {
-		t.Errorf("single sample: N=%d bins=%v, want N=1 and bins[1]=1", h.N(), bins)
-	}
-	for i, b := range bins {
-		if i != 1 && b != 0 {
-			t.Errorf("single sample leaked into bin %d", i)
-		}
-	}
-}
-
-// A value exactly on the upper range bound lands in the saturating top bin,
-// not one past it.
-func TestHistogramUpperBound(t *testing.T) {
-	h := MustNewHistogram(0, 10, 5)
-	h.Add(10)
-	if bins := h.Bins(); bins[4] != 1 {
-		t.Errorf("Add(hi) bins = %v, want top bin to hold it", bins)
-	}
-}
-
-func TestStreamSingleSample(t *testing.T) {
-	var s Stream
-	s.Add(7)
-	if s.Min() != 7 || s.Max() != 7 || s.Mean() != 7 {
-		t.Errorf("single sample min/mean/max = %v/%v/%v, want 7/7/7", s.Min(), s.Mean(), s.Max())
-	}
-	if s.Variance() != 0 || s.StdDev() != 0 {
-		t.Errorf("single sample variance = %v, want 0", s.Variance())
-	}
-}
-
-// AddN into a fresh stream must seed min/max from the weighted value, not
-// from the zero value of the empty stream.
-func TestStreamAddNMinMax(t *testing.T) {
-	var s Stream
-	s.AddN(5, 3)
-	if s.Min() != 5 || s.Max() != 5 {
-		t.Errorf("AddN-seeded min/max = %v/%v, want 5/5", s.Min(), s.Max())
-	}
-	s.AddN(-2, 1)
-	s.AddN(9, 2)
-	if s.Min() != -2 || s.Max() != 9 || s.N() != 6 {
-		t.Errorf("min/max/n = %v/%v/%d, want -2/9/6", s.Min(), s.Max(), s.N())
-	}
-}
-
-func TestStreamAddNZeroWeight(t *testing.T) {
-	var s Stream
-	s.AddN(42, 0)
-	if s.N() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Errorf("zero-weight AddN changed the stream: %s", s.String())
-	}
-}
-
 // Property: percentiles are monotone in p, bounded by min and max, and P50
 // of the concatenation of a slice with itself equals P50 of the slice.
 func TestPercentileMonotone(t *testing.T) {

@@ -2,66 +2,17 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestStreamBasics(t *testing.T) {
-	var s Stream
-	for _, x := range []float64{1, 2, 3, 4} {
-		s.Add(x)
+func TestMean(t *testing.T) {
+	if m := Mean([]float64{1, 2, 3, 4}); !almost(m, 2.5) {
+		t.Errorf("Mean(1..4) = %v, want 2.5", m)
 	}
-	if s.N() != 4 || !almost(s.Mean(), 2.5) {
-		t.Errorf("mean = %v (n=%d), want 2.5 (4)", s.Mean(), s.N())
-	}
-	if !almost(s.Variance(), 1.25) {
-		t.Errorf("variance = %v, want 1.25", s.Variance())
-	}
-	if s.Min() != 1 || s.Max() != 4 {
-		t.Errorf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestStreamEmpty(t *testing.T) {
-	var s Stream
-	if s.Mean() != 0 || s.Variance() != 0 || s.StdDev() != 0 {
-		t.Error("empty stream moments should be 0")
-	}
-}
-
-func TestStreamAddN(t *testing.T) {
-	var a, b Stream
-	a.AddN(3, 5)
-	for i := 0; i < 5; i++ {
-		b.Add(3)
-	}
-	if a.N() != b.N() || !almost(a.Mean(), b.Mean()) {
-		t.Error("AddN disagrees with repeated Add")
-	}
-}
-
-// Property: streaming mean matches the batch mean.
-func TestStreamMatchesBatch(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Stream
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-			s.Add(xs[i])
-		}
-		return almost(s.Mean(), Mean(xs))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if m := Mean(nil); m != 0 {
+		t.Errorf("Mean(nil) = %v, want 0", m)
 	}
 }
 
@@ -104,48 +55,4 @@ func TestPercentilePanics(t *testing.T) {
 		}
 	}()
 	Percentile(nil, 50)
-}
-
-func TestHistogram(t *testing.T) {
-	h := MustNewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	bins := h.Bins()
-	// -3 saturates into bin 0; 42 into bin 4.
-	want := []uint64{3, 1, 1, 0, 2}
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Fatalf("bins = %v, want %v", bins, want)
-		}
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d, want 7", h.N())
-	}
-	if !almost(h.BinCenter(0), 1) {
-		t.Errorf("BinCenter(0) = %v, want 1", h.BinCenter(0))
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("accepted zero bins")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("accepted empty range")
-	}
-}
-
-func TestStreamLargeN(t *testing.T) {
-	var s Stream
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100000; i++ {
-		s.Add(rng.Float64())
-	}
-	if math.Abs(s.Mean()-0.5) > 0.01 {
-		t.Errorf("uniform mean = %v, want ~0.5", s.Mean())
-	}
-	if math.Abs(s.StdDev()-math.Sqrt(1.0/12)) > 0.01 {
-		t.Errorf("uniform sd = %v, want ~0.289", s.StdDev())
-	}
 }

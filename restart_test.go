@@ -38,11 +38,12 @@ const (
 
 // runTrace drives a deterministic write/read trace against m, invoking
 // midpoint at write diffRestartAt (which may replace m — it returns the
-// memory to continue on). Every variant's midpoint calls Persist, so
+// memory to continue on) and, when syncEvery > 0, Sync after every
+// syncEvery-th write. Every variant's midpoint calls Persist, so
 // i-NVMM's power-down encryption (a Persist side effect that changes both
 // contents and flip counts) applies identically everywhere; without that,
 // only the restart variant would pay it and bit-identity could not hold.
-func runTrace(t *testing.T, m *Memory, midpoint func(m *Memory, res *traceResult) *Memory) traceResult {
+func runTrace(t *testing.T, m *Memory, syncEvery int, midpoint func(m *Memory, res *traceResult) *Memory) traceResult {
 	t.Helper()
 	var res traceResult
 	rng := rand.New(rand.NewSource(99))
@@ -55,6 +56,11 @@ func runTrace(t *testing.T, m *Memory, midpoint func(m *Memory, res *traceResult
 		l := uint64(rng.Intn(diffLines))
 		rng.Read(buf)
 		m.Write(l, buf)
+		if syncEvery > 0 && (i+1)%syncEvery == 0 {
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if i%3 == 0 {
 			m.ReadInto(uint64(rng.Intn(diffLines)), scratch)
 		}
@@ -88,7 +94,7 @@ func persistMidpoint(t *testing.T) func(m *Memory, _ *traceResult) *Memory {
 // same trace produces bit-identical contents and activity counters on the
 // in-memory backend, the file backend, the sharded-dir backend, and a file
 // backend that is synced, closed, reopened and restored in the middle of
-// the trace. Every scheme must hold this — a divergence means a backend
+// the trace, and a file backend synced every 64 writes throughout. Every scheme must hold this — a divergence means a backend
 // leaks into scheme behavior or a restart loses state.
 func TestRestartDifferential(t *testing.T) {
 	for _, s := range Schemes() {
@@ -97,7 +103,7 @@ func TestRestartDifferential(t *testing.T) {
 			t.Parallel()
 			base := Options{Lines: diffLines, Scheme: s}
 
-			ref := runTrace(t, MustNew(base), persistMidpoint(t))
+			ref := runTrace(t, MustNew(base), 0, persistMidpoint(t))
 
 			variants := []struct {
 				name string
@@ -106,18 +112,23 @@ func TestRestartDifferential(t *testing.T) {
 				{"file", func(t *testing.T) traceResult {
 					opts := base
 					opts.Backend, opts.Dir = FileBackend, t.TempDir()
-					return runTrace(t, MustNew(opts), persistMidpoint(t))
+					return runTrace(t, MustNew(opts), 0, persistMidpoint(t))
+				}},
+				{"file-sync64", func(t *testing.T) traceResult {
+					opts := base
+					opts.Backend, opts.Dir = FileBackend, t.TempDir()
+					return runTrace(t, MustNew(opts), 64, persistMidpoint(t))
 				}},
 				{"dir", func(t *testing.T) traceResult {
 					opts := base
 					opts.Backend, opts.Dir, opts.DirShards = DirBackend, t.TempDir(), 4
-					return runTrace(t, MustNew(opts), persistMidpoint(t))
+					return runTrace(t, MustNew(opts), 0, persistMidpoint(t))
 				}},
 				{"restart", func(t *testing.T) traceResult {
 					opts := base
 					opts.Backend, opts.Dir = FileBackend, t.TempDir()
 					snap := filepath.Join(opts.Dir, "ctl.snap")
-					return runTrace(t, MustNew(opts), func(m *Memory, res *traceResult) *Memory {
+					return runTrace(t, MustNew(opts), 0, func(m *Memory, res *traceResult) *Memory {
 						// Full power cycle mid-trace: controller snapshot,
 						// durable sync, close, reopen, restore.
 						if err := m.PersistToFile(snap); err != nil {

@@ -37,8 +37,9 @@ race:
 
 # race-timing is the focused race pass for the deterministic-parallelism
 # machinery: the timing model's suite in internal/timing, the parallel
-# cell-pool grid / warm-fork / planner paths in internal/exp, the fork
-# bit-identity suites in internal/core and internal/workload, the
+# cell-pool grid / warm-fork / planner paths and the stream store's
+# concurrent prefix extension in internal/exp, the fork bit-identity
+# suite in internal/core, the
 # read-only Fork/PositionWrites contract of internal/pcmdev that
 # concurrent warm forks rely on, the atomic obs registry's concurrent
 # hammer, the sharded serving front end's differential replay suite
@@ -48,8 +49,8 @@ race:
 # race matrix is pruned.
 race-timing:
 	$(GO) test -race ./internal/timing/
-	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan' ./internal/exp/
-	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/workload/ ./internal/pcmdev/
+	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan|TestStream' ./internal/exp/
+	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/pcmdev/
 	$(GO) test -race ./internal/obs/ ./internal/servefront/
 	$(GO) test -race -count=10 -run TestOneGeneratorPerGoroutine ./internal/otp/
 
@@ -68,19 +69,24 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs five fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs seven fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
 # fuzzed geometry and images, pcmdev.Restore and ctrstore.Restore on
 # arbitrary snapshots (typed errors only, never a partial restore, never
-# a counter past its width), and the pad kernel (PadInto and PadPairInto
-# on both pad paths against crypto/aes).
+# a counter past its width), a DEUCE memory's LoadState on arbitrary DST2
+# snapshots (never a panic; a failed load leaves SaveState unchanged), the
+# Dir manifest parser on fields fuzzed past their checksum (typed errors
+# only; every accepted shard split opens), and the pad kernel (PadInto and
+# PadPairInto on both pad paths against crypto/aes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 10s ./internal/pcmdev
 	$(GO) test -run '^$$' -fuzz FuzzCounterRestore -fuzztime 10s ./internal/ctrstore
+	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/backend
 	$(GO) test -run '^$$' -fuzz FuzzPad -fuzztime 10s ./internal/otp
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay

@@ -31,8 +31,6 @@ func main() {
 		lines      = flag.Int("lines", 0, "working-set lines per core (0 = default)")
 		warmup     = flag.Int("warmup", 0, "warm-up writebacks (0 = default)")
 		seed       = flag.Int64("seed", 1, "workload generator seed")
-		backendSel = flag.String("backend", "mem", "per-cell storage backend: mem, file or dir; file/dir run every cell against durable pages under -dir (bit-identical results, all caches bypassed)")
-		backendDir = flag.String("dir", "", "parent directory for -backend file/dir state; each cell leaves a fresh subdirectory behind for inspection (default: the system temp dir)")
 		format     = flag.String("format", "text", "output format: text or csv")
 		outDir     = flag.String("outdir", "", "also write each experiment's output (and a runmeta.json manifest) into this directory")
 		metricsOut = flag.String("metrics", "", "export suite-level metrics (per-experiment wall time, cell counts) as an obs snapshot JSON to this file")
@@ -107,18 +105,6 @@ func main() {
 		Lines:      *lines,
 		Warmup:     *warmup,
 		Seed:       *seed,
-	}
-	switch *backendSel {
-	case "mem":
-		if *backendDir != "" {
-			fmt.Fprintln(os.Stderr, "deucebench: -dir only applies with -backend file or dir")
-			os.Exit(1)
-		}
-	case "file", "dir":
-		rc.Backend, rc.BackendDir = *backendSel, *backendDir
-	default:
-		fmt.Fprintf(os.Stderr, "deucebench: unknown -backend %q (want mem, file or dir)\n", *backendSel)
-		os.Exit(1)
 	}
 	var tracer *span.Tracer
 	if *spansDir != "" {

@@ -52,6 +52,7 @@ func OpenDir(dir string, pages, pageSize, shards int) (*Dir, error) {
 	if shards > pages {
 		shards = pages
 	}
+	shards = usedShards(pages, shards)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("backend: OpenDir %s: %w", dir, err)
 	}
@@ -95,6 +96,14 @@ func OpenDir(dir string, pages, pageSize, shards int) (*Dir, error) {
 	return d, nil
 }
 
+// usedShards returns how many of shards (1 <= shards <= pages) hold pages
+// when the page space is split contiguously, ceil(pages/shards) per shard:
+// 16 pages over 10 shards fill only 8.
+func usedShards(pages, shards int) int {
+	per := (pages-1)/shards + 1
+	return (pages-1)/per + 1
+}
+
 // shardPages returns how many pages shard i holds.
 func (d *Dir) shardPages(i int) int {
 	sp := d.pages - i*d.perShard
@@ -128,11 +137,16 @@ func parseManifest(path string, raw []byte) (pages, pageSize, shards int, err er
 	if v := binary.LittleEndian.Uint32(raw[4:]); v != fileVersion {
 		return 0, 0, 0, fmt.Errorf("backend: %s: unknown manifest version %d: %w", path, v, ErrCorrupt)
 	}
+	pages = int(binary.LittleEndian.Uint64(raw[8:]))
+	pageSize = int(binary.LittleEndian.Uint64(raw[16:]))
 	shards = int(binary.LittleEndian.Uint64(raw[24:]))
-	if shards <= 0 {
-		return 0, 0, 0, fmt.Errorf("backend: %s: manifest declares %d shards: %w", path, shards, ErrCorrupt)
+	// OpenDir writes only splits in which every shard holds a page; any
+	// other shard count would size the shard table or a shard file from
+	// corrupt fields.
+	if shards <= 0 || shards > pages || usedShards(pages, shards) != shards {
+		return 0, 0, 0, fmt.Errorf("backend: %s: manifest declares %d shards for %d pages: %w", path, shards, pages, ErrCorrupt)
 	}
-	return int(binary.LittleEndian.Uint64(raw[8:])), int(binary.LittleEndian.Uint64(raw[16:])), shards, nil
+	return pages, pageSize, shards, nil
 }
 
 // Pages implements Backend.

@@ -238,3 +238,48 @@ func TestINVMMSnapshotIsEncrypted(t *testing.T) {
 		t.Error("data lost across i-NVMM power cycle")
 	}
 }
+
+// FuzzLoadState feeds arbitrary DST2 snapshots to a DEUCE memory: LoadState
+// must never panic, and a load that fails must leave the memory exactly as
+// it was, so SaveState reads back byte-identical. The corpus seeds with a
+// real snapshot and cuts of it.
+func FuzzLoadState(f *testing.F) {
+	params := Params{Lines: 16, EpochInterval: 4}
+	build := func() *Deuce {
+		s := MustNew(KindDeuce, params).(*Deuce)
+		rng := rand.New(rand.NewSource(3))
+		data := make([]byte, 64)
+		for i := 0; i < 200; i++ {
+			rng.Read(data[:8])
+			s.Write(uint64(rng.Intn(9)), data)
+		}
+		return s
+	}
+	save := func(s *Deuce) []byte {
+		var b bytes.Buffer
+		if err := s.SaveState(&b); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	before := save(build())
+	other := MustNew(KindDeuce, params).(*Deuce)
+	other.Write(5, make([]byte, 64))
+	full := save(other)
+	for _, cut := range []int{0, 4, 8, 24, len(full) / 2, len(full) - 1, len(full)} {
+		f.Add(full[:cut])
+	}
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		s := build()
+		if err := s.LoadState(bytes.NewReader(snap)); err == nil {
+			return
+		}
+		var after bytes.Buffer
+		if err := s.SaveState(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after.Bytes(), before) {
+			t.Fatal("a failed LoadState changed the memory")
+		}
+	})
+}

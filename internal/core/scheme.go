@@ -127,7 +127,7 @@ const (
 // over dir/array/shard-*.pg for arrays larger than one file comfortably
 // holds. shards is the shard-file count (0 means backend.DefaultDirShards);
 // an existing directory's manifest overrides it. Both the public deuce
-// package and the CLI -backend flags build their makers through this one
+// package and deucesim's -backend flag build their makers through this one
 // function, so every entry point lays files out identically.
 func DirBackendMaker(dir string, shardArray bool, shards int) func(region string, pages, pageSize int) (backend.Backend, error) {
 	return func(region string, pages, pageSize int) (backend.Backend, error) {

@@ -90,7 +90,6 @@ func runThroughCaches(prof workload.Profile, kind core.Kind, rc RunConfig) (Flip
 	}
 
 	installed := make(map[uint64]bool)
-	var measuring bool
 	h.Sink = func(_ int, ev cache.Eviction) {
 		if ev.Data == nil {
 			return
@@ -100,7 +99,6 @@ func runThroughCaches(prof workload.Profile, kind core.Kind, rc RunConfig) (Flip
 			s.Install(ev.Line, ev.Data)
 			return
 		}
-		_ = measuring
 		s.Write(ev.Line, ev.Data)
 	}
 
@@ -119,7 +117,6 @@ func runThroughCaches(prof workload.Profile, kind core.Kind, rc RunConfig) (Flip
 			if emitted == rc.Warmup {
 				s.Device().ResetStats()
 				warm = s.Device().Stats()
-				measuring = true
 			}
 		} else {
 			// Read misses hit a disjoint region; fold them into the

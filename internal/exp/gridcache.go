@@ -102,6 +102,18 @@ func (c *GridCache) Reset() {
 	c.misses.Store(0)
 }
 
+// forget drops every entry whose key matches. In-flight computations
+// finish against their old entries, as with Reset.
+func (c *GridCache) forget(match func(key string) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.entries {
+		if match(k) {
+			delete(c.entries, k)
+		}
+	}
+}
+
 // sharedCache is the process-wide cache the grid runners and RunTable
 // consult. Experiments are deterministic in their RunConfig, so sharing
 // across callers is safe; tests that count executions call ResetCache
@@ -211,5 +223,5 @@ func colsKey(cols []cell1) (string, bool) {
 // them, so a config carrying any hook must execute for real.
 func tableCacheable(rc RunConfig) bool {
 	return rc.Trace == nil && rc.Heatmap == nil && rc.Metrics == nil &&
-		rc.Progress == nil && rc.Backend == ""
+		rc.Progress == nil
 }

@@ -29,9 +29,8 @@ const codeVersionSalt = "deuce-measure-v6"
 // it never matches and always runs for real.
 func InputsHash(id string, rc RunConfig) string {
 	// Progress is pure narration and does not gate hashing; the recording
-	// hooks do, and so does a durable backend (its on-disk state is part
-	// of the run's product and cannot come from a recording).
-	if rc.Trace != nil || rc.Heatmap != nil || rc.Metrics != nil || rc.Backend != "" {
+	// hooks do.
+	if rc.Trace != nil || rc.Heatmap != nil || rc.Metrics != nil {
 		return ""
 	}
 	rc.setDefaults()

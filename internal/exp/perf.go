@@ -60,10 +60,16 @@ func runPerfMeasured(prof workload.Profile, kind core.Kind, params core.Params, 
 	cell := rc.startSpan("cell/perf", cellAttrs(prof, kind, params, rc, perfCellKey)...)
 	defer cell.End()
 	rc.SpanParent = cell
-	s, gen, err := warmedScheme(prof, kind, params, rc, perfTopology(rc))
+	// The workload budget is counted at the source, before any injected
+	// counter-fetch traffic, so configurations stay comparable: every run
+	// performs the same data requests.
+	events := int(float64(rc.Writebacks) * (prof.MPKI + prof.WBPKI) / prof.WBPKI)
+	topo := perfTopology(rc)
+	c, err := warmedScheme(prof, kind, params, rc, topo, events)
 	if err != nil {
 		return PerfResult{}, err
 	}
+	s := c.s
 	s.Device().ResetStats()
 	warm := s.Device().Stats()
 	if rc.Trace != nil {
@@ -73,11 +79,9 @@ func runPerfMeasured(prof workload.Profile, kind core.Kind, params core.Params, 
 	coster := timing.SlotCosterFunc(func(line uint64, data []byte) int {
 		return s.Write(line, data).Slots
 	})
-	// The workload budget is counted at the source, before any injected
-	// counter-fetch traffic, so configurations stay comparable: every run
-	// performs the same data requests.
-	events := int(float64(rc.Writebacks) * (prof.MPKI + prof.WBPKI) / prof.WBPKI)
-	var src trace.Source = &limitSource{inner: gen, remaining: events}
+	// The recording may hold more events than this cell's budget (a
+	// longer run extended it), so the budget caps the source.
+	var src trace.Source = &limitSource{inner: c, remaining: events}
 	if rc.CounterCacheBlocks > 0 {
 		cc, err := ctrcache.New(ctrcache.Config{Blocks: rc.CounterCacheBlocks})
 		if err != nil {
@@ -85,7 +89,7 @@ func runPerfMeasured(prof workload.Profile, kind core.Kind, params core.Params, 
 		}
 		// Counter region sits above both the writeback and read-miss
 		// regions of the generator's address space.
-		src = ctrcache.NewFetchSource(src, cc, uint64(2*gen.Lines()))
+		src = ctrcache.NewFetchSource(src, cc, uint64(2*topo.lines()))
 	}
 	sim, err := timing.NewSimulator(timing.Config{
 		Cores:              perfCPUs,

@@ -3,7 +3,9 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"deuce/internal/core"
 	"deuce/internal/obs"
@@ -13,10 +15,11 @@ import (
 )
 
 // The experiment planner (DESIGN.md §10). A gate run over several
-// experiments is a DAG: warm streams feed warmed schemes, warmed schemes
-// feed cells, cells feed tables — and distinct experiments share nodes at
-// every level (Fig16/Fig17 share a whole grid; Fig5/Fig10/Fig15 share
-// individual cells; every same-workload cell shares a warm stream).
+// experiments is a DAG: warm streams feed warmed schemes and wear cells,
+// warmed schemes feed flip and perf cells, cells feed tables — and
+// distinct experiments share nodes at every level (Fig16/Fig17 share a
+// whole grid; Fig5/Fig10/Fig15 share individual cells; every
+// same-workload cell shares a warm stream).
 // BuildPlan enumerates that DAG without running anything, deduplicating
 // nodes by the exact key strings the runtime caches use, so the plan's
 // sharing is the runtime's sharing by construction. ExecuteCells then runs
@@ -61,6 +64,14 @@ type cellSpec struct {
 	wearMode wear.Mode
 	psi      int
 	rc       RunConfig
+}
+
+// topology is the shape of the recorded stream the cell replays.
+func (c cellSpec) topology() warmTopology {
+	if c.mode == "perf" {
+		return perfTopology(c.rc)
+	}
+	return flipTopology(c.rc)
 }
 
 // run executes the cell, populating the shared result caches.
@@ -169,29 +180,25 @@ func (p *Plan) addCell(c cellSpec) (int, bool) {
 	if i, exists := p.index[key]; exists {
 		return i, true
 	}
-	var deps []int
-	// Flip and perf cells fork warm state; wear cells warm up cold
-	// behind their wrapped array, so they have no warm prerequisites.
+	// Every cell replays a recorded stream. Flip and perf cells also fork
+	// a warmed scheme; wear cells warm a fresh one behind their wrapped
+	// array, so the stream is their only prerequisite.
+	topo := c.topology()
+	sk := warmStreamKey(c.prof, c.rc, topo)
+	dep := p.addNode(PlanNode{Kind: "warm-stream", Key: sk,
+		Label: fmt.Sprintf("warm %s x%d", c.prof.Name, c.rc.Warmup)})
 	if c.mode != "wear" {
-		topo := flipTopology(c.rc)
-		if c.mode == "perf" {
-			topo = perfTopology(c.rc)
-		}
-		sk := warmStreamKey(c.prof, c.rc, topo)
-		si := p.addNode(PlanNode{Kind: "warm-stream", Key: sk,
-			Label: fmt.Sprintf("warm %s x%d", c.prof.Name, c.rc.Warmup)})
-		// The runtime hashes warm-scheme params with Lines already set from
-		// the parked generator — topo.cpus * topo.lpc by construction — so
-		// the plan must too, or its warm-scheme keys would never match the
-		// cache entries (and measured span durations) they stand for.
+		// The runtime hashes warm-scheme params with Lines already set to
+		// the stream's line count, so the plan must too, or its warm-scheme
+		// keys would never match the cache entries (and measured span
+		// durations) they stand for.
 		wp := c.params
-		wp.Lines = topo.cpus * topo.lpc
+		wp.Lines = topo.lines()
 		pk, _ := paramsKey(wp)
-		wi := p.addNode(PlanNode{Kind: "warm-scheme", Key: warmSchemeKey(sk, c.kind, pk),
-			Label: fmt.Sprintf("warm %s/%s", c.prof.Name, c.kind), Deps: []int{si}})
-		deps = append(deps, wi)
+		dep = p.addNode(PlanNode{Kind: "warm-scheme", Key: warmSchemeKey(sk, c.kind, pk),
+			Label: fmt.Sprintf("warm %s/%s", c.prof.Name, c.kind), Deps: []int{dep}})
 	}
-	i := p.addNode(PlanNode{Kind: "cell", Key: key, Label: c.label(), Deps: deps})
+	i := p.addNode(PlanNode{Kind: "cell", Key: key, Label: c.label(), Deps: []int{dep}})
 	p.cells = append(p.cells, c)
 	return i, true
 }
@@ -303,15 +310,43 @@ func (p *Plan) Record(reg *obs.Registry) {
 // ExecuteCells runs every unique cell through the work-stealing pool,
 // populating the shared result caches so the subsequent table runs are
 // pure assembly. Warm streams and schemes materialize on demand inside the
-// cells (single-flight), in dependency order by construction.
+// cells (single-flight), in dependency order by construction. The cells of
+// one recorded stream run back to back, and the stream and the warmed
+// schemes over it leave the cache when its last cell is done: the tables
+// read only cached cell results, so past that point a recording is only
+// memory, and holding every stream at once would double the gate's RSS.
 func (p *Plan) ExecuteCells(progress *obs.Progress) error {
-	cells := p.cells
+	var streams []string    // stream keys, in order of first use
+	var groups [][]cellSpec // each stream's cells
+	for _, c := range p.cells {
+		sk := warmStreamKey(c.prof, c.rc, c.topology())
+		g := slices.Index(streams, sk)
+		if g < 0 {
+			g = len(streams)
+			streams = append(streams, sk)
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], c)
+	}
+	cells := slices.Concat(groups...)
+	group := make([]int, 0, len(cells)) // each cell's stream
+	left := make([]atomic.Int64, len(groups))
+	for g, gc := range groups {
+		left[g].Store(int64(len(gc)))
+		for range gc {
+			group = append(group, g)
+		}
+	}
 	exec := p.Config.Spans.Start(p.Config.SpanParent, "plan.execute", span.Int("cells", int64(len(cells))))
 	defer exec.End()
 	return forEachCellObserved(len(cells), progress, func(i int) error {
 		c := cells[i] // copy: the spec's RunConfig is re-parented per execution
 		c.rc.SpanParent = exec
-		if err := c.run(); err != nil {
+		err := c.run()
+		if g := group[i]; left[g].Add(-1) == 0 {
+			dropStream(streams[g])
+		}
+		if err != nil {
 			return fmt.Errorf("%s: %w", c.label(), err)
 		}
 		return nil

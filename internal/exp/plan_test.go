@@ -44,6 +44,38 @@ func TestPlanCoversGateExecutions(t *testing.T) {
 	}
 }
 
+// TestPlanExecuteDropsStreams: once every cell of a recorded stream has
+// run, the stream and the warmed schemes over it leave the cache; the
+// cached cell results are all the tables need (TestPlanCoversGateExecutions
+// checks that the tables re-run nothing).
+func TestPlanExecuteDropsStreams(t *testing.T) {
+	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 4}
+	setWarmReuse(true)
+	ResetCache()
+	t.Cleanup(ResetCache)
+	plan, err := BuildPlan([]string{"fig10", "fig12", "fig16"}, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.ExecuteCells(nil); err != nil {
+		t.Fatal(err)
+	}
+	sharedCache.mu.Lock()
+	defer sharedCache.mu.Unlock()
+	cells := 0
+	for k := range sharedCache.entries {
+		if strings.HasPrefix(k, "warmStream|") || strings.HasPrefix(k, "warmScheme|") {
+			t.Errorf("ExecuteCells left %.60s… cached", k)
+		}
+		if strings.Contains(k, "Cell|") {
+			cells++
+		}
+	}
+	if want := plan.Stats().Cells; cells != want {
+		t.Errorf("%d cell results cached, plan has %d cells", cells, want)
+	}
+}
+
 // TestPlanDeduplicates: fig16 and fig17 are two views of one grid, and
 // the flip figures share columns; the plan must collapse them.
 func TestPlanDeduplicates(t *testing.T) {
@@ -77,7 +109,8 @@ func TestPlanDeduplicates(t *testing.T) {
 }
 
 // TestPlanFig14Shape: wear cells cannot fork, so fig14 contributes no
-// warm nodes, and its 12x(1+3) cells are all unique.
+// warmed schemes, only one recorded stream per workload; its 12x(1+3)
+// cells are all unique.
 func TestPlanFig14Shape(t *testing.T) {
 	plan, err := BuildPlan([]string{"fig14"}, RunConfig{Writebacks: 100, Lines: 512, Seed: 0})
 	if err != nil {
@@ -87,8 +120,8 @@ func TestPlanFig14Shape(t *testing.T) {
 	if st.Cells != 48 {
 		t.Errorf("fig14 expected 48 wear cells, got %d", st.Cells)
 	}
-	if st.WarmStreams != 0 || st.WarmSchemes != 0 {
-		t.Errorf("wear cells must not claim warm nodes, got %d streams / %d schemes",
+	if st.WarmStreams != 12 || st.WarmSchemes != 0 {
+		t.Errorf("wear cells must share one stream per workload and claim no warmed scheme, got %d streams / %d schemes",
 			st.WarmStreams, st.WarmSchemes)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // could not use more cores than rows.
 //
 // Results are deterministic: fn must derive everything from i (each grid
-// cell constructs its own seeded generator, workload and scheme), writes
+// cell replays its own deterministic stream into its own scheme), writes
 // only to its own index, and so claim order cannot affect the outcome. All
 // cells run even after a failure; the lowest-index error is returned.
 func forEachCell(n int, fn func(i int) error) error {

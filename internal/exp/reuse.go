@@ -8,8 +8,9 @@ import (
 
 // warmReuseOff disables the warm-state fast paths (the per-cell result
 // caches and the warm-fork path that skips per-cell warmup replay) when
-// set. Only tests set it: it is the cold reference the fork bit-identity
-// suites compare warm-forked cells against. The zero value means enabled.
+// set; cells still replay the recorded stream. Only tests set it: it is
+// the cold path the fork bit-identity suites check beside the warm-forked
+// one. The zero value means enabled.
 var warmReuseOff atomic.Bool
 
 // warmReuseEnabled reports whether the warm-state fast paths are active.
@@ -24,7 +25,7 @@ var warmForks, coldWarmups atomic.Int64
 // experiment-cache effectiveness, for reporting (deucereport) and metrics.
 type ReuseStats struct {
 	// WarmForks is the number of cells that skipped warmup by forking a
-	// cached warmed scheme + generator.
+	// cached warmed scheme.
 	WarmForks int64
 	// ColdWarmups is the number of warmup loops executed for real: cells
 	// that could not fork plus one per warmed state built and cached.

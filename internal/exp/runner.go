@@ -41,21 +41,6 @@ type RunConfig struct {
 	// an extra memory read (see internal/ctrcache). 0 models an ideal
 	// (always-hit) counter store, the default the paper assumes.
 	CounterCacheBlocks int
-	// Backend selects durable page storage for each cell's scheme:
-	// "" (in-memory, the default), "file" or "dir" (internal/backend,
-	// threaded via core.Params.MakeBackend). Results are bit-identical
-	// across backends — the restart differential suite pins this — so the
-	// setting exists to exercise the durable path at experiment scale, and
-	// a non-empty Backend therefore bypasses every cache (warm forks,
-	// cell and table memoization, recorded-table reuse): a cached or
-	// forked result would never touch the disk the caller asked for.
-	// Wear-leveled cells (MakeArray) keep their in-memory arrays — remap
-	// registers are volatile controller state a backend cannot carry.
-	Backend string
-	// BackendDir is the parent directory for Backend state; each cell
-	// gets a fresh subdirectory (left behind for inspection).
-	BackendDir string
-
 	// Observability hooks. Trace, Heatmap and Metrics follow the
 	// single-writer contract (one run, one goroutine), so grid sweeps
 	// clear them before fanning out — they describe a single run, not a
@@ -165,17 +150,18 @@ func RunFlips(prof workload.Profile, kind core.Kind, params core.Params, rc RunC
 	return r, nil
 }
 
-// runFlipsMeasured executes a flip run for real: a warmed scheme and
-// generator (forked or cold), then the measured window.
+// runFlipsMeasured executes a flip run for real: a warmed scheme (forked
+// or cold), then the measured window replayed from the recorded stream.
 func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, keepPositions bool) (FlipResult, error) {
 	flipRuns.Add(1)
 	sp := rc.startSpan("cell/flip", cellAttrs(prof, kind, params, rc, flipCellKey)...)
 	defer sp.End()
 	rc.SpanParent = sp
-	s, gen, err := warmedScheme(prof, kind, params, rc, flipTopology(rc))
+	c, err := warmedScheme(prof, kind, params, rc, flipTopology(rc), rc.Writebacks)
 	if err != nil {
 		return FlipResult{}, err
 	}
+	s := c.s
 	// ResetStats carves the measured window for the per-position wear
 	// profile; warm+Delta does the same for the scalar stats and keeps the
 	// accounting symmetric even if an array wrapper declines to reset.
@@ -191,7 +177,7 @@ func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params,
 	}
 	lastMark := uint64(0)
 	for i := 0; i < rc.Writebacks; i++ {
-		line, data := gen.NextWriteback(0)
+		line, data, _ := c.next()
 		wres := s.Write(line, data)
 		if hSlots != nil {
 			hSlots.Observe(uint64(wres.Slots))
@@ -227,9 +213,10 @@ func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params,
 
 // runGrid executes a workloads x configurations sweep on the work-stealing
 // cell pool and returns results indexed [workload][config]. Every
-// (workload, config) cell is an independent unit of work: it builds its own
-// seeded generator and scheme, so results are bit-identical to a serial
-// sweep regardless of which worker claims which cell.
+// (workload, config) cell is an independent unit of work: it replays its
+// workload's recorded stream into its own scheme, so results are
+// bit-identical to a serial sweep regardless of which worker claims which
+// cell.
 func runGrid(profs []workload.Profile, cfgs []cell1, rc RunConfig, keepPositions bool) ([][]FlipResult, error) {
 	ck, cacheable := colsKey(cfgs)
 	if !cacheable {
@@ -350,8 +337,9 @@ type WearResult struct {
 //
 // The wrapped array makes the underlying flip run uncacheable and
 // unforkable (the leveler's state is outside core.Fork's reach), so wear
-// cells always warm up cold; the result itself is still memoized here,
-// keyed by the pre-wrap params plus the leveler configuration.
+// cells always replay their warmup into a fresh scheme; the result itself
+// is still memoized here, keyed by the pre-wrap params plus the leveler
+// configuration.
 func RunWear(prof workload.Profile, kind core.Kind, params core.Params, mode wear.Mode, psi int, rc RunConfig) (WearResult, error) {
 	rc.setDefaults()
 	if !cellCacheable(params, rc) {

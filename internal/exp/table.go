@@ -5,8 +5,9 @@
 // wrappers around this package.
 //
 // Concurrency: Experiment.Run is safe to call from multiple goroutines —
-// the process-wide result caches are single-flight (GridCache), cached
-// warm state is frozen and only ever forked, and the grid runners fan
+// the process-wide result caches are single-flight (GridCache), recorded
+// streams only grow under their own lock and cached warmed schemes are
+// frozen and only ever forked, and the grid runners fan
 // cells out over an internal worker pool whose cells each own their
 // scheme instance outright. The per-run observability hooks in RunConfig
 // (Trace, Heatmap, Metrics) are the exception: they are single-writer,

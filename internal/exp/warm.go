@@ -2,68 +2,97 @@ package exp
 
 import (
 	"fmt"
-	"os"
+	"io"
+	"strings"
+	"sync"
 
 	"deuce/internal/core"
 	"deuce/internal/obs/span"
+	"deuce/internal/trace"
 	"deuce/internal/wear"
 	"deuce/internal/workload"
 )
 
-// Warm-state reuse (DESIGN.md §10). Every grid cell historically built a
-// fresh generator and scheme and replayed rc.Warmup writebacks before its
-// measured window — identical work wherever cells share a (workload,
-// geometry, seed, params) tuple. This file caches that work at two levels:
+// The stream store (DESIGN.md §10). A cell's writeback stream is a pure
+// function of (profile, topology, seed, warmup): every scheme and
+// configuration column over one workload consumes the same bytes, as every
+// scheme in the paper replays one fixed trace. This file records each
+// stream once and serves it at two levels:
 //
-//  1. warmEntry: one warmup synthesis per (profile, topology, seed,
-//     warmup) — the recorded install/write stream plus the generator
-//     parked at the warmup/measured boundary.
+//  1. warmEntry: the one recording per (profile, topology, seed, warmup) —
+//     installs, warmup writes and the measured window, in synthesis order.
+//     It is the only place in this package (cachesim aside) that runs a
+//     workload.Generator. A cell that needs more of the measured window
+//     than is recorded extends the recording under the entry's mutex, so a
+//     shorter run replays a prefix of a longer one.
 //  2. a fully warmed scheme per (warmEntry, kind, params) — built by
-//     replaying the recorded stream once.
+//     replaying the recorded warmup once.
 //
-// A cell then takes core.Fork of the warmed scheme and Generator.Fork of
-// the parked generator, both bit-identical to having run the warmup cold
-// (pinned by the warm differential suite). Cached warm objects are never
-// advanced after construction — consumers only fork them — which is what
-// makes concurrent cells safe without locks beyond the cache's own
-// single-flight.
+// A cell then takes core.Fork of the warmed scheme, or builds a fresh
+// scheme and replays the warmup itself when it cannot fork, and replays
+// its measured window from the recording. Recorded prefixes are never
+// mutated and cached warm schemes are never advanced — consumers only
+// fork them — so concurrent cells need no locks beyond the entry's own and
+// the cache's single-flight.
 
-// warmOp is one recorded warmup operation: an initial page placement
-// (install) or a warmup writeback, in synthesis order.
-type warmOp struct {
-	install bool
-	line    uint64
-	data    []byte
+// Flags on a recorded line: the op is an initial page placement or, in a
+// timed stream, a read miss. Unflagged ops are writebacks.
+const (
+	opInstall = 1 << 63
+	opRead    = 1 << 62
+)
+
+// stream is a recording, or an immutable view of one. lines holds every
+// op in synthesis order, flagged; data the payload of every install and
+// writeback, workload.LineBytes each, in op order; events, in timed
+// streams only, gap<<8 | cpu of every measured write or read.
+type stream struct {
+	lines  []uint64
+	data   []byte
+	events []uint64
 }
 
-// warmEntry is a cached warmup: the recorded operation stream and the
-// generator parked exactly at the end of warmup. Both are frozen —
-// consumers replay ops into fresh schemes and Fork the generator.
+// warmEntry is one recorded stream and the generator parked at its end.
+// The generator advances only under mu, to extend the recording.
 type warmEntry struct {
-	ops []warmOp
-	gen *workload.Generator
+	key   string
+	timed bool
+	// warmOps and warmBytes locate the measured window: the first op and
+	// payload byte after the last warmup write.
+	warmOps, warmBytes int
+
+	mu       sync.Mutex
+	gen      *workload.Generator
+	rec      stream
+	measured int // measured writes (timed: events) recorded
 }
 
-// warmTopology pins the generator shape a runner warms with: RunFlips uses
-// one CPU over the full working set, RunPerf eight CPUs over half.
+// warmTopology pins the generator shape a runner records: RunFlips uses
+// one CPU over the full working set and records writebacks, RunPerf eight
+// CPUs over half and records the timed read/writeback event stream.
 type warmTopology struct {
-	cpus int
-	lpc  int // LinesPerCPU
+	cpus  int
+	lpc   int // LinesPerCPU
+	timed bool
 }
+
+// lines is the generator's line count, and so every cell's Params.Lines.
+func (t warmTopology) lines() int { return t.cpus * t.lpc }
 
 func flipTopology(rc RunConfig) warmTopology { return warmTopology{cpus: 1, lpc: rc.Lines} }
 
 // perfTopology halves the per-CPU working set: 8 cores, total memory
 // bounded (see RunPerf).
 func perfTopology(rc RunConfig) warmTopology {
-	return warmTopology{cpus: perfCPUs, lpc: rc.Lines / 2}
+	return warmTopology{cpus: perfCPUs, lpc: rc.Lines / 2, timed: true}
 }
 
-// warmStreamKey identifies one warmup synthesis: profile, topology, seed
-// and warmup length. The planner uses the same key to predict sharing.
+// warmStreamKey identifies one recorded stream: profile, topology, seed
+// and warmup length, but not the measured length, which only extends it.
+// The planner uses the same key to predict sharing.
 func warmStreamKey(prof workload.Profile, rc RunConfig, topo warmTopology) string {
-	return fmt.Sprintf("warmStream|prof=%+v|cpus=%d|lpc=%d|seed=%d|warm=%d",
-		prof, topo.cpus, topo.lpc, rc.Seed, rc.Warmup)
+	return fmt.Sprintf("warmStream|prof=%+v|cpus=%d|lpc=%d|timed=%t|seed=%d|warm=%d",
+		prof, topo.cpus, topo.lpc, topo.timed, rc.Seed, rc.Warmup)
 }
 
 // warmSchemeKey identifies one fully-warmed scheme over a warm stream.
@@ -71,9 +100,10 @@ func warmSchemeKey(streamKey string, kind core.Kind, pk string) string {
 	return fmt.Sprintf("warmScheme|%s|kind=%s|%s", streamKey, kind, pk)
 }
 
-// warmStreamFor returns the cached warmup synthesis for the tuple,
-// building it on first use. rc must be defaulted.
-func warmStreamFor(prof workload.Profile, rc RunConfig, topo warmTopology) (string, *warmEntry, error) {
+// streamFor returns the recorded stream for the tuple, recording it on
+// first use, and a view holding its warmup and at least n measured writes
+// (timed: events). rc must be defaulted.
+func streamFor(prof workload.Profile, rc RunConfig, topo warmTopology, n int) (*warmEntry, stream, error) {
 	key := warmStreamKey(prof, rc, topo)
 	v, err := sharedCache.Do(key, func() (interface{}, error) {
 		// Rooted at the tracer, not the triggering cell: under the cell
@@ -81,44 +111,147 @@ func warmStreamFor(prof workload.Profile, rc RunConfig, topo warmTopology) (stri
 		// otherwise become the parent, making the tree schedule-dependent.
 		sp := rc.Spans.Start(nil, "warm-stream", span.Str("key", key))
 		defer sp.End()
-		e := &warmEntry{}
+		e := &warmEntry{key: key, timed: topo.timed}
 		gen, err := workload.New(prof, workload.Config{
 			Seed:        rc.Seed,
 			CPUs:        topo.cpus,
 			LinesPerCPU: topo.lpc,
-			// Record installs instead of applying them; the replay
-			// interleaves them with the writes in synthesis order,
-			// exactly as a cold run's FirstTouch would fire.
-			FirstTouch: func(line uint64, initial []byte) {
-				e.ops = append(e.ops, warmOp{install: true, line: line, data: initial})
-			},
+			// Record installs in synthesis order: a replay applies each
+			// one exactly where a live generator's FirstTouch fires.
+			FirstTouch: func(line uint64, initial []byte) { e.record(line|opInstall, initial) },
 		})
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < rc.Warmup; i++ {
-			line, data := gen.NextWriteback(i % topo.cpus)
-			e.ops = append(e.ops, warmOp{line: line, data: data})
+			e.record(gen.NextWriteback(i % topo.cpus))
 		}
-		e.gen = gen
+		e.gen, e.warmOps, e.warmBytes = gen, len(e.rec.lines), len(e.rec.data)
+		e.extend(n)
 		return e, nil
 	})
 	if err != nil {
-		return "", nil, err
+		return nil, stream{}, err
 	}
-	return key, v.(*warmEntry), nil
+	e := v.(*warmEntry)
+	return e, e.window(rc.Spans, n), nil
+}
+
+// dropStream removes a recorded stream, and every warmed scheme built
+// over it, from the cache. Cells holding them keep them; a later request
+// records the stream again, bit-identically.
+func dropStream(key string) {
+	schemes := "warmScheme|" + key + "|" // every warmSchemeKey over key
+	sharedCache.forget(func(k string) bool { return k == key || strings.HasPrefix(k, schemes) })
+}
+
+// record appends one op; the caller holds mu or owns e exclusively.
+func (e *warmEntry) record(line uint64, data []byte) {
+	e.rec.lines = append(e.rec.lines, line)
+	e.rec.data = append(e.rec.data, data...)
+}
+
+// extend records measured writes (timed: events) until n are recorded.
+// The caller holds mu or owns e exclusively.
+func (e *warmEntry) extend(n int) {
+	for ; e.measured < n; e.measured++ {
+		if !e.timed {
+			e.record(e.gen.NextWriteback(0))
+			continue
+		}
+		ev, _ := e.gen.Next() // a Generator's stream never ends
+		if ev.Kind == trace.Read {
+			e.rec.lines = append(e.rec.lines, ev.Line|opRead)
+		} else {
+			e.record(ev.Line, ev.Data)
+		}
+		e.rec.events = append(e.rec.events, uint64(ev.Gap)<<8|uint64(ev.CPU))
+	}
+}
+
+// window extends the recording to n measured writes (timed: events) if it
+// is shorter and returns a view of everything recorded. Appends past a
+// view's end never touch the elements it holds, and its capacity is
+// clipped, so views need no lock.
+func (e *warmEntry) window(tr *span.Tracer, n int) stream {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.measured < n {
+		sp := tr.Start(nil, "warm-stream", span.Str("key", e.key))
+		e.extend(n)
+		sp.End()
+	}
+	r := e.rec
+	return stream{
+		lines:  r.lines[:len(r.lines):len(r.lines)],
+		data:   r.data[:len(r.data):len(r.data)],
+		events: r.events[:len(r.events):len(r.events)],
+	}
+}
+
+// cursor replays a recorded stream into a scheme, installing each line
+// where the recording reaches its install. It is the trace.Source of a
+// timed cell.
+type cursor struct {
+	st          stream
+	s           core.Scheme
+	op, off, ev int
+}
+
+// next applies the installs ahead of the next writeback or read and
+// returns it. data aliases the recording and must not be modified.
+func (c *cursor) next() (line uint64, data []byte, read bool) {
+	for {
+		l := c.st.lines[c.op]
+		c.op++
+		if l&opRead != 0 {
+			return l &^ opRead, nil, true
+		}
+		data = c.st.data[c.off : c.off+workload.LineBytes : c.off+workload.LineBytes]
+		c.off += workload.LineBytes
+		if l&opInstall == 0 {
+			return l, data, false
+		}
+		c.s.Install(l&^opInstall, data)
+	}
+}
+
+// Next implements trace.Source over a timed stream's measured window.
+func (c *cursor) Next() (trace.Event, error) {
+	if c.ev == len(c.st.events) {
+		return trace.Event{}, io.EOF
+	}
+	line, data, read := c.next()
+	m := c.st.events[c.ev]
+	c.ev++
+	e := trace.Event{Kind: trace.Writeback, Line: line, CPU: uint8(m), Gap: uint32(m >> 8), Data: data}
+	if read {
+		e.Kind = trace.Read
+	}
+	return e, nil
+}
+
+// warmUp replays the first writes writebacks of a stream, with their
+// installs, into s and returns the cursor parked just past them.
+func warmUp(st stream, s core.Scheme, writes int) *cursor {
+	c := &cursor{st: st, s: s}
+	for i := 0; i < writes; i++ {
+		line, data, _ := c.next()
+		s.Write(line, data)
+	}
+	return c
 }
 
 // warmSchemeFor returns the cached fully-warmed scheme for (stream, kind,
 // params), building it by replaying the recorded warmup once. params.Lines
 // must already be set to the stream generator's line count. The returned
 // scheme is shared and frozen; callers must core.Fork it, never write it.
-func warmSchemeFor(tr *span.Tracer, streamKey string, e *warmEntry, kind core.Kind, params core.Params) (core.Scheme, error) {
+func warmSchemeFor(tr *span.Tracer, e *warmEntry, st stream, warmup int, kind core.Kind, params core.Params) (core.Scheme, error) {
 	pk, ok := paramsKey(params)
 	if !ok {
 		return nil, fmt.Errorf("exp: uncacheable params reached the warm-scheme cache")
 	}
-	key := warmSchemeKey(streamKey, kind, pk)
+	key := warmSchemeKey(e.key, kind, pk)
 	v, err := sharedCache.Do(key, func() (interface{}, error) {
 		// Rooted for the same schedule-independence reason as warm-stream.
 		sp := tr.Start(nil, "warm-scheme", span.Str("key", key))
@@ -128,13 +261,7 @@ func warmSchemeFor(tr *span.Tracer, streamKey string, e *warmEntry, kind core.Ki
 		if err != nil {
 			return nil, err
 		}
-		for _, op := range e.ops {
-			if op.install {
-				s.Install(op.line, op.data)
-			} else {
-				s.Write(op.line, op.data)
-			}
-		}
+		warmUp(st, s, warmup)
 		return s, nil
 	})
 	if err != nil {
@@ -144,85 +271,57 @@ func warmSchemeFor(tr *span.Tracer, streamKey string, e *warmEntry, kind core.Ki
 }
 
 // warmedScheme hands a runner a scheme warmed through rc.Warmup writebacks
-// plus the matching generator parked at the measured window, either by
-// forking cached warm state (fast path) or by running the warmup cold.
-// The cold path reproduces the historical per-cell behavior exactly; the
-// fast path is bit-identical to it by the fork contracts.
-func warmedScheme(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology) (core.Scheme, *workload.Generator, error) {
+// and a cursor over the recorded stream parked at its measured window,
+// which holds at least n writes (timed: events). The scheme is a fork of
+// cached warm state where the cell allows it; otherwise (a wrapped
+// MakeArray array, a trace hook, reuse switched off) it is built fresh and
+// warmed by replaying the recorded warmup. Both are bit-identical to a
+// live generator driving a fresh scheme, pinned by the warm differential
+// suite.
+func warmedScheme(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology, n int) (*cursor, error) {
 	wsp := rc.startSpan("warmup", span.Str("workload", prof.Name), span.Str("scheme", string(kind)))
 	outcome := "cold"
 	defer func() {
 		wsp.Annotate(span.Str("outcome", outcome))
 		wsp.End()
 	}()
-	if warmReuseEnabled() && rc.Trace == nil && rc.Backend == "" {
-		if _, ok := paramsKey(params); ok {
-			s, gen, err := warmFork(prof, kind, params, rc, topo)
-			if err == nil {
-				outcome = "fork"
-				return s, gen, nil
-			}
-			// A fork failure (e.g. an array type Fork cannot reach)
-			// falls back to the cold path rather than failing the cell.
+	e, st, err := streamFor(prof, rc, topo, n)
+	if err != nil {
+		return nil, err
+	}
+	params.Lines = topo.lines()
+	if _, ok := paramsKey(params); ok && warmReuseEnabled() && rc.Trace == nil {
+		c, err := warmFork(e, st, kind, params, rc)
+		if err == nil {
+			outcome = "fork"
+			return c, nil
 		}
+		// A fork failure (e.g. an array type Fork cannot reach) falls back
+		// to the cold path rather than failing the cell.
 	}
 
 	coldWarmups.Add(1)
-	var s core.Scheme
-	gen, err := workload.New(prof, workload.Config{
-		Seed:        rc.Seed,
-		CPUs:        topo.cpus,
-		LinesPerCPU: topo.lpc,
-		// Initial page placement goes through Install so a line's first
-		// writeback is an ordinary update, not a whole-line transition
-		// from zero (paper §3.1).
-		FirstTouch: func(line uint64, initial []byte) { s.Install(line, initial) },
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	params.Lines = gen.Lines()
 	params.Trace = rc.Trace
-	if rc.Backend != "" && params.MakeArray == nil {
-		// Each cell gets a fresh directory: reopening another run's pages
-		// would seed the array with stale contents instead of the lazily
-		// initialized zero state every measurement assumes.
-		dir, err := os.MkdirTemp(rc.BackendDir, "cell-*")
-		if err != nil {
-			return nil, nil, fmt.Errorf("exp: backend state dir: %w", err)
-		}
-		params.MakeBackend = core.DirBackendMaker(dir, rc.Backend == "dir", 0)
-	}
-	s, err = core.New(kind, params)
+	s, err := core.New(kind, params)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for i := 0; i < rc.Warmup; i++ {
-		line, data := gen.NextWriteback(i % topo.cpus)
-		s.Write(line, data)
-	}
-	return s, gen, nil
+	return warmUp(st, s, rc.Warmup), nil
 }
 
 // warmFork is the fast path behind warmedScheme: fork the cached warm
-// state for this cell.
-func warmFork(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology) (core.Scheme, *workload.Generator, error) {
-	streamKey, e, err := warmStreamFor(prof, rc, topo)
+// scheme for this cell and park a cursor at the measured window.
+func warmFork(e *warmEntry, st stream, kind core.Kind, params core.Params, rc RunConfig) (*cursor, error) {
+	src, err := warmSchemeFor(rc.Spans, e, st, rc.Warmup, kind, params)
 	if err != nil {
-		return nil, nil, err
-	}
-	params.Lines = e.gen.Lines()
-	src, err := warmSchemeFor(rc.Spans, streamKey, e, kind, params)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	forked, err := core.Fork(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	gen := e.gen.Fork(func(line uint64, initial []byte) { forked.Install(line, initial) })
 	warmForks.Add(1)
-	return forked, gen, nil
+	return &cursor{st: st, s: forked, op: e.warmOps, off: e.warmBytes}, nil
 }
 
 // Cell cache keys. The planner predicts runtime sharing by computing the
@@ -264,11 +363,6 @@ func cellCacheable(params core.Params, rc RunConfig) bool {
 		return false
 	}
 	if _, ok := paramsKey(params); !ok {
-		return false
-	}
-	// A durable backend must execute for real: the run's observable
-	// product includes the on-disk state, which a cached result lacks.
-	if rc.Backend != "" {
 		return false
 	}
 	return rc.Trace == nil && rc.Heatmap == nil && rc.Metrics == nil

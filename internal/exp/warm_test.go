@@ -2,20 +2,25 @@ package exp
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"deuce/internal/core"
+	"deuce/internal/obs"
+	"deuce/internal/pcmdev"
+	"deuce/internal/timing"
+	"deuce/internal/trace"
 	"deuce/internal/wear"
 	"deuce/internal/workload"
 )
 
 // setWarmReuse toggles the warm-state fast paths. Only tests turn them
-// off, to get the cold reference the warm-forked results must equal.
+// off, to get the cold path the warm-forked results must equal.
 func setWarmReuse(enabled bool) { warmReuseOff.Store(!enabled) }
 
 // coldRun executes fn with warm-state reuse disabled and a cold cache, so
-// its result reflects the historical per-cell behavior (fresh scheme,
-// replayed warmup), then restores reuse for the caller.
+// every cell builds a fresh scheme and replays its own warmup, then
+// restores reuse for the caller.
 func coldRun[T any](t *testing.T, fn func() (T, error)) T {
 	t.Helper()
 	setWarmReuse(false)
@@ -31,10 +36,121 @@ func coldRun[T any](t *testing.T, fn func() (T, error)) T {
 	return v
 }
 
-// TestWarmFlipBitIdentical: warm-forked flip cells must be bit-identical
-// to cold runs across schemes, seeds and geometries. The first warm call
-// builds the shared warm state (one cold warmup); a second scheme over the
-// same workload then forks it, and both must equal their cold twins.
+// warmRun executes fn with warm-state reuse on, from a cold cache.
+func warmRun[T any](t *testing.T, fn func() (T, error)) T {
+	t.Helper()
+	setWarmReuse(true)
+	ResetCache()
+	ResetReuse()
+	v, err := fn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// The live reference: the per-cell path the stream store replaced. A live
+// generator installs each line through FirstTouch into a fresh scheme and
+// drives its warmup and measured window directly. Every recorded-stream
+// result, forked or cold, must equal it.
+
+// liveWarm returns a fresh scheme warmed through rc.Warmup writebacks by a
+// live generator, and the generator parked at the measured window.
+func liveWarm(t *testing.T, prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology) (core.Scheme, *workload.Generator) {
+	t.Helper()
+	var s core.Scheme
+	gen, err := workload.New(prof, workload.Config{
+		Seed:        rc.Seed,
+		CPUs:        topo.cpus,
+		LinesPerCPU: topo.lpc,
+		FirstTouch:  func(line uint64, initial []byte) { s.Install(line, initial) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.Lines = gen.Lines()
+	params.Trace = rc.Trace
+	s, err = core.New(kind, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rc.Warmup; i++ {
+		s.Write(gen.NextWriteback(i % topo.cpus))
+	}
+	return s, gen
+}
+
+// liveFlips is RunFlips on a live generator, positions kept.
+func liveFlips(t *testing.T, prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig) FlipResult {
+	t.Helper()
+	rc.setDefaults()
+	s, gen := liveWarm(t, prof, kind, params, rc, flipTopology(rc))
+	s.Device().ResetStats()
+	warm := s.Device().Stats()
+	if rc.Trace != nil {
+		rc.Trace.Reset()
+	}
+	for i := 0; i < rc.Writebacks; i++ {
+		s.Write(gen.NextWriteback(0))
+	}
+	st := s.Device().Stats().Delta(warm)
+	lineBits := float64(s.Device().Config().LineBits())
+	return FlipResult{
+		Workload:       prof.Name,
+		Scheme:         s.Name(),
+		FlipFrac:       st.AvgFlipsPerWrite() / lineBits,
+		DataFlipFrac:   float64(st.DataFlips) / float64(st.Writes) / lineBits,
+		SlotAvg:        st.AvgSlotsPerWrite(),
+		Writes:         st.Writes,
+		PositionWrites: s.Device().PositionWrites(),
+	}
+}
+
+// livePerf is RunPerf on a live generator (no counter cache).
+func livePerf(t *testing.T, prof workload.Profile, kind core.Kind, rc RunConfig) PerfResult {
+	t.Helper()
+	rc.setDefaults()
+	s, gen := liveWarm(t, prof, kind, core.Params{}, rc, perfTopology(rc))
+	s.Device().ResetStats()
+	warm := s.Device().Stats()
+	events := int(float64(rc.Writebacks) * (prof.MPKI + prof.WBPKI) / prof.WBPKI)
+	sim, err := timing.NewSimulator(timing.Config{
+		Cores:              perfCPUs,
+		MaxConcurrentSlots: budgetSlots,
+		WritePausing:       rc.WritePausing,
+		ReadLatencyNs:      rc.ReadLatencyNs,
+	}, &limitSource{inner: gen, remaining: events}, timing.SlotCosterFunc(func(line uint64, data []byte) int {
+		return s.Write(line, data).Slots
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(1 << 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return PerfResult{Workload: prof.Name, Scheme: s.Name(), Timing: res,
+		BitFlips: s.Device().Stats().Delta(warm).TotalFlips()}
+}
+
+// liveWear is RunWear on a live generator.
+func liveWear(t *testing.T, prof workload.Profile, kind core.Kind, mode wear.Mode, psi int, rc RunConfig) WearResult {
+	t.Helper()
+	params := core.Params{MakeArray: func(cfg pcmdev.Config) (pcmdev.Array, error) {
+		return wear.NewStartGap(cfg, wear.StartGapConfig{Mode: mode, Psi: psi, FreeGapMoves: true})
+	}}
+	res := liveFlips(t, prof, kind, params, rc)
+	wp, err := wear.Analyze(res.PositionWrites, res.Writes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return WearResult{FlipResult: res, Profile: wp}
+}
+
+// TestWarmFlipBitIdentical: flip cells replayed from the recorded stream,
+// cold and warm-forked, must equal the live reference across schemes,
+// seeds and geometries. The first warm call per kind builds the warmed
+// scheme; a second kind over the same stream forks its own.
 func TestWarmFlipBitIdentical(t *testing.T) {
 	profs := []string{"mcf", "libq"}
 	kinds := []core.Kind{core.KindDeuce, core.KindEncrFNW, core.KindDynDeuce, core.KindINVMM}
@@ -47,25 +163,50 @@ func TestWarmFlipBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, kind := range kinds {
+					live := liveFlips(t, prof, kind, core.Params{}, rc)
 					cold := coldRun(t, func() (FlipResult, error) {
 						return RunFlips(prof, kind, core.Params{}, rc, true)
 					})
-					setWarmReuse(true)
-					ResetCache()
-					ResetReuse()
-					warm, err := RunFlips(prof, kind, core.Params{}, rc, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(cold, warm) {
-						t.Errorf("%s/%s seed=%d lines=%d: warm-forked result diverges\n cold: %+v\n warm: %+v",
-							pn, kind, seed, lines, cold, warm)
+					warm := warmRun(t, func() (FlipResult, error) {
+						return RunFlips(prof, kind, core.Params{}, rc, true)
+					})
+					if !reflect.DeepEqual(live, cold) || !reflect.DeepEqual(live, warm) {
+						t.Errorf("%s/%s seed=%d lines=%d: replayed result diverges\n live: %+v\n cold: %+v\n warm: %+v",
+							pn, kind, seed, lines, live, cold, warm)
 					}
 				}
 			}
 		}
 	}
 	ResetCache()
+}
+
+// TestWarmTracedFlipMatchesLive: a traced cell runs cold even with reuse
+// on; its result and its measured-window trace must match the live
+// reference's.
+func TestWarmTracedFlipMatchesLive(t *testing.T) {
+	prof, err := workload.ByName("astar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 6}
+	rc.Trace = obs.NewTrace(1000, 1)
+	live := liveFlips(t, prof, core.KindDeuce, core.Params{}, rc)
+	liveEvents := rc.Trace.Events()
+	rc.Trace = obs.NewTrace(1000, 1)
+	got := warmRun(t, func() (FlipResult, error) {
+		return RunFlips(prof, core.KindDeuce, core.Params{}, rc, true)
+	})
+	t.Cleanup(ResetCache)
+	if !reflect.DeepEqual(live, got) {
+		t.Errorf("traced cell diverges\n live: %+v\n got:  %+v", live, got)
+	}
+	if !reflect.DeepEqual(liveEvents, rc.Trace.Events()) {
+		t.Error("traced cell recorded a different event trace")
+	}
+	if r := Reuse(); r.WarmForks != 0 {
+		t.Errorf("a traced cell must not fork, got WarmForks=%d", r.WarmForks)
+	}
 }
 
 // TestWarmForkActuallyForks: the second scheme sharing a warm stream must
@@ -98,53 +239,52 @@ func TestWarmForkActuallyForks(t *testing.T) {
 	}
 }
 
-// TestWarmPerfBitIdentical: warm-forked timed cells must match cold runs.
+// TestWarmPerfBitIdentical: timed cells replayed from the recorded event
+// stream, cold and warm-forked, must equal the live reference.
 func TestWarmPerfBitIdentical(t *testing.T) {
-	prof, err := workload.ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []core.Kind{core.KindDeuce, core.KindEncrFNW} {
-		rc := RunConfig{Writebacks: 400, Lines: 64, Seed: 3}
-		cold := coldRun(t, func() (PerfResult, error) {
-			return RunPerf(prof, kind, core.Params{}, rc)
-		})
-		setWarmReuse(true)
-		ResetCache()
-		ResetReuse()
-		warm, err := RunPerf(prof, kind, core.Params{}, rc)
+	for _, pn := range []string{"mcf", "libq"} {
+		prof, err := workload.ByName(pn)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cold != warm {
-			t.Errorf("%s: warm-forked perf diverges\n cold: %+v\n warm: %+v",
-				kind, cold, warm)
+		for _, kind := range []core.Kind{core.KindDeuce, core.KindEncrFNW} {
+			rc := RunConfig{Writebacks: 400, Lines: 64, Seed: 3}
+			live := livePerf(t, prof, kind, rc)
+			cold := coldRun(t, func() (PerfResult, error) {
+				return RunPerf(prof, kind, core.Params{}, rc)
+			})
+			warm := warmRun(t, func() (PerfResult, error) {
+				return RunPerf(prof, kind, core.Params{}, rc)
+			})
+			if live != cold || live != warm {
+				t.Errorf("%s/%s: replayed perf diverges\n live: %+v\n cold: %+v\n warm: %+v",
+					pn, kind, live, cold, warm)
+			}
 		}
 	}
 	ResetCache()
 }
 
-// TestWarmWearBitIdentical: wear cells cannot fork (wrapped array) but are
-// memoized; the memoized result must equal the cold one, and the wear
-// profile must be a caller-owned copy.
+// TestWarmWearBitIdentical: wear cells cannot fork (wrapped array) but
+// replay the recorded stream and are memoized; cold and memoized results
+// must equal the live reference, and the wear profile must be a
+// caller-owned copy.
 func TestWarmWearBitIdentical(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := RunConfig{Writebacks: 2000, Lines: 64, Seed: 2}
+	live := liveWear(t, prof, core.KindDeuce, wear.VWLOnly, 1, rc)
 	cold := coldRun(t, func() (WearResult, error) {
 		return RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
 	})
-	setWarmReuse(true)
-	ResetCache()
+	warm := warmRun(t, func() (WearResult, error) {
+		return RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
+	})
 	t.Cleanup(ResetCache)
-	warm, err := RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("memoized wear cell diverges from cold run")
+	if !reflect.DeepEqual(live, cold) || !reflect.DeepEqual(live, warm) {
+		t.Errorf("replayed wear cell diverges from the live reference")
 	}
 	again, err := RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
 	if err != nil {
@@ -155,13 +295,13 @@ func TestWarmWearBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(cold.PositionWrites, final.PositionWrites) {
+	if !reflect.DeepEqual(live.PositionWrites, final.PositionWrites) {
 		t.Error("mutating a returned wear profile corrupted the cached copy")
 	}
 }
 
 // TestWarmDisabledRestoresColdCounting: with reuse off, every cell must
-// execute and warm up for itself. This proves the cold reference coldRun
+// execute and warm up for itself. This proves the cold path coldRun
 // takes really runs cold, which is what makes the TestWarm*BitIdentical
 // suites compare a warm fork against something other than itself.
 func TestWarmDisabledRestoresColdCounting(t *testing.T) {
@@ -192,5 +332,134 @@ func TestWarmDisabledRestoresColdCounting(t *testing.T) {
 	}
 	if r.ColdWarmups != 2 {
 		t.Errorf("expected 2 cold warmups, got %d", r.ColdWarmups)
+	}
+}
+
+// streamCase is one recorded-stream shape the store tests cover.
+type streamCase struct {
+	name string
+	topo func(RunConfig) warmTopology
+}
+
+var streamCases = []streamCase{{"flip", flipTopology}, {"timed", perfTopology}}
+
+// freshStream records prof's stream for rc and topo from an empty cache
+// with n measured writes (timed: events) and returns the entry and a view.
+func freshStream(t *testing.T, prof workload.Profile, rc RunConfig, topo warmTopology, n int) (*warmEntry, stream) {
+	t.Helper()
+	ResetCache()
+	e, st, err := streamFor(prof, rc, topo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, st
+}
+
+// TestStreamExtendEqualsOneShot: a recording extended in two steps must
+// equal one recorded in one step, installs and timed events included, and
+// must park the measured window at the same op.
+func TestStreamExtendEqualsOneShot(t *testing.T) {
+	prof, err := workload.ByName("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ResetCache)
+	rc := RunConfig{Lines: 64, Seed: 4}
+	rc.setDefaults()
+	for _, sc := range streamCases {
+		topo := sc.topo(rc)
+		e1, short := freshStream(t, prof, rc, topo, 300)
+		long := e1.window(nil, 1700)
+		e2, one := freshStream(t, prof, rc, topo, 1700)
+		if !reflect.DeepEqual(long, one) {
+			t.Errorf("%s: two-step recording differs from a one-step one", sc.name)
+		}
+		if e1.warmOps != e2.warmOps || e1.warmBytes != e2.warmBytes {
+			t.Errorf("%s: measured window parked at op %d/byte %d, one-step at %d/%d",
+				sc.name, e1.warmOps, e1.warmBytes, e2.warmOps, e2.warmBytes)
+		}
+		if !isPrefix(short, one) {
+			t.Errorf("%s: a shorter view is not a prefix of the longer recording", sc.name)
+		}
+		installs := 0
+		for _, l := range one.lines {
+			if l&opInstall != 0 {
+				installs++
+			}
+		}
+		if installs == 0 || installs > topo.lines() {
+			t.Errorf("%s: %d installs recorded for a %d-line stream", sc.name, installs, topo.lines())
+		}
+	}
+}
+
+// isPrefix reports whether every slice of a is a prefix of b's.
+func isPrefix(a, b stream) bool {
+	return len(a.lines) <= len(b.lines) && reflect.DeepEqual(a.lines, b.lines[:len(a.lines)]) &&
+		len(a.data) <= len(b.data) && string(a.data) == string(b.data[:len(a.data)]) &&
+		len(a.events) <= len(b.events) && reflect.DeepEqual(a.events, b.events[:len(a.events)])
+}
+
+// TestStreamConcurrentPrefixes: cells asking one entry for windows of
+// different lengths at once each get a prefix of the one-shot recording,
+// and replaying a view while another cell extends the recording is
+// race-free (run under -race via the Makefile's race-timing target).
+func TestStreamConcurrentPrefixes(t *testing.T) {
+	prof, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ResetCache)
+	rc := RunConfig{Lines: 64, Seed: 11}
+	rc.setDefaults()
+	for _, sc := range streamCases {
+		topo := sc.topo(rc)
+		_, want := freshStream(t, prof, rc, topo, 2400)
+		ResetCache()
+		var wg sync.WaitGroup
+		views := make([]stream, 8)
+		for i := range views {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				n := 300 * (len(views) - i)
+				_, st, err := streamFor(prof, rc, topo, n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Replay the whole view while others extend the recording.
+				s, err := core.New(core.KindEncrDCW, core.Params{Lines: topo.lines()})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c := warmUp(st, s, rc.Warmup)
+				if topo.timed {
+					for k := 0; k < n; k++ {
+						ev, err := c.Next()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if ev.Kind == trace.Writeback {
+							s.Write(ev.Line, ev.Data)
+						}
+					}
+				} else {
+					for k := 0; k < n; k++ {
+						line, data, _ := c.next()
+						s.Write(line, data)
+					}
+				}
+				views[i] = st
+			}(i)
+		}
+		wg.Wait()
+		for i, v := range views {
+			if !isPrefix(v, want) {
+				t.Errorf("%s: concurrent view %d is not a prefix of the one-shot recording", sc.name, i)
+			}
+		}
 	}
 }

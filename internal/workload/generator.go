@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 
-	"deuce/internal/clonerand"
 	"deuce/internal/trace"
 )
 
@@ -64,10 +63,10 @@ type lineState struct {
 type Generator struct {
 	prof Profile
 	cfg  Config
-	// rng drives every stochastic decision. The clonerand wrapper is
-	// bit-identical to rand.New(rand.NewSource(seed)) but snapshotable,
-	// which is what makes Fork possible.
-	rng *clonerand.Rand
+	// rng drives every stochastic decision; the stream is a pure function
+	// of the seed and the profile name, which is what lets internal/exp
+	// record it once and replay it into every scheme.
+	rng *rand.Rand
 
 	lines []lineState // cfg.CPUs * cfg.LinesPerCPU entries
 	base  []int       // benchmark-wide base footprint offsets
@@ -94,7 +93,7 @@ func New(prof Profile, cfg Config) (*Generator, error) {
 	g := &Generator{
 		prof:  prof,
 		cfg:   cfg,
-		rng:   clonerand.New(cfg.Seed ^ int64(profileHash(prof.Name))),
+		rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(profileHash(prof.Name)))),
 		lines: make([]lineState, cfg.CPUs*cfg.LinesPerCPU),
 	}
 	// Benchmark-wide base footprint, seeded by the profile name so every

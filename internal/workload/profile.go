@@ -16,9 +16,9 @@
 // a profile into a deterministic stream of writebacks and read misses.
 //
 // Concurrency: a Generator is unlocked single-owner state (it advances a
-// deterministic clonerand stream). Cached warm generators are never
-// advanced after construction — consumers take Fork, which hands each
-// caller an independent generator parked at the same stream position.
+// deterministic math/rand stream). Experiment runners share a stream by
+// recording it once (internal/exp's stream store) and replaying the
+// recording, never by sharing a Generator.
 package workload
 
 import "fmt"

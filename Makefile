@@ -37,20 +37,17 @@ race:
 
 # race-timing is the focused race pass for the deterministic-parallelism
 # machinery: the timing model's suite in internal/timing, the parallel
-# cell-pool grid / warm-fork / planner paths and the stream store's
-# concurrent prefix extension in internal/exp, the fork bit-identity
-# suite in internal/core, the
-# read-only Fork/PositionWrites contract of internal/pcmdev that
-# concurrent warm forks rely on, the atomic obs registry's concurrent
-# hammer, the sharded serving front end's differential replay suite
-# (internal/servefront), and the one-Generator-per-goroutine contract of
-# the pad kernel (internal/otp), all under the race detector. A subset of
+# cell-pool grid / warm-replay / planner paths and the stream store's
+# concurrent prefix extension in internal/exp, the atomic obs registry's
+# concurrent hammer, the sharded serving front end's differential replay
+# suite (internal/servefront), and the one-Generator-per-goroutine
+# contract of the pad kernel (internal/otp), all under the race detector.
+# A subset of
 # `race`, split out so CI can run it on every push even when the full
 # race matrix is pruned.
 race-timing:
 	$(GO) test -race ./internal/timing/
 	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan|TestStream' ./internal/exp/
-	$(GO) test -race -run 'TestFork' ./internal/core/ ./internal/pcmdev/
 	$(GO) test -race ./internal/obs/ ./internal/servefront/
 	$(GO) test -race -count=10 -run TestOneGeneratorPerGoroutine ./internal/otp/
 
@@ -69,7 +66,7 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs seven fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs eight fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
@@ -78,8 +75,10 @@ race-durability:
 # a counter past its width), a DEUCE memory's LoadState on arbitrary DST2
 # snapshots (never a panic; a failed load leaves SaveState unchanged), the
 # Dir manifest parser on fields fuzzed past their checksum (typed errors
-# only; every accepted shard split opens), and the pad kernel (PadInto and
-# PadPairInto on both pad paths against crypto/aes).
+# only; every accepted shard split opens), OpenFile on arbitrary DPG1 file
+# headers (typed errors only; an accepted file keeps its geometry and
+# pages), and the pad kernel (PadInto and PadPairInto on both pad paths
+# against crypto/aes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
@@ -87,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCounterRestore -fuzztime 10s ./internal/ctrstore
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/backend
+	$(GO) test -run '^$$' -fuzz FuzzFileHeader -fuzztime 10s ./internal/backend
 	$(GO) test -run '^$$' -fuzz FuzzPad -fuzztime 10s ./internal/otp
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay

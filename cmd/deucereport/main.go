@@ -303,16 +303,16 @@ func cmdCheck(args []string) error {
 	return nil
 }
 
-// reuseLine renders warm-state reuse and experiment-cache effectiveness
-// for the run so far, one line for check/report output.
+// reuseLine renders the warmups executed and experiment-cache
+// effectiveness for the run so far, one line for check/report output.
 func reuseLine() string {
 	r := exp.Reuse()
-	return fmt.Sprintf("reuse: %d warm forks, %d cold warmups; cache %d hits / %d misses",
-		r.WarmForks, r.ColdWarmups, r.CacheHits, r.CacheMisses)
+	return fmt.Sprintf("reuse: %d warmups; cache %d hits / %d misses",
+		r.ColdWarmups, r.CacheHits, r.CacheMisses)
 }
 
 // cmdPlan renders the experiment planner's dry run: the deduplicated
-// warm-stream -> warm-scheme -> cell -> table DAG a gate over the selected
+// warm-stream -> cell -> table DAG a gate over the selected
 // experiments would execute at the given scale, without running anything.
 func cmdPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)

@@ -2,7 +2,9 @@ package backend
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -266,6 +268,79 @@ func TestFileFailurePaths(t *testing.T) {
 		}
 		if err := b.Sync(); !errors.Is(err, ErrClosed) {
 			t.Fatalf("got %v, want ErrClosed", err)
+		}
+	})
+}
+
+// FuzzFileHeader opens a fixed-geometry File over arbitrary bytes: valid
+// headers, cuts of one and bit flips in any field or the page data. raw's
+// header checksum is recomputed when fixCRC is set, so the fuzzer reaches
+// the version, geometry and size checks behind it. OpenFile must never
+// panic, every error must be typed, and an accepted file must hold the
+// requested geometry and keep its page bytes (an empty file is created
+// zero-filled).
+func FuzzFileHeader(f *testing.F) {
+	const pages, pageSize = 4, 64
+	path := filepath.Join(f.TempDir(), "seed.pg")
+	b, err := OpenFile(path, pages, pageSize)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for p := 0; p < pages; p++ {
+		if err := b.WritePage(p, bytes.Repeat([]byte{byte(p + 1)}, pageSize)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := b.Close(); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, fix := range []bool{false, true} {
+		f.Add(valid, fix)
+		f.Add(append(bytes.Clone(valid), 0), fix)
+		for _, n := range []int{0, 27, 28, fileHeaderSize, len(valid) - 1} {
+			f.Add(bytes.Clone(valid[:n]), fix)
+		}
+		for _, off := range []int{0, 4, 8, 16, 24, 100, fileHeaderSize + 5} {
+			flipped := bytes.Clone(valid)
+			flipped[off] ^= 0x10
+			f.Add(flipped, fix)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, fixCRC bool) {
+		if fixCRC && len(raw) >= 28 {
+			binary.LittleEndian.PutUint32(raw[24:], crc32.ChecksumIEEE(raw[:24]))
+		}
+		path := filepath.Join(t.TempDir(), "h.pg")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		b, err := OpenFile(path, pages, pageSize)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrGeometry) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		defer b.Close()
+		if b.Pages() != pages || b.PageSize() != pageSize {
+			t.Fatalf("opened %d×%dB, want %d×%dB", b.Pages(), b.PageSize(), pages, pageSize)
+		}
+		want := make([]byte, pages*pageSize)
+		if len(raw) > 0 {
+			want = raw[fileHeaderSize:]
+		}
+		got := make([]byte, pageSize)
+		for p := 0; p < pages; p++ {
+			if err := b.ReadPage(p, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[p*pageSize:(p+1)*pageSize]) {
+				t.Fatalf("page %d reads %x, file holds %x", p, got, want[p*pageSize:(p+1)*pageSize])
+			}
 		}
 	})
 }

@@ -283,11 +283,6 @@ func (v *Vector) PopCount() int { return PopCount(v.bits) }
 // The returned slice aliases the vector.
 func (v *Vector) Bytes() []byte { return v.bits }
 
-// Clone returns an independent copy of the vector.
-func (v *Vector) Clone() *Vector {
-	return &Vector{bits: Clone(v.bits), n: v.n}
-}
-
 func (v *Vector) check(i int) {
 	if i < 0 || i >= v.n {
 		panic(fmt.Sprintf("bitutil: index %d out of range [0,%d)", i, v.n))

@@ -222,11 +222,6 @@ func TestVectorBasics(t *testing.T) {
 	if v.PopCount() != 2 {
 		t.Errorf("popcount = %d, want 2", v.PopCount())
 	}
-	c := v.Clone()
-	c.Set(17, true)
-	if v.Get(17) {
-		t.Error("Clone shares storage with original")
-	}
 }
 
 func TestVectorSetAll(t *testing.T) {

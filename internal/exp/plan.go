@@ -15,8 +15,7 @@ import (
 )
 
 // The experiment planner (DESIGN.md §10). A gate run over several
-// experiments is a DAG: warm streams feed warmed schemes and wear cells,
-// warmed schemes feed flip and perf cells, cells feed tables — and
+// experiments is a DAG: warm streams feed cells, cells feed tables — and
 // distinct experiments share nodes at every level (Fig16/Fig17 share a
 // whole grid; Fig5/Fig10/Fig15 share individual cells; every
 // same-workload cell shares a warm stream).
@@ -29,7 +28,7 @@ import (
 
 // PlanNode is one unit of work in a plan DAG.
 type PlanNode struct {
-	// Kind is "warm-stream", "warm-scheme", "cell" or "table".
+	// Kind is "warm-stream", "cell" or "table".
 	Kind string
 	// Key is the node's cache key — shared with the runtime caches.
 	Key string
@@ -170,7 +169,7 @@ func (p *Plan) addNode(n PlanNode) int {
 	return i
 }
 
-// addCell adds a cell node plus its warm-state prerequisites; ok is false
+// addCell adds a cell node plus the warm stream it replays; ok is false
 // when the cell is unplannable (no canonical key).
 func (p *Plan) addCell(c cellSpec) (int, bool) {
 	key, ok := c.key()
@@ -180,24 +179,10 @@ func (p *Plan) addCell(c cellSpec) (int, bool) {
 	if i, exists := p.index[key]; exists {
 		return i, true
 	}
-	// Every cell replays a recorded stream. Flip and perf cells also fork
-	// a warmed scheme; wear cells warm a fresh one behind their wrapped
-	// array, so the stream is their only prerequisite.
-	topo := c.topology()
-	sk := warmStreamKey(c.prof, c.rc, topo)
-	dep := p.addNode(PlanNode{Kind: "warm-stream", Key: sk,
+	// Every cell warms a fresh scheme from a recorded stream, so the
+	// stream is its only prerequisite.
+	dep := p.addNode(PlanNode{Kind: "warm-stream", Key: warmStreamKey(c.prof, c.rc, c.topology()),
 		Label: fmt.Sprintf("warm %s x%d", c.prof.Name, c.rc.Warmup)})
-	if c.mode != "wear" {
-		// The runtime hashes warm-scheme params with Lines already set to
-		// the stream's line count, so the plan must too, or its warm-scheme
-		// keys would never match the cache entries (and measured span
-		// durations) they stand for.
-		wp := c.params
-		wp.Lines = topo.lines()
-		pk, _ := paramsKey(wp)
-		dep = p.addNode(PlanNode{Kind: "warm-scheme", Key: warmSchemeKey(sk, c.kind, pk),
-			Label: fmt.Sprintf("warm %s/%s", c.prof.Name, c.kind), Deps: []int{dep}})
-	}
 	i := p.addNode(PlanNode{Kind: "cell", Key: key, Label: c.label(), Deps: []int{dep}})
 	p.cells = append(p.cells, c)
 	return i, true
@@ -271,7 +256,6 @@ func cellSpecsFor(id string, rc RunConfig) []cellSpec {
 // PlanStats summarizes a plan for metrics and reporting.
 type PlanStats struct {
 	WarmStreams int
-	WarmSchemes int
 	Cells       int
 	Tables      int
 	// CellRefs is the pre-dedup cell count; CellRefs - Cells executions
@@ -286,8 +270,6 @@ func (p *Plan) Stats() PlanStats {
 		switch n.Kind {
 		case "warm-stream":
 			st.WarmStreams++
-		case "warm-scheme":
-			st.WarmSchemes++
 		case "cell":
 			st.Cells++
 		case "table":
@@ -301,7 +283,6 @@ func (p *Plan) Stats() PlanStats {
 func (p *Plan) Record(reg *obs.Registry) {
 	st := p.Stats()
 	reg.Gauge("plan_warm_streams").Set(float64(st.WarmStreams))
-	reg.Gauge("plan_warm_schemes").Set(float64(st.WarmSchemes))
 	reg.Gauge("plan_cells").Set(float64(st.Cells))
 	reg.Gauge("plan_tables").Set(float64(st.Tables))
 	reg.Gauge("plan_cell_refs").Set(float64(st.CellRefs))
@@ -309,12 +290,12 @@ func (p *Plan) Record(reg *obs.Registry) {
 
 // ExecuteCells runs every unique cell through the work-stealing pool,
 // populating the shared result caches so the subsequent table runs are
-// pure assembly. Warm streams and schemes materialize on demand inside the
-// cells (single-flight), in dependency order by construction. The cells of
-// one recorded stream run back to back, and the stream and the warmed
-// schemes over it leave the cache when its last cell is done: the tables
-// read only cached cell results, so past that point a recording is only
-// memory, and holding every stream at once would double the gate's RSS.
+// pure assembly. Warm streams materialize on demand inside the cells
+// (single-flight), in dependency order by construction. The cells of one
+// recorded stream run back to back, and the stream leaves the cache when
+// its last cell is done: the tables read only cached cell results, so past
+// that point a recording is only memory, and holding every stream at once
+// would double the gate's RSS.
 func (p *Plan) ExecuteCells(progress *obs.Progress) error {
 	var streams []string    // stream keys, in order of first use
 	var groups [][]cellSpec // each stream's cells
@@ -376,8 +357,8 @@ func (p *Plan) SpanDAG(durByKey map[string]int64) []span.DAGNode {
 func (p *Plan) Render(w io.Writer) {
 	st := p.Stats()
 	fmt.Fprintf(w, "plan: %d experiments at %s\n", len(p.Experiments), p.Config.key())
-	fmt.Fprintf(w, "  %d warm streams -> %d warmed schemes -> %d cells -> %d tables\n",
-		st.WarmStreams, st.WarmSchemes, st.Cells, st.Tables)
+	fmt.Fprintf(w, "  %d warm streams -> %d cells -> %d tables\n",
+		st.WarmStreams, st.Cells, st.Tables)
 	if st.CellRefs > st.Cells {
 		fmt.Fprintf(w, "  sharing: %d cell refs deduplicated to %d unique (%d runs saved)\n",
 			st.CellRefs, st.Cells, st.CellRefs-st.Cells)
@@ -386,7 +367,7 @@ func (p *Plan) Render(w io.Writer) {
 	for _, n := range p.Nodes {
 		byKind[n.Kind] = append(byKind[n.Kind], n.Label)
 	}
-	for _, kind := range []string{"warm-stream", "warm-scheme", "cell", "table"} {
+	for _, kind := range []string{"warm-stream", "cell", "table"} {
 		labels := byKind[kind]
 		if len(labels) == 0 {
 			continue

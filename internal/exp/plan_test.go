@@ -45,7 +45,7 @@ func TestPlanCoversGateExecutions(t *testing.T) {
 }
 
 // TestPlanExecuteDropsStreams: once every cell of a recorded stream has
-// run, the stream and the warmed schemes over it leave the cache; the
+// run, the stream leaves the cache; the
 // cached cell results are all the tables need (TestPlanCoversGateExecutions
 // checks that the tables re-run nothing).
 func TestPlanExecuteDropsStreams(t *testing.T) {
@@ -64,7 +64,7 @@ func TestPlanExecuteDropsStreams(t *testing.T) {
 	defer sharedCache.mu.Unlock()
 	cells := 0
 	for k := range sharedCache.entries {
-		if strings.HasPrefix(k, "warmStream|") || strings.HasPrefix(k, "warmScheme|") {
+		if strings.HasPrefix(k, "warmStream|") {
 			t.Errorf("ExecuteCells left %.60s… cached", k)
 		}
 		if strings.Contains(k, "Cell|") {
@@ -108,9 +108,8 @@ func TestPlanDeduplicates(t *testing.T) {
 	}
 }
 
-// TestPlanFig14Shape: wear cells cannot fork, so fig14 contributes no
-// warmed schemes, only one recorded stream per workload; its 12x(1+3)
-// cells are all unique.
+// TestPlanFig14Shape: fig14's wear cells share one recorded stream per
+// workload, their only prerequisite; its 12x(1+3) cells are all unique.
 func TestPlanFig14Shape(t *testing.T) {
 	plan, err := BuildPlan([]string{"fig14"}, RunConfig{Writebacks: 100, Lines: 512, Seed: 0})
 	if err != nil {
@@ -120,9 +119,11 @@ func TestPlanFig14Shape(t *testing.T) {
 	if st.Cells != 48 {
 		t.Errorf("fig14 expected 48 wear cells, got %d", st.Cells)
 	}
-	if st.WarmStreams != 12 || st.WarmSchemes != 0 {
-		t.Errorf("wear cells must share one stream per workload and claim no warmed scheme, got %d streams / %d schemes",
-			st.WarmStreams, st.WarmSchemes)
+	if st.WarmStreams != 12 {
+		t.Errorf("wear cells must share one stream per workload, got %d streams", st.WarmStreams)
+	}
+	if n := st.WarmStreams + st.Cells + st.Tables; n != len(plan.Nodes) {
+		t.Errorf("plan has %d nodes, only %d of them streams, cells or tables", len(plan.Nodes), n)
 	}
 }
 
@@ -136,7 +137,7 @@ func TestPlanRender(t *testing.T) {
 	var b strings.Builder
 	plan.Render(&b)
 	out := b.String()
-	for _, want := range []string{"warm-stream", "warm-scheme", "phase cell", "phase table", "deduplicated"} {
+	for _, want := range []string{"phase warm-stream", "phase cell", "phase table", "deduplicated"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dry-run output missing %q:\n%s", want, out)
 		}

@@ -6,32 +6,31 @@ import (
 	"deuce/internal/obs"
 )
 
-// warmReuseOff disables the warm-state fast paths (the per-cell result
-// caches and the warm-fork path that skips per-cell warmup replay) when
-// set; cells still replay the recorded stream. Only tests set it: it is
-// the cold path the fork bit-identity suites check beside the warm-forked
-// one. The zero value means enabled.
+// warmReuseOff disables the per-cell result caches when set, so every
+// cell executes; cells still replay the recorded stream. Only tests set
+// it: the warm differential suites compare the live reference against
+// cells computed with the caches off as well as on. The zero value means
+// enabled.
 var warmReuseOff atomic.Bool
 
-// warmReuseEnabled reports whether the warm-state fast paths are active.
+// warmReuseEnabled reports whether the per-cell result caches are active.
 func warmReuseEnabled() bool { return !warmReuseOff.Load() }
 
-// warmForks counts grid cells served by forking a cached warmed state
-// instead of replaying their warmup; coldWarmups counts warmup loops
-// actually executed (cold cells plus one per cached warm state built).
-var warmForks, coldWarmups atomic.Int64
+// warmups counts warmup replays actually executed: one per cell run.
+var warmups atomic.Int64
 
 // ReuseStats is a point-in-time snapshot of warm-state reuse and
 // experiment-cache effectiveness, for reporting (deucereport) and metrics.
 type ReuseStats struct {
-	// WarmForks is the number of cells that skipped warmup by forking a
-	// cached warmed scheme.
+	// WarmForks is always zero: every cell warms its own scheme from the
+	// recorded stream. It stays because bench's gate workload still
+	// reports it as exp.warm_forks.
 	WarmForks int64
-	// ColdWarmups is the number of warmup loops executed for real: cells
-	// that could not fork plus one per warmed state built and cached.
+	// ColdWarmups is the number of warmup replays executed: one per cell
+	// actually run.
 	ColdWarmups int64
 	// CacheHits / CacheMisses are the process-wide experiment cache's
-	// counters (grids, tables, cells and warm states all share it).
+	// counters (grids, tables, cells and recorded streams all share it).
 	CacheHits   int64
 	CacheMisses int64
 }
@@ -41,25 +40,22 @@ type ReuseStats struct {
 func Reuse() ReuseStats {
 	hits, misses := sharedCache.Stats()
 	return ReuseStats{
-		WarmForks:   warmForks.Load(),
-		ColdWarmups: coldWarmups.Load(),
+		ColdWarmups: warmups.Load(),
 		CacheHits:   hits,
 		CacheMisses: misses,
 	}
 }
 
-// ResetReuse zeroes the warm-fork/cold-warmup counters. The experiment
-// cache's own counters reset with ResetCache.
+// ResetReuse zeroes the warmup counter. The experiment cache's own
+// counters reset with ResetCache.
 func ResetReuse() {
-	warmForks.Store(0)
-	coldWarmups.Store(0)
+	warmups.Store(0)
 }
 
 // RecordReuseMetrics publishes reuse effectiveness into a metrics
 // registry, alongside whatever run metrics the caller collected.
 func RecordReuseMetrics(reg *obs.Registry) {
 	r := Reuse()
-	reg.Gauge("reuse_warm_forks").Set(float64(r.WarmForks))
 	reg.Gauge("reuse_cold_warmups").Set(float64(r.ColdWarmups))
 	reg.Gauge("reuse_cache_hits").Set(float64(r.CacheHits))
 	reg.Gauge("reuse_cache_misses").Set(float64(r.CacheMisses))

@@ -150,8 +150,8 @@ func RunFlips(prof workload.Profile, kind core.Kind, params core.Params, rc RunC
 	return r, nil
 }
 
-// runFlipsMeasured executes a flip run for real: a warmed scheme (forked
-// or cold), then the measured window replayed from the recorded stream.
+// runFlipsMeasured executes a flip run for real: a fresh scheme warmed
+// from the recorded stream, then the measured window replayed from it.
 func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, keepPositions bool) (FlipResult, error) {
 	flipRuns.Add(1)
 	sp := rc.startSpan("cell/flip", cellAttrs(prof, kind, params, rc, flipCellKey)...)
@@ -335,11 +335,9 @@ type WearResult struct {
 // RunWear replays a workload against a scheme whose array is wrapped in a
 // Start-Gap leveler with the given mode, and analyzes the wear profile.
 //
-// The wrapped array makes the underlying flip run uncacheable and
-// unforkable (the leveler's state is outside core.Fork's reach), so wear
-// cells always replay their warmup into a fresh scheme; the result itself
-// is still memoized here, keyed by the pre-wrap params plus the leveler
-// configuration.
+// The wrapped array makes the underlying flip run uncacheable, so the
+// result is memoized here instead, keyed by the pre-wrap params plus the
+// leveler configuration.
 func RunWear(prof workload.Profile, kind core.Kind, params core.Params, mode wear.Mode, psi int, rc RunConfig) (WearResult, error) {
 	rc.setDefaults()
 	if !cellCacheable(params, rc) {

@@ -9,7 +9,7 @@ import (
 
 // tracedMiniGate runs a small planned gate (plan pre-pass + table
 // assembly) under a fresh tracer and returns the assembled span tree.
-// fig16 exercises every span kind at once: warm streams/schemes, perf
+// fig16 exercises every span kind at once: warm streams, warmups, perf
 // cells and their timing-model runs, the perf grid, cache hits during
 // table assembly, and the table span itself.
 func tracedMiniGate(t *testing.T) *span.Tree {
@@ -38,7 +38,8 @@ func tracedMiniGate(t *testing.T) *span.Tree {
 
 // TestPlanSpanStructureDeterminism pins the tracer's core contract at
 // gate scope: two identical runs produce identical span structure even
-// though the cell pool schedules work differently each time. Run under -race via the Makefile's race-timing target.
+// though the cell pool schedules work differently each time. Run under
+// -race via the Makefile's race-timing target.
 func TestPlanSpanStructureDeterminism(t *testing.T) {
 	first := tracedMiniGate(t)
 	second := tracedMiniGate(t)
@@ -54,7 +55,7 @@ func TestPlanSpanStructureDeterminism(t *testing.T) {
 		t.Errorf("span structure is schedule-dependent:\nrun1:\n%s\nrun2:\n%s", a, b)
 	}
 	for _, want := range []string{"plan.build", "plan.execute", "cell/perf",
-		"warm-stream", "warm-scheme", "warmup", "timing.run", "grid/perf", "table/fig16", "cache-hit"} {
+		"warm-stream", "warmup", "timing.run", "grid/perf", "table/fig16", "cache-hit"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("traced gate structure is missing %q spans", want)
 		}

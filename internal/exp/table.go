@@ -6,9 +6,8 @@
 //
 // Concurrency: Experiment.Run is safe to call from multiple goroutines —
 // the process-wide result caches are single-flight (GridCache), recorded
-// streams only grow under their own lock and cached warmed schemes are
-// frozen and only ever forked, and the grid runners fan
-// cells out over an internal worker pool whose cells each own their
+// streams only grow under their own lock, and the grid runners fan cells
+// out over an internal worker pool whose cells each build and own their
 // scheme instance outright. The per-run observability hooks in RunConfig
 // (Trace, Heatmap, Metrics) are the exception: they are single-writer,
 // which is why the grids clear them before fanning out and why a config

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"deuce/internal/core"
@@ -17,23 +16,17 @@ import (
 // function of (profile, topology, seed, warmup): every scheme and
 // configuration column over one workload consumes the same bytes, as every
 // scheme in the paper replays one fixed trace. This file records each
-// stream once and serves it at two levels:
+// stream once per (profile, topology, seed, warmup) as a warmEntry:
+// installs, warmup writes and the measured window, in synthesis order. It
+// is the only place in this package (cachesim aside) that runs a
+// workload.Generator. A cell that needs more of the measured window than
+// is recorded extends the recording under the entry's mutex, so a shorter
+// run replays a prefix of a longer one.
 //
-//  1. warmEntry: the one recording per (profile, topology, seed, warmup) —
-//     installs, warmup writes and the measured window, in synthesis order.
-//     It is the only place in this package (cachesim aside) that runs a
-//     workload.Generator. A cell that needs more of the measured window
-//     than is recorded extends the recording under the entry's mutex, so a
-//     shorter run replays a prefix of a longer one.
-//  2. a fully warmed scheme per (warmEntry, kind, params) — built by
-//     replaying the recorded warmup once.
-//
-// A cell then takes core.Fork of the warmed scheme, or builds a fresh
-// scheme and replays the warmup itself when it cannot fork, and replays
-// its measured window from the recording. Recorded prefixes are never
-// mutated and cached warm schemes are never advanced — consumers only
-// fork them — so concurrent cells need no locks beyond the entry's own and
-// the cache's single-flight.
+// A cell builds a fresh scheme, replays the recorded warmup into it and
+// then replays its measured window. Recorded prefixes are never mutated,
+// so concurrent cells need no locks beyond the entry's own and the cache's
+// single-flight.
 
 // Flags on a recorded line: the op is an initial page placement or, in a
 // timed stream, a read miss. Unflagged ops are writebacks.
@@ -57,9 +50,6 @@ type stream struct {
 type warmEntry struct {
 	key   string
 	timed bool
-	// warmOps and warmBytes locate the measured window: the first op and
-	// payload byte after the last warmup write.
-	warmOps, warmBytes int
 
 	mu       sync.Mutex
 	gen      *workload.Generator
@@ -95,11 +85,6 @@ func warmStreamKey(prof workload.Profile, rc RunConfig, topo warmTopology) strin
 		prof, topo.cpus, topo.lpc, topo.timed, rc.Seed, rc.Warmup)
 }
 
-// warmSchemeKey identifies one fully-warmed scheme over a warm stream.
-func warmSchemeKey(streamKey string, kind core.Kind, pk string) string {
-	return fmt.Sprintf("warmScheme|%s|kind=%s|%s", streamKey, kind, pk)
-}
-
 // streamFor returns the recorded stream for the tuple, recording it on
 // first use, and a view holding its warmup and at least n measured writes
 // (timed: events). rc must be defaulted.
@@ -126,7 +111,7 @@ func streamFor(prof workload.Profile, rc RunConfig, topo warmTopology, n int) (*
 		for i := 0; i < rc.Warmup; i++ {
 			e.record(gen.NextWriteback(i % topo.cpus))
 		}
-		e.gen, e.warmOps, e.warmBytes = gen, len(e.rec.lines), len(e.rec.data)
+		e.gen = gen
 		e.extend(n)
 		return e, nil
 	})
@@ -137,12 +122,10 @@ func streamFor(prof workload.Profile, rc RunConfig, topo warmTopology, n int) (*
 	return e, e.window(rc.Spans, n), nil
 }
 
-// dropStream removes a recorded stream, and every warmed scheme built
-// over it, from the cache. Cells holding them keep them; a later request
-// records the stream again, bit-identically.
+// dropStream removes a recorded stream from the cache. Cells holding it
+// keep it; a later request records the stream again, bit-identically.
 func dropStream(key string) {
-	schemes := "warmScheme|" + key + "|" // every warmSchemeKey over key
-	sharedCache.forget(func(k string) bool { return k == key || strings.HasPrefix(k, schemes) })
+	sharedCache.forget(func(k string) bool { return k == key })
 }
 
 // record appends one op; the caller holds mu or owns e exclusively.
@@ -242,86 +225,26 @@ func warmUp(st stream, s core.Scheme, writes int) *cursor {
 	return c
 }
 
-// warmSchemeFor returns the cached fully-warmed scheme for (stream, kind,
-// params), building it by replaying the recorded warmup once. params.Lines
-// must already be set to the stream generator's line count. The returned
-// scheme is shared and frozen; callers must core.Fork it, never write it.
-func warmSchemeFor(tr *span.Tracer, e *warmEntry, st stream, warmup int, kind core.Kind, params core.Params) (core.Scheme, error) {
-	pk, ok := paramsKey(params)
-	if !ok {
-		return nil, fmt.Errorf("exp: uncacheable params reached the warm-scheme cache")
-	}
-	key := warmSchemeKey(e.key, kind, pk)
-	v, err := sharedCache.Do(key, func() (interface{}, error) {
-		// Rooted for the same schedule-independence reason as warm-stream.
-		sp := tr.Start(nil, "warm-scheme", span.Str("key", key))
-		defer sp.End()
-		coldWarmups.Add(1)
-		s, err := core.New(kind, params)
-		if err != nil {
-			return nil, err
-		}
-		warmUp(st, s, warmup)
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(core.Scheme), nil
-}
-
-// warmedScheme hands a runner a scheme warmed through rc.Warmup writebacks
-// and a cursor over the recorded stream parked at its measured window,
-// which holds at least n writes (timed: events). The scheme is a fork of
-// cached warm state where the cell allows it; otherwise (a wrapped
-// MakeArray array, a trace hook, reuse switched off) it is built fresh and
-// warmed by replaying the recorded warmup. Both are bit-identical to a
-// live generator driving a fresh scheme, pinned by the warm differential
-// suite.
+// warmedScheme hands a runner a fresh scheme warmed by replaying the
+// recorded warmup (rc.Warmup writebacks) and a cursor over the recorded
+// stream parked at its measured window, which holds at least n writes
+// (timed: events). The result is bit-identical to a live generator driving
+// a fresh scheme, pinned by the warm differential suite.
 func warmedScheme(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, topo warmTopology, n int) (*cursor, error) {
 	wsp := rc.startSpan("warmup", span.Str("workload", prof.Name), span.Str("scheme", string(kind)))
-	outcome := "cold"
-	defer func() {
-		wsp.Annotate(span.Str("outcome", outcome))
-		wsp.End()
-	}()
-	e, st, err := streamFor(prof, rc, topo, n)
+	defer wsp.End()
+	_, st, err := streamFor(prof, rc, topo, n)
 	if err != nil {
 		return nil, err
 	}
+	warmups.Add(1)
 	params.Lines = topo.lines()
-	if _, ok := paramsKey(params); ok && warmReuseEnabled() && rc.Trace == nil {
-		c, err := warmFork(e, st, kind, params, rc)
-		if err == nil {
-			outcome = "fork"
-			return c, nil
-		}
-		// A fork failure (e.g. an array type Fork cannot reach) falls back
-		// to the cold path rather than failing the cell.
-	}
-
-	coldWarmups.Add(1)
 	params.Trace = rc.Trace
 	s, err := core.New(kind, params)
 	if err != nil {
 		return nil, err
 	}
 	return warmUp(st, s, rc.Warmup), nil
-}
-
-// warmFork is the fast path behind warmedScheme: fork the cached warm
-// scheme for this cell and park a cursor at the measured window.
-func warmFork(e *warmEntry, st stream, kind core.Kind, params core.Params, rc RunConfig) (*cursor, error) {
-	src, err := warmSchemeFor(rc.Spans, e, st, rc.Warmup, kind, params)
-	if err != nil {
-		return nil, err
-	}
-	forked, err := core.Fork(src)
-	if err != nil {
-		return nil, err
-	}
-	warmForks.Add(1)
-	return &cursor{st: st, s: forked, op: e.warmOps, off: e.warmBytes}, nil
 }
 
 // Cell cache keys. The planner predicts runtime sharing by computing the

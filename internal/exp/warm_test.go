@@ -14,14 +14,13 @@ import (
 	"deuce/internal/workload"
 )
 
-// setWarmReuse toggles the warm-state fast paths. Only tests turn them
-// off, to get the cold path the warm-forked results must equal.
+// setWarmReuse toggles the per-cell result caches. Only tests turn them
+// off, so that every cell executes.
 func setWarmReuse(enabled bool) { warmReuseOff.Store(!enabled) }
 
-// coldRun executes fn with warm-state reuse disabled and a cold cache, so
-// every cell builds a fresh scheme and replays its own warmup, then
-// restores reuse for the caller.
-func coldRun[T any](t *testing.T, fn func() (T, error)) T {
+// uncachedRun executes fn with the result caches off and a cold cache, so
+// every cell executes, then turns the caches back on for the caller.
+func uncachedRun[T any](t *testing.T, fn func() (T, error)) T {
 	t.Helper()
 	setWarmReuse(false)
 	ResetCache()
@@ -36,8 +35,8 @@ func coldRun[T any](t *testing.T, fn func() (T, error)) T {
 	return v
 }
 
-// warmRun executes fn with warm-state reuse on, from a cold cache.
-func warmRun[T any](t *testing.T, fn func() (T, error)) T {
+// cachedRun executes fn with the result caches on, from a cold cache.
+func cachedRun[T any](t *testing.T, fn func() (T, error)) T {
 	t.Helper()
 	setWarmReuse(true)
 	ResetCache()
@@ -52,7 +51,7 @@ func warmRun[T any](t *testing.T, fn func() (T, error)) T {
 // The live reference: the per-cell path the stream store replaced. A live
 // generator installs each line through FirstTouch into a fresh scheme and
 // drives its warmup and measured window directly. Every recorded-stream
-// result, forked or cold, must equal it.
+// result, with the result caches on or off, must equal it.
 
 // liveWarm returns a fresh scheme warmed through rc.Warmup writebacks by a
 // live generator, and the generator parked at the measured window.
@@ -148,9 +147,9 @@ func liveWear(t *testing.T, prof workload.Profile, kind core.Kind, mode wear.Mod
 }
 
 // TestWarmFlipBitIdentical: flip cells replayed from the recorded stream,
-// cold and warm-forked, must equal the live reference across schemes,
-// seeds and geometries. The first warm call per kind builds the warmed
-// scheme; a second kind over the same stream forks its own.
+// with the result caches on and off, must equal the live reference across
+// schemes, seeds and geometries. Every kind after the first replays a
+// stream another kind recorded.
 func TestWarmFlipBitIdentical(t *testing.T) {
 	profs := []string{"mcf", "libq"}
 	kinds := []core.Kind{core.KindDeuce, core.KindEncrFNW, core.KindDynDeuce, core.KindINVMM}
@@ -164,15 +163,15 @@ func TestWarmFlipBitIdentical(t *testing.T) {
 				}
 				for _, kind := range kinds {
 					live := liveFlips(t, prof, kind, core.Params{}, rc)
-					cold := coldRun(t, func() (FlipResult, error) {
+					uncached := uncachedRun(t, func() (FlipResult, error) {
 						return RunFlips(prof, kind, core.Params{}, rc, true)
 					})
-					warm := warmRun(t, func() (FlipResult, error) {
+					cached := cachedRun(t, func() (FlipResult, error) {
 						return RunFlips(prof, kind, core.Params{}, rc, true)
 					})
-					if !reflect.DeepEqual(live, cold) || !reflect.DeepEqual(live, warm) {
-						t.Errorf("%s/%s seed=%d lines=%d: replayed result diverges\n live: %+v\n cold: %+v\n warm: %+v",
-							pn, kind, seed, lines, live, cold, warm)
+					if !reflect.DeepEqual(live, uncached) || !reflect.DeepEqual(live, cached) {
+						t.Errorf("%s/%s seed=%d lines=%d: replayed result diverges\n live:     %+v\n uncached: %+v\n cached:   %+v",
+							pn, kind, seed, lines, live, uncached, cached)
 					}
 				}
 			}
@@ -181,9 +180,9 @@ func TestWarmFlipBitIdentical(t *testing.T) {
 	ResetCache()
 }
 
-// TestWarmTracedFlipMatchesLive: a traced cell runs cold even with reuse
-// on; its result and its measured-window trace must match the live
-// reference's.
+// TestWarmTracedFlipMatchesLive: a traced cell bypasses the result
+// caches; with them on and off, its result and its measured-window trace
+// must match the live reference's.
 func TestWarmTracedFlipMatchesLive(t *testing.T) {
 	prof, err := workload.ByName("astar")
 	if err != nil {
@@ -193,54 +192,27 @@ func TestWarmTracedFlipMatchesLive(t *testing.T) {
 	rc.Trace = obs.NewTrace(1000, 1)
 	live := liveFlips(t, prof, core.KindDeuce, core.Params{}, rc)
 	liveEvents := rc.Trace.Events()
-	rc.Trace = obs.NewTrace(1000, 1)
-	got := warmRun(t, func() (FlipResult, error) {
-		return RunFlips(prof, core.KindDeuce, core.Params{}, rc, true)
-	})
 	t.Cleanup(ResetCache)
-	if !reflect.DeepEqual(live, got) {
-		t.Errorf("traced cell diverges\n live: %+v\n got:  %+v", live, got)
-	}
-	if !reflect.DeepEqual(liveEvents, rc.Trace.Events()) {
-		t.Error("traced cell recorded a different event trace")
-	}
-	if r := Reuse(); r.WarmForks != 0 {
-		t.Errorf("a traced cell must not fork, got WarmForks=%d", r.WarmForks)
-	}
-}
-
-// TestWarmForkActuallyForks: the second scheme sharing a warm stream must
-// be served by a fork, not a cold warmup — otherwise the suite above only
-// proves the cold path against itself.
-func TestWarmForkActuallyForks(t *testing.T) {
-	prof, err := workload.ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 5}
-	setWarmReuse(true)
-	ResetCache()
-	t.Cleanup(ResetCache)
-	ResetReuse()
-	if _, err := RunFlips(prof, core.KindDeuce, core.Params{}, rc, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunFlips(prof, core.KindEncrFNW, core.Params{}, rc, false); err != nil {
-		t.Fatal(err)
-	}
-	r := Reuse()
-	if r.WarmForks < 2 {
-		t.Errorf("expected both cells to fork the shared warm state, got WarmForks=%d (ColdWarmups=%d)",
-			r.WarmForks, r.ColdWarmups)
-	}
-	if r.ColdWarmups != 2 {
-		// One flip warm-scheme build per kind; the stream is shared.
-		t.Errorf("expected exactly 2 cold warmups (one warm-scheme build per kind), got %d", r.ColdWarmups)
+	for _, run := range []struct {
+		name string
+		fn   func(*testing.T, func() (FlipResult, error)) FlipResult
+	}{{"uncached", uncachedRun[FlipResult]}, {"cached", cachedRun[FlipResult]}} {
+		rc.Trace = obs.NewTrace(1000, 1)
+		got := run.fn(t, func() (FlipResult, error) {
+			return RunFlips(prof, core.KindDeuce, core.Params{}, rc, true)
+		})
+		if !reflect.DeepEqual(live, got) {
+			t.Errorf("%s traced cell diverges\n live: %+v\n got:  %+v", run.name, live, got)
+		}
+		if !reflect.DeepEqual(liveEvents, rc.Trace.Events()) {
+			t.Errorf("%s traced cell recorded a different event trace", run.name)
+		}
 	}
 }
 
 // TestWarmPerfBitIdentical: timed cells replayed from the recorded event
-// stream, cold and warm-forked, must equal the live reference.
+// stream, with the result caches on and off, must equal the live
+// reference.
 func TestWarmPerfBitIdentical(t *testing.T) {
 	for _, pn := range []string{"mcf", "libq"} {
 		prof, err := workload.ByName(pn)
@@ -250,25 +222,25 @@ func TestWarmPerfBitIdentical(t *testing.T) {
 		for _, kind := range []core.Kind{core.KindDeuce, core.KindEncrFNW} {
 			rc := RunConfig{Writebacks: 400, Lines: 64, Seed: 3}
 			live := livePerf(t, prof, kind, rc)
-			cold := coldRun(t, func() (PerfResult, error) {
+			uncached := uncachedRun(t, func() (PerfResult, error) {
 				return RunPerf(prof, kind, core.Params{}, rc)
 			})
-			warm := warmRun(t, func() (PerfResult, error) {
+			cached := cachedRun(t, func() (PerfResult, error) {
 				return RunPerf(prof, kind, core.Params{}, rc)
 			})
-			if live != cold || live != warm {
-				t.Errorf("%s/%s: replayed perf diverges\n live: %+v\n cold: %+v\n warm: %+v",
-					pn, kind, live, cold, warm)
+			if live != uncached || live != cached {
+				t.Errorf("%s/%s: replayed perf diverges\n live:     %+v\n uncached: %+v\n cached:   %+v",
+					pn, kind, live, uncached, cached)
 			}
 		}
 	}
 	ResetCache()
 }
 
-// TestWarmWearBitIdentical: wear cells cannot fork (wrapped array) but
-// replay the recorded stream and are memoized; cold and memoized results
-// must equal the live reference, and the wear profile must be a
-// caller-owned copy.
+// TestWarmWearBitIdentical: wear cells replay the recorded stream behind
+// a wrapped array and are memoized; uncached and memoized results must
+// equal the live reference, and the wear profile must be a caller-owned
+// copy.
 func TestWarmWearBitIdentical(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
@@ -276,14 +248,14 @@ func TestWarmWearBitIdentical(t *testing.T) {
 	}
 	rc := RunConfig{Writebacks: 2000, Lines: 64, Seed: 2}
 	live := liveWear(t, prof, core.KindDeuce, wear.VWLOnly, 1, rc)
-	cold := coldRun(t, func() (WearResult, error) {
+	uncached := uncachedRun(t, func() (WearResult, error) {
 		return RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
 	})
-	warm := warmRun(t, func() (WearResult, error) {
+	cached := cachedRun(t, func() (WearResult, error) {
 		return RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
 	})
 	t.Cleanup(ResetCache)
-	if !reflect.DeepEqual(live, cold) || !reflect.DeepEqual(live, warm) {
+	if !reflect.DeepEqual(live, uncached) || !reflect.DeepEqual(live, cached) {
 		t.Errorf("replayed wear cell diverges from the live reference")
 	}
 	again, err := RunWear(prof, core.KindDeuce, core.Params{}, wear.VWLOnly, 1, rc)
@@ -300,10 +272,10 @@ func TestWarmWearBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmDisabledRestoresColdCounting: with reuse off, every cell must
-// execute and warm up for itself. This proves the cold path coldRun
-// takes really runs cold, which is what makes the TestWarm*BitIdentical
-// suites compare a warm fork against something other than itself.
+// TestWarmDisabledRestoresColdCounting: with the result caches off, every
+// cell must execute and warm up for itself. This proves uncachedRun
+// really executes its cells, which is what makes the TestWarm*BitIdentical
+// suites compare a computed result rather than a cached one.
 func TestWarmDisabledRestoresColdCounting(t *testing.T) {
 	prof, err := workload.ByName("mcf")
 	if err != nil {
@@ -326,11 +298,7 @@ func TestWarmDisabledRestoresColdCounting(t *testing.T) {
 	if got := RunFlipsCalls() - before; got != 2 {
 		t.Errorf("reuse disabled: expected 2 executions, got %d", got)
 	}
-	r := Reuse()
-	if r.WarmForks != 0 {
-		t.Errorf("reuse disabled but WarmForks=%d", r.WarmForks)
-	}
-	if r.ColdWarmups != 2 {
+	if r := Reuse(); r.ColdWarmups != 2 {
 		t.Errorf("expected 2 cold warmups, got %d", r.ColdWarmups)
 	}
 }
@@ -356,8 +324,7 @@ func freshStream(t *testing.T, prof workload.Profile, rc RunConfig, topo warmTop
 }
 
 // TestStreamExtendEqualsOneShot: a recording extended in two steps must
-// equal one recorded in one step, installs and timed events included, and
-// must park the measured window at the same op.
+// equal one recorded in one step, installs and timed events included.
 func TestStreamExtendEqualsOneShot(t *testing.T) {
 	prof, err := workload.ByName("omnetpp")
 	if err != nil {
@@ -368,15 +335,11 @@ func TestStreamExtendEqualsOneShot(t *testing.T) {
 	rc.setDefaults()
 	for _, sc := range streamCases {
 		topo := sc.topo(rc)
-		e1, short := freshStream(t, prof, rc, topo, 300)
-		long := e1.window(nil, 1700)
-		e2, one := freshStream(t, prof, rc, topo, 1700)
+		e, short := freshStream(t, prof, rc, topo, 300)
+		long := e.window(nil, 1700)
+		_, one := freshStream(t, prof, rc, topo, 1700)
 		if !reflect.DeepEqual(long, one) {
 			t.Errorf("%s: two-step recording differs from a one-step one", sc.name)
-		}
-		if e1.warmOps != e2.warmOps || e1.warmBytes != e2.warmBytes {
-			t.Errorf("%s: measured window parked at op %d/byte %d, one-step at %d/%d",
-				sc.name, e1.warmOps, e1.warmBytes, e2.warmOps, e2.warmBytes)
 		}
 		if !isPrefix(short, one) {
 			t.Errorf("%s: a shorter view is not a prefix of the longer recording", sc.name)

@@ -161,15 +161,10 @@ type WriteResult struct {
 // TotalFlips returns data plus metadata flips for the write.
 func (r WriteResult) TotalFlips() int { return r.DataFlips + r.MetaFlips }
 
-// Device is a simulated PCM array. Write, Read, Load and ResetStats mutate
-// it and need one goroutine at a time; the experiment harness runs one
-// device per goroutine. A device nobody writes any more may be read from
-// many goroutines at once when its backend is a Pager (RAM, mmap): Stats,
-// PositionWrites, LineWrites and Fork only read it (PositionWrites adds the
-// staged rows and pending wear planes into a copy of the folded profile,
-// and Fork copies all three, instead of absorbing or folding in place),
-// which is what lets the warm cache fork one frozen device per grid cell
-// concurrently.
+// Device is a simulated PCM array. No method is safe for concurrent use:
+// Write, Read, Load and ResetStats mutate it, and so does PositionWrites,
+// which absorbs the staged rows and folds the wear planes in place. The
+// experiment harness runs one device per goroutine.
 type Device struct {
 	cfg Config
 
@@ -579,19 +574,6 @@ func transpose8(x uint64) uint64 {
 	return x ^ t ^ t<<28
 }
 
-// pendingPlanes returns a copy of the planes with the staged rows added
-// in, leaving the device untouched: the readers' view of every count not
-// yet folded into posWrites.
-func (d *Device) pendingPlanes() [][planeDepth]uint64 {
-	planes := slices.Clone(d.planes)
-	stage := make([][stageDepth]uint64, len(d.stage))
-	for w := range stage {
-		copy(stage[w][:d.nstaged], d.stage[w][:])
-	}
-	absorbStage(planes, stage)
-	return planes
-}
-
 // loadWord reads up to eight bytes of b as a little-endian word, leaving
 // the missing high bytes zero when b is shorter.
 func loadWord(b []byte) uint64 {
@@ -651,13 +633,20 @@ func (d *Device) ResetStats() {
 
 // PositionWrites returns a copy of the per-bit-position program counts,
 // aggregated over all lines. Indices [0,LineBits) are data cells; indices
-// [LineBits, LineBits+MetaBits) are metadata cells. It adds the pending
-// planes and the staged rows into the copy rather than absorbing or
-// folding them, so it only reads the device.
+// [LineBits, LineBits+MetaBits) are metadata cells. It absorbs the staged
+// rows and folds the planes into the profile first, so it mutates the
+// device's wear accounting, though never the counts it reports.
 func (d *Device) PositionWrites() []uint64 {
-	out := slices.Clone(d.posWrites)
-	addPlanes(out, d.pendingPlanes())
-	return out[:d.cfg.TotalBitsPerLine()]
+	// Rows from nstaged up hold an earlier stage's flips; absorb only the
+	// staged ones. The planes stay within bound: pending is a whole number
+	// of stages below foldEvery, and one more stage fits under it.
+	for w := range d.stage {
+		clear(d.stage[w][d.nstaged:])
+	}
+	absorbStage(d.planes, d.stage)
+	d.nstaged = 0
+	d.fold()
+	return slices.Clone(d.posWrites[:d.cfg.TotalBitsPerLine()])
 }
 
 // LineWrites returns a copy of the per-physical-line write counts — the

@@ -126,21 +126,6 @@ func (r *refDevice) recordFlips(line uint64, old, new []byte, bitBase, nbits int
 	return flips
 }
 
-// fork is a deep copy, Device.Fork's reference.
-func (r *refDevice) fork() *refDevice {
-	n := newRef(r.cfg)
-	for i, p := range r.pages {
-		copy(n.pages[i], p)
-	}
-	n.stats = r.stats
-	copy(n.posWrites, r.posWrites)
-	copy(n.lineWrites, r.lineWrites)
-	for i, w := range r.lineWear {
-		copy(n.lineWear[i], w)
-	}
-	return n
-}
-
 // resetStats is Device.ResetStats's reference.
 func (r *refDevice) resetStats() {
 	r.stats = Stats{}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing fidelity fidelity-report fidelity-reverdict
+.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing fidelity fidelity-record
 
 # check is the pre-merge gate: static checks, full tests under the race
 # detector, a cross-build of the portable code paths, and a short smoke of
@@ -107,20 +107,19 @@ bench-timing:
 
 # fidelity runs the paper-fidelity gate at the reduced CI scale: every
 # EXPERIMENTS.md headline value is checked against the paper with
-# calibrated tolerances; exits non-zero on any violation.
+# calibrated tolerances (exit non-zero on any violation). The run writes
+# the fidelity matrix to fidelity-report.md and records every experiment
+# table as typed-cell JSON under fidelity-tables/, which must equal the
+# committed golden recording byte for byte: any moved value fails, even
+# inside its tolerance. The golden copy is recorded on amd64.
 fidelity:
-	$(GO) run ./cmd/deucereport check -experiment all -writebacks 6000 -lines 512
-
-# fidelity-report additionally writes the fidelity matrix as a markdown
-# artifact (CI uploads fidelity-report.md) and records every experiment
-# table as typed-cell JSON under fidelity-tables/, so the run doubles as
-# a recording that fidelity-reverdict (or `deucereport check -from`) can
-# re-verdict without re-running anything.
-fidelity-report:
+	rm -rf fidelity-tables
 	$(GO) run ./cmd/deucereport check -experiment all -writebacks 6000 -lines 512 -out fidelity-report.md -outdir fidelity-tables
+	diff -r internal/fidelity/testdata/gate fidelity-tables
 
-# fidelity-reverdict re-verdicts the recorded tables of the last
-# fidelity-report run with zero experiment runs — free after a tolerance
-# edit in internal/fidelity.
-fidelity-reverdict:
-	$(GO) run ./cmd/deucereport check -from fidelity-tables
+# fidelity-record re-records the golden copy, for a change that moves a
+# value on purpose; the re-recorded files go into the same diff so review
+# sees every moved number.
+fidelity-record:
+	rm -rf internal/fidelity/testdata/gate
+	$(GO) run ./cmd/deucereport check -experiment all -writebacks 6000 -lines 512 -outdir internal/fidelity/testdata/gate

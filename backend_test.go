@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"deuce/internal/core"
 )
 
 func TestBackendOptionValidation(t *testing.T) {
@@ -171,6 +173,9 @@ func TestRestoreNamesSchemeMismatch(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %s", err, want)
 		}
+	}
+	if !errors.Is(err, core.ErrStateMismatch) {
+		t.Errorf("error %q does not wrap core.ErrStateMismatch", err)
 	}
 }
 

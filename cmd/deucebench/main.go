@@ -145,8 +145,8 @@ func main() {
 
 	// Suite-level metrics: grid sweeps clear the per-run Metrics hook (it
 	// is single-writer), so deucebench records what the suite itself
-	// observes — per-experiment wall time and the run count — for the
-	// regression ledger to trend across commits.
+	// observes — per-experiment wall time and the run count — into the
+	// -metrics file.
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()

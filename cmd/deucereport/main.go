@@ -1,31 +1,27 @@
-// Command deucereport is the repository's fidelity gate and regression
-// ledger front-end. It turns EXPERIMENTS.md's "measured vs paper" summary
-// table from prose into an enforced contract (internal/fidelity) and keeps
-// a cross-run JSONL ledger of what check measures — fidelity values, and
-// with -spans the gate's wall-clock profile — with noise-aware
-// comparisons (internal/regress).
+// Command deucereport is the repository's paper-fidelity gate. It turns
+// EXPERIMENTS.md's "measured vs paper" summary table from prose into an
+// enforced contract (internal/fidelity): check runs the experiments and
+// verdicts every expectation, and with -outdir records each experiment's
+// table as typed-cell JSON. The CI-scale recording is committed as
+// internal/fidelity/testdata/gate; CI re-records it and fails on any byte
+// difference, so a change that moves any value — even inside its
+// tolerance — shows up in review with the re-recorded golden copy.
 //
 // Usage:
 //
 //	deucereport check -experiment all            # run the fidelity gate
 //	deucereport check -experiment fig10,fig15 -writebacks 6000 -lines 512
-//	deucereport check -experiment all -outdir results/   # gate run doubles as a recording
-//	deucereport check -experiment all -outdir results/   # again: incremental, unchanged experiments reused
-//	deucereport check -from results/             # re-verdict the recording, zero runs
+//	deucereport check -experiment all -writebacks 6000 -lines 512 -outdir results/   # also record the tables
+//	deucereport check -from results/             # re-verdict a recording, zero runs
 //	deucereport check -experiment all -spans out/     # + chrome trace, self-profile, critical path
 //	deucereport plan -experiment all -writebacks 6000 -lines 512   # dry-run the execution DAG
 //	deucereport plan -experiment all -profile         # execute the DAG traced; per-node durations
-//	deucereport check -experiment all -ledger runs.jsonl -id $(git rev-parse --short HEAD)
-//	deucereport ledger -ledger runs.jsonl -seed ci/ledger-seed.jsonl -keep 200
-//	deucereport compare -ledger runs.jsonl HEAD~1 HEAD
-//	deucereport compare -ledger runs.jsonl -baseline 3 HEAD
-//	deucereport compare -ledger runs.jsonl -baseline 5 -gate -out drift.md HEAD   # CI drift gate
-//	deucereport compare -ledger runs.jsonl -baseline 5 -gate -walltime-threshold 25 HEAD
-//	deucereport report -ledger runs.jsonl -out report.md
 //
 // check exits non-zero when any paper expectation fails, naming the
 // figure, metric, measured value, paper value and tolerance — the CI
-// fidelity job is exactly `deucereport check` at reduced scale.
+// fidelity job is exactly `deucereport check` at reduced scale, followed
+// by a byte comparison of its recording against the golden copy
+// (`make fidelity`; `make fidelity-record` re-records it).
 package main
 
 import (
@@ -40,7 +36,6 @@ import (
 	"deuce/internal/exp"
 	"deuce/internal/fidelity"
 	"deuce/internal/obs/span"
-	"deuce/internal/regress"
 )
 
 func main() {
@@ -54,12 +49,6 @@ func main() {
 		err = cmdCheck(os.Args[2:])
 	case "plan":
 		err = cmdPlan(os.Args[2:])
-	case "compare":
-		err = cmdCompare(os.Args[2:])
-	case "report":
-		err = cmdReport(os.Args[2:])
-	case "ledger":
-		err = cmdLedger(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -75,28 +64,23 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `deucereport — paper-fidelity gate and cross-run regression ledger
+	fmt.Fprint(os.Stderr, `deucereport — paper-fidelity gate
 
 subcommands:
   check    run experiments and verdict every paper expectation (exit 1 on violation);
-           -from re-verdicts recorded tables, -outdir records the run and makes
-           later checks incremental (unchanged experiments reuse the recording),
-           -spans writes a Chrome trace, self-profile and critical-path table
+           -outdir records each table as JSON, -from re-verdicts a recording
+           with zero runs, -spans writes a Chrome trace, self-profile and
+           critical-path table
   plan     dry-run the experiment planner: the deduplicated warmup/cell/table
            DAG a gate run would execute, without running anything;
            -profile executes the cells traced and renders the DAG critical path
-  compare  benchstat-style per-metric deltas between two ledger runs;
-           -gate turns significant drift vs the baseline into a non-zero exit,
-           -walltime-threshold additionally gates walltime: duration metrics
-  report   markdown artifact: fidelity matrix + time attribution + cross-run trends
-  ledger   maintenance for a persisted ledger: seed from a committed fallback, compact
 
 run 'deucereport <subcommand> -h' for flags.
 `)
 }
 
 // sizeFlags registers the experiment-scale flags shared by check and
-// report. Defaults of 0 mean the exp package defaults (30000/2048); CI
+// plan. Defaults of 0 mean the exp package defaults (30000/2048); CI
 // passes -writebacks 6000 -lines 512 for the reduced-scale gate the
 // tolerances are calibrated for.
 func sizeFlags(fs *flag.FlagSet) (writebacks, lines, warmup *int, seed *int64) {
@@ -142,8 +126,6 @@ func cmdCheck(args []string) error {
 	out := fs.String("out", "", "also write the fidelity matrix as markdown to this file")
 	from := fs.String("from", "", "re-verdict recorded table JSON from this directory (zero experiment runs)")
 	outdir := fs.String("outdir", "", "write each experiment's table JSON here, so the gate run doubles as a recording")
-	ledger := fs.String("ledger", "", "append the measured values to this JSONL ledger (requires -id)")
-	id := fs.String("id", "", "run ID to record under with -ledger")
 	spans := fs.String("spans", "", "trace the gate with hierarchical spans and write chrome-trace.json, self-profile.json and critical-path.md to this directory")
 	verbose := fs.Bool("v", false, "print every verdict, not just failures")
 	fs.Parse(args)
@@ -161,7 +143,6 @@ func cmdCheck(args []string) error {
 
 	var report *fidelity.Report
 	var tables map[string]*exp.Table
-	source := "deucereport check"
 	start := time.Now()
 	if *from != "" {
 		// Recorded mode: the scale (and recording) flags belong to the
@@ -185,26 +166,10 @@ func cmdCheck(args []string) error {
 		// against everything the recording holds: an absent experiment
 		// must surface as a Missing failure, not a narrowed gate.
 		report = fidelity.EvaluateTables(tables, exps)
-		source = "deucereport check -from"
 	} else {
-		// Incremental mode: when -outdir already holds a recording, reuse
-		// every recorded table whose Inputs hash still matches the live
-		// configuration and re-run only the rest. A missing or unreadable
-		// directory simply means a full (cold) run that will seed it.
-		var recorded map[string]*exp.Table
-		if *outdir != "" {
-			if prev, lerr := exp.LoadTables(*outdir); lerr == nil {
-				recorded = prev
-			}
-		}
-		var inc fidelity.Incremental
-		report, tables, inc, err = fidelity.CheckWithRecorded(rc, exps, recorded)
+		report, tables, err = fidelity.Check(rc, exps)
 		if err != nil {
 			return err
-		}
-		if recorded != nil {
-			fmt.Printf("incremental: %d reused, %d re-run (of %d experiments)\n",
-				len(inc.Reused), len(inc.Reran), len(inc.Reused)+len(inc.Reran))
 		}
 	}
 	elapsed := time.Since(start).Round(time.Millisecond)
@@ -228,7 +193,8 @@ func cmdCheck(args []string) error {
 		fmt.Printf("%s (%d recorded tables from %s, in %v)\n", report.Summary(), len(tables), *from, elapsed)
 	} else {
 		fmt.Printf("%s (%d experiments in %v)\n", report.Summary(), len(tables), elapsed)
-		fmt.Println(reuseLine())
+		r := exp.Reuse()
+		fmt.Printf("reuse: %d warmups; cache %d hits / %d misses\n", r.ColdWarmups, r.CacheHits, r.CacheMisses)
 	}
 
 	if tracer != nil {
@@ -247,7 +213,7 @@ func cmdCheck(args []string) error {
 		fmt.Printf("recorded %d tables in %s\n", len(tables), *outdir)
 	}
 	if *out != "" {
-		header := reportHeader("deucereport check", rc)
+		header := reportHeader(rc)
 		if *from != "" {
 			header = fmt.Sprintf("deucereport check\n\nSource: recorded tables from `%s`.\n\n", *from)
 		}
@@ -257,58 +223,11 @@ func cmdCheck(args []string) error {
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
-	if *ledger != "" {
-		if *id == "" {
-			return fmt.Errorf("-ledger requires -id")
-		}
-		run := regress.Run{ID: *id, Source: source}
-		// In -from mode the recording may hold more experiments than the
-		// selection gates on; record only the gated ones, matching what a
-		// live run of the same selection would have produced.
-		gated := make(map[string]bool)
-		for _, eid := range fidelity.ExperimentIDs(exps) {
-			gated[eid] = true
-		}
-		for expID, t := range tables {
-			if gated[expID] {
-				regress.IngestValues(&run, expID, t.Values)
-			}
-		}
-		// Wall-clock metrics ride the same ledger under the "walltime:"
-		// namespace, so compare can gate gate-duration regressions — at
-		// its own threshold, never the value threshold.
-		if *from == "" {
-			run.Set("walltime:gate:ns", float64(elapsed.Nanoseconds()))
-		}
-		if tracer != nil {
-			f, err := os.Open(filepath.Join(*spans, "self-profile.json"))
-			if err != nil {
-				return err
-			}
-			err = regress.IngestSpanProfile(&run, f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		if err := regress.Append(*ledger, run); err != nil {
-			return err
-		}
-		fmt.Printf("recorded %d metrics as %q in %s\n", len(run.Metrics), *id, *ledger)
-	}
 	if !report.Pass() {
 		return fmt.Errorf("%d of %d expectations violated", len(report.Failures())+len(report.Missing),
 			len(report.Verdicts)+len(report.Missing))
 	}
 	return nil
-}
-
-// reuseLine renders the warmups executed and experiment-cache
-// effectiveness for the run so far, one line for check/report output.
-func reuseLine() string {
-	r := exp.Reuse()
-	return fmt.Sprintf("reuse: %d warmups; cache %d hits / %d misses",
-		r.ColdWarmups, r.CacheHits, r.CacheMisses)
 }
 
 // cmdPlan renders the experiment planner's dry run: the deduplicated
@@ -411,249 +330,9 @@ func planProfileMarkdown(p *exp.Plan, nodes []span.DAGNode, tree *span.Tree, ela
 	return b.String()
 }
 
-func cmdCompare(args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	ledger := fs.String("ledger", "", "JSONL ledger path (required)")
-	threshold := fs.Float64("threshold", 2.0, "percent change below which a metric counts as noise")
-	baselineN := fs.Int("baseline", 0, "compare NEW against a median-of-last-N baseline instead of a named OLD run")
-	all := fs.Bool("all", false, "list every metric, including ones within the noise threshold")
-	out := fs.String("out", "", "also write the comparison as markdown to this file")
-	gate := fs.Bool("gate", false, "exit non-zero when a metric present in both runs drifts beyond the threshold; metrics that only appeared or vanished are reported but do not gate, and an empty baseline passes (fresh ledger)")
-	wallThreshold := fs.Float64("walltime-threshold", 0, "percent drift at which walltime: metrics (gate/span durations) gate; 0 reports them without gating — wall clock is noisy, so they never ride the value threshold")
-	fs.Parse(args)
-
-	if *ledger == "" {
-		return fmt.Errorf("compare requires -ledger")
-	}
-	runs, err := regress.Load(*ledger)
-	if err != nil {
-		return err
-	}
-	var oldRun, newRun regress.Run
-	switch {
-	case *baselineN > 0 && fs.NArg() == 1:
-		// Baseline mode: the new run is the named arg; the baseline is the
-		// median of the N runs before it (noise-aware, per benchstat).
-		newRun, err = regress.Find(runs, fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		prior := priorRuns(runs, newRun, *baselineN)
-		if len(prior) == 0 {
-			if *gate {
-				// A drift gate on a fresh (or just-seeded) ledger has
-				// nothing to drift against; failing here would make the
-				// first CI run on every new branch red by construction.
-				fmt.Printf("drift gate: no prior runs in %s to form a baseline; passing\n", *ledger)
-				return nil
-			}
-			return fmt.Errorf("no prior runs to form a baseline from")
-		}
-		oldRun, err = regress.Baseline(prior, min(2, len(prior)))
-		if err != nil {
-			return err
-		}
-	case fs.NArg() == 2:
-		oldRun, err = regress.Find(runs, fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		newRun, err = regress.Find(runs, fs.Arg(1))
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("usage: compare -ledger L OLD NEW   or   compare -ledger L -baseline N NEW")
-	}
-
-	deltas := regress.Compare(oldRun, newRun)
-	md := regress.CompareMarkdown(oldRun.ID, newRun.ID, deltas, *threshold, !*all)
-	fmt.Print(md)
-	if *out != "" {
-		if err := writeFileMkdir(*out, md); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", *out)
-	}
-	sig := 0
-	type driftEntry struct {
-		d  regress.Delta
-		th float64
-	}
-	var drifted []driftEntry
-	for _, d := range deltas {
-		// Walltime metrics (span/gate durations) never ride the value
-		// threshold: wall clock drifts with machine load in ways
-		// simulated values cannot, so they gate only at their own
-		// opted-into threshold and are merely reported otherwise.
-		th := *threshold
-		if regress.IsWalltime(d.Metric) {
-			if *wallThreshold <= 0 {
-				continue
-			}
-			th = *wallThreshold
-		}
-		if !d.Significant(th) {
-			continue
-		}
-		sig++
-		// The gate only fires on metrics both runs measured: a metric
-		// this change introduced (or retired) is expected churn, not
-		// drift, and would otherwise fail every PR that adds telemetry.
-		if d.OnlyIn == "" {
-			drifted = append(drifted, driftEntry{d, th})
-		}
-	}
-	fmt.Printf("\n%d of %d metrics changed beyond ±%.3g%%\n", sig, len(deltas), *threshold)
-	if *wallThreshold > 0 {
-		fmt.Printf("(walltime: metrics gated at ±%.3g%%)\n", *wallThreshold)
-	}
-	if *gate && len(drifted) > 0 {
-		for _, e := range drifted {
-			fmt.Fprintf(os.Stderr, "DRIFT %s: %g -> %g (%+.2f%% vs ±%.3g%%)\n",
-				e.d.Metric, e.d.Old, e.d.New, e.d.Pct, e.th)
-		}
-		return fmt.Errorf("%d metrics drifted beyond their thresholds against baseline %q", len(drifted), oldRun.ID)
-	}
-	return nil
-}
-
-// priorRuns returns up to n runs strictly before the given run in ledger
-// order (matching by identity on the latest entry with that ID).
-func priorRuns(runs []regress.Run, ref regress.Run, n int) []regress.Run {
-	end := len(runs)
-	for i := len(runs) - 1; i >= 0; i-- {
-		if runs[i].ID == ref.ID && runs[i].Time.Equal(ref.Time) {
-			end = i
-			break
-		}
-	}
-	start := end - n
-	if start < 0 {
-		start = 0
-	}
-	return runs[start:end]
-}
-
-// cmdLedger is the maintenance entry point a persisted-ledger CI workflow
-// needs: ensure a ledger exists (falling back to a committed seed when a
-// cache restore came up empty) and bound its growth.
-func cmdLedger(args []string) error {
-	fs := flag.NewFlagSet("ledger", flag.ExitOnError)
-	ledger := fs.String("ledger", "", "JSONL ledger path (required)")
-	seed := fs.String("seed", "", "committed fallback ledger: copied in when -ledger is missing or empty")
-	keep := fs.Int("keep", 0, "compact the ledger to its newest N runs (0 = no compaction)")
-	fs.Parse(args)
-
-	if *ledger == "" {
-		return fmt.Errorf("ledger requires -ledger")
-	}
-	runs, err := regress.Load(*ledger)
-	if err != nil {
-		return err
-	}
-	if len(runs) == 0 && *seed != "" {
-		seeded, err := regress.Load(*seed)
-		if err != nil {
-			return err
-		}
-		if err := regress.WriteAll(*ledger, seeded); err != nil {
-			return err
-		}
-		fmt.Printf("seeded %s with %d runs from %s\n", *ledger, len(seeded), *seed)
-		runs = seeded
-	}
-	if *keep > 0 {
-		kept, err := regress.Compact(*ledger, *keep)
-		if err != nil {
-			return err
-		}
-		if kept < len(runs) {
-			fmt.Printf("compacted %s: %d -> %d runs\n", *ledger, len(runs), kept)
-		}
-		runs = runs[len(runs)-kept:]
-	}
-	fmt.Printf("%s: %d runs\n", *ledger, len(runs))
-	return nil
-}
-
-func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	ledger := fs.String("ledger", "", "JSONL ledger to render trends from (optional)")
-	out := fs.String("out", "report.md", "markdown output path")
-	experiment := fs.String("experiment", "all", "experiment IDs for the fidelity matrix ('none' to skip running experiments)")
-	writebacks, lines, warmup, seed := sizeFlags(fs)
-	width := fs.Int("width", 32, "sparkline width in the trend table")
-	filter := fs.String("filter", "", "only trend metrics containing this substring")
-	fs.Parse(args)
-
-	var b strings.Builder
-	b.WriteString("# DEUCE reproduction report\n\n")
-	rc := exp.RunConfig{Writebacks: *writebacks, Lines: *lines, Warmup: *warmup, Seed: *seed}
-
-	pass := true
-	if *experiment != "none" {
-		exps, err := selectExpectations(*experiment)
-		if err != nil {
-			return err
-		}
-		tracer := span.New()
-		rc.Spans = tracer
-		start := time.Now()
-		report, _, err := fidelity.Check(rc, exps)
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		pass = report.Pass()
-		fmt.Printf("%s (in %v)\n", report.Summary(), elapsed.Round(time.Millisecond))
-		fmt.Println(reuseLine())
-		b.WriteString("## Fidelity matrix\n\n")
-		b.WriteString(reportHeader("", rc))
-		b.WriteString(report.Markdown())
-		b.WriteString("\n" + report.Summary() + "\n\n")
-		b.WriteString(timeAttributionMarkdown(tracer.Snapshot(), elapsed))
-	}
-
-	if *ledger != "" {
-		runs, err := regress.Load(*ledger)
-		if err != nil {
-			return err
-		}
-		if len(runs) > 0 {
-			names := regress.MetricNames(runs)
-			if *filter != "" {
-				kept := names[:0]
-				for _, n := range names {
-					if strings.Contains(n, *filter) {
-						kept = append(kept, n)
-					}
-				}
-				names = kept
-			}
-			sort.Strings(names)
-			if len(names) > 0 {
-				fmt.Fprintf(&b, "## Cross-run trends\n\n%d runs in `%s` (oldest → newest):\n\n",
-					len(runs), filepath.Base(*ledger))
-				b.WriteString(regress.TrendMarkdown(runs, names, *width))
-				b.WriteString("\n")
-			}
-		}
-	}
-
-	if err := writeFileMkdir(*out, b.String()); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-	if !pass {
-		return fmt.Errorf("fidelity check failed (see %s)", *out)
-	}
-	return nil
-}
-
 // reportHeader stamps the scale a fidelity matrix was measured at, so a
 // reduced-scale CI artifact cannot be mistaken for a full-scale run.
-func reportHeader(title string, rc exp.RunConfig) string {
+func reportHeader(rc exp.RunConfig) string {
 	wb, ln := rc.Writebacks, rc.Lines
 	if wb == 0 {
 		wb = 30000
@@ -661,17 +340,13 @@ func reportHeader(title string, rc exp.RunConfig) string {
 	if ln == 0 {
 		ln = 2048
 	}
-	s := fmt.Sprintf("Scale: %d writebacks, %d lines, seed %d.\n\n", wb, ln, rc.Seed)
-	if title != "" {
-		s = title + "\n\n" + s
-	}
-	return s
+	return fmt.Sprintf("deucereport check\n\nScale: %d writebacks, %d lines, seed %d.\n\n", wb, ln, rc.Seed)
 }
 
 // writeSpanArtifacts writes a traced gate's three artifacts into dir: the
 // Chrome trace-event timeline (chrome-trace.json), the per-name
-// self-profile (self-profile.json — what the ledger ingests as walltime
-// metrics), and the critical-path markdown table (critical-path.md).
+// self-profile (self-profile.json), and the critical-path markdown table
+// (critical-path.md).
 func writeSpanArtifacts(dir string, tree *span.Tree, gate time.Duration) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -717,7 +392,7 @@ func criticalPathMarkdown(tree *span.Tree, prof span.Profile, gate time.Duration
 	fmt.Fprintf(&b, "Measured gate wall clock %v; %d spans covering %s (%.1f%% of the gate).\n",
 		gate, tree.Spans, span.FormatNs(tree.WallNs()), cov)
 	if cov < 95 {
-		b.WriteString("\nCoverage is below 95%: wall clock outside the traced check (table IO, ledger writes, process startup) makes up the gap.\n")
+		b.WriteString("\nCoverage is below 95%: wall clock outside the traced check (table IO, process startup) makes up the gap.\n")
 	}
 	b.WriteString("\n## Critical path\n\n")
 	b.WriteString("| Span | Identity | Start | Duration | Self |\n|---|---|---|---|---|\n")
@@ -755,37 +430,6 @@ func attrCell(attrs []span.Attr) string {
 		parts = append(parts, a.Key+"="+strings.ReplaceAll(v, "|", "\\|"))
 	}
 	return strings.Join(parts, ", ")
-}
-
-// timeAttributionMarkdown is the report's condensed span summary: where
-// the checked experiments' wall clock went by span name, and the critical
-// chain.
-func timeAttributionMarkdown(tree *span.Tree, elapsed time.Duration) string {
-	if tree.Spans == 0 {
-		return ""
-	}
-	prof := tree.Profile()
-	var b strings.Builder
-	b.WriteString("## Time attribution\n\n")
-	fmt.Fprintf(&b, "%d spans covering %s of the %v check.\n\n",
-		tree.Spans, span.FormatNs(tree.WallNs()), elapsed.Round(time.Millisecond))
-	b.WriteString("| Span | Count | Total | Self |\n|---|---|---|---|\n")
-	for i, e := range prof.Entries {
-		if i == 8 {
-			break
-		}
-		fmt.Fprintf(&b, "| %s | %d | %s | %s |\n", e.Name, e.Count,
-			span.FormatNs(e.TotalNs), span.FormatNs(e.SelfNs))
-	}
-	var names []string
-	for _, n := range tree.CriticalPath() {
-		names = append(names, fmt.Sprintf("%s %s", n.Name, span.FormatNs(n.DurNs)))
-	}
-	if len(names) > 0 {
-		fmt.Fprintf(&b, "\nCritical path: %s.\n", strings.Join(names, " → "))
-	}
-	b.WriteString("\n")
-	return b.String()
 }
 
 func writeFileMkdir(path, content string) error {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -36,6 +37,13 @@ var stateMagic = [4]byte{'D', 'S', 'T', '2'}
 
 var stateMagicV1 = [4]byte{'D', 'S', 'T', '1'}
 
+// ErrStateMismatch is wrapped by every LoadState error for a well-formed
+// snapshot that a differently configured memory wrote: another scheme
+// kind, other scheme parameters (epoch, word size, counter width) or
+// another key. A snapshot of another line count or line size wraps
+// backend.ErrGeometry instead.
+var ErrStateMismatch = errors.New("core: snapshot from a differently configured memory")
+
 // stateHeader pins everything that must match between save and load.
 type stateHeader struct {
 	Lines       uint64
@@ -61,10 +69,11 @@ func (b *base) header(schemeName string) stateHeader {
 // checkHeader compares a snapshot header against this scheme field by
 // field, so the error names exactly what differs — both geometries, both
 // scheme kinds — instead of a generic "state mismatch". A line-count or
-// line-size mismatch wraps backend.ErrGeometry, as pcmdev.Restore's does.
+// line-size mismatch wraps backend.ErrGeometry, as pcmdev.Restore's does;
+// a scheme, parameter or key mismatch wraps ErrStateMismatch.
 func (b *base) checkHeader(schemeName, gotName string, h stateHeader) error {
 	if gotName != schemeName {
-		return fmt.Errorf("core: snapshot holds scheme %q, this memory runs %q", gotName, schemeName)
+		return fmt.Errorf("core: snapshot holds scheme %q, this memory runs %q: %w", gotName, schemeName, ErrStateMismatch)
 	}
 	want := b.header(schemeName)
 	if h.Lines != want.Lines || h.LineBytes != want.LineBytes {
@@ -72,12 +81,12 @@ func (b *base) checkHeader(schemeName, gotName string, h stateHeader) error {
 			h.Lines, h.LineBytes, want.Lines, want.LineBytes, backend.ErrGeometry)
 	}
 	if h.Epoch != want.Epoch || h.WordBytes != want.WordBytes || h.CounterBits != want.CounterBits {
-		return fmt.Errorf("core: scheme-parameter mismatch: snapshot epoch=%d word=%dB ctr=%db, memory epoch=%d word=%dB ctr=%db",
-			h.Epoch, h.WordBytes, h.CounterBits, want.Epoch, want.WordBytes, want.CounterBits)
+		return fmt.Errorf("core: scheme-parameter mismatch: snapshot epoch=%d word=%dB ctr=%db, memory epoch=%d word=%dB ctr=%db: %w",
+			h.Epoch, h.WordBytes, h.CounterBits, want.Epoch, want.WordBytes, want.CounterBits, ErrStateMismatch)
 	}
 	if h.KeyDigest != want.KeyDigest {
-		return fmt.Errorf("core: snapshot was written under a different key (digest %x, memory key digest %x)",
-			h.KeyDigest, want.KeyDigest)
+		return fmt.Errorf("core: snapshot was written under a different key (digest %x, memory key digest %x): %w",
+			h.KeyDigest, want.KeyDigest, ErrStateMismatch)
 	}
 	return nil
 }
@@ -134,7 +143,8 @@ func (b *base) saveState(schemeName string, w io.Writer) error {
 // Framing failures are typed like pcmdev.Restore's and ctrstore.Stage's:
 // backend.ErrTruncated for a snapshot that ends early, backend.ErrCorrupt
 // for a bad (or retired v1) magic, backend.ErrGeometry for a snapshot of
-// another line count or line size.
+// another line count or line size, and ErrStateMismatch for one of another
+// scheme, parameter set or key.
 func (b *base) loadState(schemeName string, r io.Reader) error {
 	dev, err := b.device()
 	if err != nil {

@@ -86,13 +86,13 @@ func TestLoadStateRejectsMismatches(t *testing.T) {
 		// what differs — both scheme kinds, both geometries — instead of
 		// an opaque "state mismatch".
 		want string
-		// is, when set, is the typed error the mismatch must wrap.
+		// is is the typed error the mismatch must wrap.
 		is error
 	}{
-		{"different scheme", KindEncrDCW, base, `snapshot holds scheme "DEUCE"`, nil},
-		{"different key", KindDeuce, Params{Lines: 8, EpochInterval: 4, Key: []byte("fedcba9876543210")}, "different key", nil},
+		{"different scheme", KindEncrDCW, base, `snapshot holds scheme "DEUCE"`, ErrStateMismatch},
+		{"different key", KindDeuce, Params{Lines: 8, EpochInterval: 4, Key: []byte("fedcba9876543210")}, "different key", ErrStateMismatch},
 		{"different lines", KindDeuce, Params{Lines: 16, EpochInterval: 4}, "snapshot 8 lines × 64B, memory 16 lines × 64B", backend.ErrGeometry},
-		{"different epoch", KindDeuce, Params{Lines: 8, EpochInterval: 8}, "snapshot epoch=4", nil},
+		{"different epoch", KindDeuce, Params{Lines: 8, EpochInterval: 8}, "snapshot epoch=4", ErrStateMismatch},
 	}
 	for _, c := range cases {
 		s := MustNew(c.kind, c.p)
@@ -104,7 +104,7 @@ func TestLoadStateRejectsMismatches(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not name the mismatch (want substring %q)", c.name, err, c.want)
 		}
-		if c.is != nil && !errors.Is(err, c.is) {
+		if !errors.Is(err, c.is) {
 			t.Errorf("%s: error %q does not wrap %v", c.name, err, c.is)
 		}
 	}
@@ -240,9 +240,11 @@ func TestINVMMSnapshotIsEncrypted(t *testing.T) {
 }
 
 // FuzzLoadState feeds arbitrary DST2 snapshots to a DEUCE memory: LoadState
-// must never panic, and a load that fails must leave the memory exactly as
-// it was, so SaveState reads back byte-identical. The corpus seeds with a
-// real snapshot and cuts of it.
+// must never panic, every error it returns must be typed (backend's
+// ErrCorrupt, ErrTruncated or ErrGeometry, or ErrStateMismatch), and a load
+// that fails must leave the memory exactly as it was, so SaveState reads
+// back byte-identical. The corpus seeds with a real snapshot and cuts of
+// it.
 func FuzzLoadState(f *testing.F) {
 	params := Params{Lines: 16, EpochInterval: 4}
 	build := func() *Deuce {
@@ -271,8 +273,13 @@ func FuzzLoadState(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, snap []byte) {
 		s := build()
-		if err := s.LoadState(bytes.NewReader(snap)); err == nil {
+		err := s.LoadState(bytes.NewReader(snap))
+		if err == nil {
 			return
+		}
+		if !errors.Is(err, backend.ErrCorrupt) && !errors.Is(err, backend.ErrTruncated) &&
+			!errors.Is(err, backend.ErrGeometry) && !errors.Is(err, ErrStateMismatch) {
+			t.Fatalf("untyped LoadState error: %v", err)
 		}
 		var after bytes.Buffer
 		if err := s.SaveState(&after); err != nil {

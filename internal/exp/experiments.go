@@ -23,10 +23,9 @@ type Experiment struct {
 
 // RunTable executes the experiment and stamps the result with the
 // experiment's ID, so downstream consumers (JSON output, the fidelity
-// gate, the regression ledger) can key on it.
+// gate and its recordings) can key on it.
 //
-// Results are memoized process-wide by (experiment ID, RunConfig): the
-// gate and the report command both sweep the expectation table, and a
+// Results are memoized process-wide by (experiment ID, RunConfig): a
 // table already produced at this scale in this process is served from
 // the cache (as a defensive copy) instead of recomputing. Configs
 // carrying per-run observability hooks bypass the cache — a recorded
@@ -41,9 +40,6 @@ func (e Experiment) RunTable(rc RunConfig) (*Table, error) {
 		t, err := e.Run(trc)
 		if t != nil {
 			t.ID = e.ID
-			// Stamp the inputs hash so a recording of this table carries
-			// its own reuse criterion (see InputsHash).
-			t.Inputs = InputsHash(e.ID, rc)
 		}
 		return t, err
 	}

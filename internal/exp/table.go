@@ -40,18 +40,11 @@ type Table struct {
 	// Values holds the experiment's headline quantities as structured
 	// data, keyed "metric/series" (e.g. "flips/DEUCE" = 0.228,
 	// "lifetime/DEUCE-HWL" = 2.19). These are the numbers the fidelity
-	// gate checks against the paper and the regression ledger tracks
-	// across runs — the machine-readable counterpart of the free-text
-	// paper references in the title.
+	// gate checks against the paper, and the committed golden recording
+	// (internal/fidelity/testdata/gate) pins byte for byte — the
+	// machine-readable counterpart of the free-text paper references in
+	// the title.
 	Values map[string]float64
-
-	// Inputs is the content hash of everything that determined this
-	// table (see InputsHash): the measurement-code version salt, the
-	// experiment ID, the RunConfig key and the planned cell keys. The
-	// incremental fidelity gate reuses a recorded table only while its
-	// Inputs still match what a live run would compute; empty means the
-	// run was not hashable (observability hooks) and is never reused.
-	Inputs string
 }
 
 // SetValue records one headline quantity under "metric/series".
@@ -90,7 +83,7 @@ func (t *Table) Clone() *Table {
 	if t == nil {
 		return nil
 	}
-	out := &Table{ID: t.ID, Title: t.Title, Note: t.Note, Inputs: t.Inputs}
+	out := &Table{ID: t.ID, Title: t.Title, Note: t.Note}
 	out.Columns = append([]string(nil), t.Columns...)
 	out.Rows = make([][]string, len(t.Rows))
 	for i, row := range t.Rows {
@@ -182,7 +175,6 @@ type tableJSON struct {
 	ID      string             `json:"id,omitempty"`
 	Title   string             `json:"title"`
 	Note    string             `json:"note,omitempty"`
-	Inputs  string             `json:"inputs,omitempty"`
 	Columns []string           `json:"columns"`
 	Rows    [][]Cell           `json:"rows"`
 	Values  map[string]float64 `json:"values,omitempty"`
@@ -195,7 +187,6 @@ func (t *Table) MarshalJSON() ([]byte, error) {
 		ID:      t.ID,
 		Title:   t.Title,
 		Note:    t.Note,
-		Inputs:  t.Inputs,
 		Columns: t.Columns,
 		Rows:    make([][]Cell, len(t.Rows)),
 		Values:  t.Values,
@@ -218,7 +209,6 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	t.ID, t.Title, t.Note, t.Columns, t.Values = in.ID, in.Title, in.Note, in.Columns, in.Values
-	t.Inputs = in.Inputs
 	t.Rows = make([][]string, len(in.Rows))
 	for i, row := range in.Rows {
 		t.Rows[i] = make([]string, len(row))

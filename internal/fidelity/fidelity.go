@@ -6,6 +6,10 @@
 // enforced gate: `deucereport check` exits non-zero when a code change
 // moves a measured value outside its tolerance or breaks a shape
 // assertion (scheme orderings, sweep monotonicity, the 2-byte knee).
+// A value that moves inside its tolerance is caught by the committed
+// CI-scale recording in testdata/gate: CI re-records it and fails on any
+// byte difference, and TestGoldenRecording re-verdicts it and re-measures
+// part of it at tier 1.
 //
 // Tolerances are calibrated so the gate passes at both the default
 // experiment scale (30k writebacks / 2048 lines) and the reduced CI scale
@@ -21,7 +25,6 @@ package fidelity
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"deuce/internal/exp"
@@ -267,36 +270,14 @@ func EvaluateTables(tables map[string]*exp.Table, exps []Expectation) *Report {
 // Check runs every experiment the expectations reference (each once,
 // sharing results across its expectations) and evaluates them. A nil or
 // empty expectation slice checks the full table.
-func Check(rc exp.RunConfig, exps []Expectation) (*Report, map[string]*exp.Table, error) {
-	report, tables, _, err := CheckWithRecorded(rc, exps, nil)
-	return report, tables, err
-}
-
-// Incremental describes what an incremental check did per experiment.
-type Incremental struct {
-	// Reused lists experiments served from the recording: their stamped
-	// Inputs hash matched what a live run would compute.
-	Reused []string
-	// Reran lists experiments measured for real: absent from the
-	// recording, stamped with a different hash, or not hashable.
-	Reran []string
-}
-
-// CheckWithRecorded is the incremental fidelity gate: like Check, but a
-// recorded table (from exp.LoadTables over a `check -outdir` recording)
-// whose Inputs hash still matches the live configuration is reused instead
-// of re-measured — only experiments whose inputs changed (scale, seed,
-// scheme parameters, or the measurement code via its version salt) run for
-// real. Recorded tables from before the Inputs stamp (or whose config
-// carried observability hooks) have an empty hash and always re-run.
 //
-// Experiments that do run go through the experiment planner first when
-// warm-state reuse is active: BuildPlan deduplicates their cells across
-// experiments and ExecuteCells fans the unique ones through the
-// work-stealing pool, so the subsequent per-experiment table assembly is
-// pure cache readout (widest win: Figure 14's 48 wear cells, otherwise
-// sequential inside its Run function).
-func CheckWithRecorded(rc exp.RunConfig, exps []Expectation, recorded map[string]*exp.Table) (*Report, map[string]*exp.Table, Incremental, error) {
+// The experiments go through the experiment planner first when warm-state
+// reuse is active: BuildPlan deduplicates their cells across experiments
+// and ExecuteCells fans the unique ones through the work-stealing pool, so
+// the subsequent per-experiment table assembly is pure cache readout
+// (widest win: Figure 14's 48 wear cells, otherwise sequential inside its
+// Run function).
+func Check(rc exp.RunConfig, exps []Expectation) (*Report, map[string]*exp.Table, error) {
 	if len(exps) == 0 {
 		exps = Expectations()
 	}
@@ -304,19 +285,7 @@ func CheckWithRecorded(rc exp.RunConfig, exps []Expectation, recorded map[string
 		span.Int("expectations", int64(len(exps))))
 	defer root.End()
 	rc.SpanParent = root // everything below — plan, tables, evaluation — nests here
-	var inc Incremental
-	tables := make(map[string]*exp.Table)
-	for _, id := range ExperimentIDs(exps) {
-		if t := recorded[id]; t != nil && t.Inputs != "" && t.Inputs == exp.InputsHash(id, rc) {
-			sp := rc.Spans.Start(root, "table/"+id, span.Str("id", id))
-			sp.Annotate(span.Str("source", "recorded"))
-			tables[id] = t.Clone()
-			sp.End()
-			inc.Reused = append(inc.Reused, id)
-			continue
-		}
-		inc.Reran = append(inc.Reran, id)
-	}
+	ids := ExperimentIDs(exps)
 	// The pre-pass only pays off when cell results are cacheable: with
 	// single-run observability hooks attached, executed cells would not
 	// be served back to the table assembly and every cell would run
@@ -324,31 +293,30 @@ func CheckWithRecorded(rc exp.RunConfig, exps []Expectation, recorded map[string
 	// are pool-safe and cache-neutral, so a traced gate keeps the exact
 	// execution shape of an untraced one.
 	hooked := rc.Trace != nil || rc.Heatmap != nil || rc.Metrics != nil
-	if len(inc.Reran) > 0 && !hooked {
-		plan, err := exp.BuildPlan(inc.Reran, rc)
+	if !hooked {
+		plan, err := exp.BuildPlan(ids, rc)
 		if err != nil {
-			return nil, nil, inc, err
+			return nil, nil, err
 		}
 		if err := plan.ExecuteCells(rc.Progress); err != nil {
-			return nil, nil, inc, err
+			return nil, nil, err
 		}
 	}
-	for _, id := range inc.Reran {
+	tables := make(map[string]*exp.Table, len(ids))
+	values := make(map[string]map[string]float64, len(ids))
+	for _, id := range ids {
 		e, err := exp.ByID(id)
 		if err != nil {
-			return nil, nil, inc, err
+			return nil, nil, err
 		}
 		t, err := e.RunTable(rc)
 		if err != nil {
-			return nil, nil, inc, fmt.Errorf("fidelity: %s: %w", id, err)
+			return nil, nil, fmt.Errorf("fidelity: %s: %w", id, err)
 		}
 		tables[id] = t
-	}
-	values := make(map[string]map[string]float64, len(tables))
-	for id, t := range tables {
 		values[id] = t.Values
 	}
-	return evaluateSpanned(rc, values, exps), tables, inc, nil
+	return evaluateSpanned(rc, values, exps), tables, nil
 }
 
 // evaluateSpanned is Evaluate wrapped in spans: one "evaluate" phase span
@@ -423,19 +391,6 @@ func (r *Report) Summary() string {
 		s += fmt.Sprintf(", %d missing metrics", len(r.Missing))
 	}
 	return s
-}
-
-// SortedMetrics flattens experiment values into "experiment:metric" keys,
-// sorted — the shape the regression ledger records.
-func SortedMetrics(values map[string]map[string]float64) []string {
-	var keys []string
-	for id, m := range values {
-		for name := range m {
-			keys = append(keys, id+":"+name)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func abs(x float64) float64 {

@@ -98,7 +98,7 @@ func (t *Tree) WriteChromeTrace(w io.Writer) error {
 }
 
 // WriteJSON exports the self-profile as indented JSON with a stable field
-// and entry order, suitable for golden files and ledger ingestion.
+// and entry order, suitable for golden files and CI artifacts.
 func (p Profile) WriteJSON(w io.Writer) error {
 	blob, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
@@ -106,11 +106,4 @@ func (p Profile) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(blob, '\n'))
 	return err
-}
-
-// ReadProfileJSON parses a self-profile written by Profile.WriteJSON.
-func ReadProfileJSON(r io.Reader) (Profile, error) {
-	var p Profile
-	err := json.NewDecoder(r).Decode(&p)
-	return p, err
 }

@@ -113,8 +113,8 @@ func TestSelfProfileGolden(t *testing.T) {
 	if err := tree.Profile().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadProfileJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var back Profile
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("self-profile does not round-trip: %v", err)
 	}
 	if e := back.Lookup("cell/flip"); e.Count != 2 || e.TotalNs != 2*int64(time.Millisecond) {

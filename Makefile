@@ -66,11 +66,14 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs eight fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs nine fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
-# fuzzed geometry and images, pcmdev.Restore and ctrstore.Restore on
+# fuzzed geometry and images, the device's one-pass tracked write
+# (WriteTracked against a byte-loop statement of the word rule followed by
+# Write on a twin device, on fuzzed geometry, images, pads and resets),
+# pcmdev.Restore and ctrstore.Restore on
 # arbitrary snapshots (typed errors only, never a partial restore, never
 # a counter past its width), a DEUCE memory's LoadState on arbitrary DST2
 # snapshots (never a panic; a failed load leaves SaveState unchanged), the
@@ -82,6 +85,7 @@ race-durability:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
+	$(GO) test -run '^$$' -fuzz FuzzWriteTracked -fuzztime 10s ./internal/pcmdev
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime 10s ./internal/pcmdev
 	$(GO) test -run '^$$' -fuzz FuzzCounterRestore -fuzztime 10s ./internal/ctrstore
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s ./internal/core

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"deuce/internal/backend"
 )
 
 // The steady-state Write path of every encrypted scheme is required to be
@@ -13,7 +15,12 @@ import (
 // both candidate encodings.
 func testWriteAllocs(t *testing.T, kind Kind, want float64) {
 	t.Helper()
-	s, err := New(kind, Params{Lines: 64})
+	testWriteAllocsOn(t, kind, Params{Lines: 64}, want)
+}
+
+func testWriteAllocsOn(t *testing.T, kind Kind, p Params, want float64) Scheme {
+	t.Helper()
+	s, err := New(kind, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +43,45 @@ func testWriteAllocs(t *testing.T, kind Kind, want float64) {
 	if n > want {
 		t.Errorf("%s: steady-state Write allocates %.2f times per call, want <= %v", kind, n, want)
 	}
+	return s
 }
 
-func TestWriteZeroAllocsDeuce(t *testing.T)    { testWriteAllocs(t, KindDeuce, 0) }
+// pageCounter is a RAM backend that keeps the zero-copy page view and
+// counts the pages it hands out.
+type pageCounter struct {
+	*backend.Mem
+	pages int
+}
+
+func (c *pageCounter) Page(page int) []byte {
+	c.pages++
+	return c.Mem.Page(page)
+}
+
+// TestWriteZeroAllocsDeuce pins DEUCE's write on a bare device at 0
+// allocations, and pins that it is the one-pass path: one page access per
+// write (WriteTracked), where PeekInto + Write would take two.
+func TestWriteZeroAllocsDeuce(t *testing.T) {
+	arr := &pageCounter{}
+	p := Params{Lines: 64, MakeBackend: func(region string, pages, size int) (backend.Backend, error) {
+		if region == RegionArray {
+			arr.Mem = backend.NewMem(pages, size)
+			return arr, nil
+		}
+		return backend.NewMem(pages, size), nil
+	}}
+	s := testWriteAllocsOn(t, KindDeuce, p, 0)
+	pages, writes := arr.pages, s.Device().Stats().Writes
+	buf := make([]byte, 64)
+	for i := 0; i < 100; i++ {
+		buf[i%64]++
+		s.Write(uint64(i%64), buf)
+	}
+	if got, w := arr.pages-pages, s.Device().Stats().Writes-writes; got != int(w) {
+		t.Fatalf("%d writes took %d page accesses, want one each", w, got)
+	}
+}
+
 func TestWriteZeroAllocsEncrDCW(t *testing.T)  { testWriteAllocs(t, KindEncrDCW, 0) }
 func TestWriteZeroAllocsDynDeuce(t *testing.T) { testWriteAllocs(t, KindDynDeuce, 0) }
 func TestWriteZeroAllocsEncrFNW(t *testing.T)  { testWriteAllocs(t, KindEncrFNW, 0) }

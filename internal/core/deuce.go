@@ -59,56 +59,10 @@ func (s *Deuce) OverheadBits() int { return s.words() }
 // tctr derives the trailing counter from a leading counter value.
 func tctr(ctr, epochMask uint64) uint64 { return ctr &^ epochMask }
 
-// The DEUCE kernels work on 8-byte lanes. A lane holds 8/w tracking words
-// of w bytes, whose modified bits form one (8/w)-bit group of the metadata
-// image; since 8/w divides 8, a group never straddles a metadata byte.
-// laneTab holds, for one word width, the two translations a kernel needs
-// between a lane's bytes and its group of word bits.
-type laneTab struct {
-	bits uint // word bits per lane (8/w)
-	// words maps a lane's nonzero-byte pattern (bit i: byte i nonzero) to
-	// its nonzero-word bits (bit j: word j has a nonzero byte).
-	words [256]uint8
-	// expand maps a lane's word bits to a byte mask: 0xff on every byte of
-	// a word whose bit is set. Only the first 1<<bits entries are used.
-	expand [256]uint64
-}
-
-// laneTabs is indexed by word width in bytes (1, 2, 4 or 8, the widths
-// Params.validate accepts); it is filled once at package initialization.
-var laneTabs = func() (t [9]*laneTab) {
-	for _, w := range []int{1, 2, 4, 8} {
-		lt := &laneTab{bits: uint(8 / w)}
-		for v := 0; v < 256; v++ {
-			for i := 0; i < 8; i++ {
-				if v&(1<<i) != 0 {
-					lt.words[v] |= 1 << (i / w)
-				}
-				if v < 1<<lt.bits && v&(1<<(i/w)) != 0 {
-					lt.expand[v] |= 0xff << (8 * i)
-				}
-			}
-		}
-		t[w] = lt
-	}
-	return t
-}()
-
-// group returns the word bits of lane k from a metadata image.
-func (lt *laneTab) group(meta []byte, k int) uint8 {
-	off := uint(k) * lt.bits
-	return meta[off>>3] >> (off & 7) & uint8(1<<lt.bits-1)
-}
-
-// nonzeroBytes returns the byte pattern of x: bit i is set iff byte i of x
-// is nonzero. The sum sets each byte's high bit iff its low seven bits are
-// nonzero (no carry crosses a byte); the multiply gathers the eight high
-// bits into the top byte without collisions.
-func nonzeroBytes(x uint64) uint8 {
-	const lo7 = 0x7f7f7f7f7f7f7f7f
-	h := ((x & lo7) + lo7 | x) &^ lo7
-	return uint8(h * 0x0002040810204081 >> 56)
-}
+// The DEUCE kernels work on 8-byte lanes through pcmdev.Lanes, which
+// states the tracked-word rule once for them and for the device's one-pass
+// WriteTracked: a lane holds 8/w tracking words of w bytes, whose modified
+// bits form one (8/w)-bit group of the metadata image.
 
 // dualDecryptInto reconstructs the plaintext of a DEUCE-encrypted region
 // into dst. ct is the stored ciphertext, mod the modified-bit image (bit i
@@ -129,10 +83,9 @@ func dualDecryptInto(dst []byte, gen *otp.Generator, line, ctr, epochMask uint64
 		return
 	}
 	gen.PadPairInto(pads[:2*len(ct)], line, ctr, t)
-	lt := laneTabs[wordBytes]
+	lt := pcmdev.LanesFor(wordBytes)
 	for k, off := 0, 0; off < len(ct); k, off = k+1, off+8 {
-		m := lt.expand[lt.group(mod, k)]
-		pad := binary.LittleEndian.Uint64(tpadBuf[off:])&^m | binary.LittleEndian.Uint64(lpadBuf[off:])&m
+		pad := lt.Select(lt.Group(mod, k), binary.LittleEndian.Uint64(tpadBuf[off:]), binary.LittleEndian.Uint64(lpadBuf[off:]))
 		binary.LittleEndian.PutUint64(dst[off:], binary.LittleEndian.Uint64(ct[off:])^pad)
 	}
 }
@@ -182,15 +135,12 @@ func deuceStepInto(newCT, newMod []byte, gen *otp.Generator, line, ctr, epochMas
 
 	gen.PadPairInto(pads[:2*n], line, ctr, tctr(ctr, epochMask))
 	copy(newMod[:mb], oldMod[:mb])
-	lt := laneTabs[wordBytes]
+	lt := pcmdev.LanesFor(wordBytes)
 	for k, off := 0, 0; off < len(plaintext); k, off = k+1, off+8 {
-		ct := binary.LittleEndian.Uint64(oldCT[off:])
-		pt := binary.LittleEndian.Uint64(plaintext[off:])
-		g := lt.group(oldMod, k) | lt.words[nonzeroBytes(ct^binary.LittleEndian.Uint64(tpadBuf[off:])^pt)]
-		bit := uint(k) * lt.bits
-		newMod[bit>>3] |= g << (bit & 7)
-		m := lt.expand[g]
-		binary.LittleEndian.PutUint64(newCT[off:], ct&^m|(pt^binary.LittleEndian.Uint64(lpadBuf[off:]))&m)
+		ct, g := lt.Step(lt.Group(oldMod, k), binary.LittleEndian.Uint64(oldCT[off:]), binary.LittleEndian.Uint64(plaintext[off:]),
+			binary.LittleEndian.Uint64(lpadBuf[off:]), binary.LittleEndian.Uint64(tpadBuf[off:]))
+		lt.OrGroup(newMod, k, g)
+		binary.LittleEndian.PutUint64(newCT[off:], ct)
 	}
 }
 
@@ -208,12 +158,31 @@ func (s *Deuce) initLine(line uint64) {
 	}
 }
 
-// Write implements Scheme. The steady-state path allocates nothing: the
-// stored image, the pads and the new image all live in the scheme's
-// scratch buffers.
+// Write implements Scheme. The steady-state path allocates nothing. On a
+// bare device a write is one counter increment, one pad derivation (a
+// PadPairInto off a boundary, a PadInto at one) and one WriteTracked call,
+// which applies the word rule while it diffs and stores the live line.
+// Arrays that wrap the device (wear leveling, integrity guards, probes)
+// take the general path: copy the stored image out, step it in scratch
+// (deuceStepInto) and Write it back, with identical cells and cost.
 func (s *Deuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.checkPlain(plaintext)
 	s.initLine(line)
+
+	if d, ok := s.dev.(*pcmdev.Device); ok {
+		ctr, _ := s.ctrs.Increment(line)
+		reset := ctr&s.epochMask == 0
+		if reset {
+			s.gen.PadInto(s.scr.padL, line, ctr)
+		} else {
+			s.gen.PadPairInto(s.scr.pads, line, ctr, tctr(ctr, s.epochMask))
+		}
+		res := d.WriteTracked(line, plaintext, s.scr.padL, s.scr.padT, s.p.WordBytes, reset)
+		if s.p.Trace != nil {
+			s.observe(s.Name(), line, res, reset)
+		}
+		return res
+	}
 
 	oldCT, oldMod := s.scr.oldData, s.scr.oldMeta
 	s.dev.PeekInto(line, oldCT, oldMod)

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"deuce/internal/backend"
 	"deuce/internal/bitutil"
 	"deuce/internal/otp"
 	"deuce/internal/pcmdev"
@@ -210,65 +212,154 @@ func mutate(rng *rand.Rand, buf []byte) {
 	}
 }
 
+// passArray is a pass-through pcmdev.Array wrapper: it hides the bare
+// *pcmdev.Device, so DEUCE takes the PeekInto + deuceStepInto + Write path
+// that wear leveling, integrity guards and probes get.
+type passArray struct{ pcmdev.Array }
+
+// stepWay is one array a scheme's write runs over.
+type stepWay struct {
+	name string
+	set  func(*Params)
+}
+
+var (
+	// bareWay is the bare RAM device: DEUCE's one-pass WriteTracked.
+	bareWay = stepWay{"bare", func(*Params) {}}
+	// deuceWays runs KindDeuce over both of its write paths and over the
+	// device's page-copy path: the bare RAM device, a pass-through
+	// wrapper, and a bare device on a backend without the zero-copy page
+	// view (CrashSim buffers every WritePage).
+	deuceWays = []stepWay{
+		bareWay,
+		{"wrapped", func(p *Params) {
+			p.MakeArray = func(cfg pcmdev.Config) (pcmdev.Array, error) {
+				d, err := pcmdev.New(cfg)
+				return passArray{d}, err
+			}
+		}},
+		{"nopager", func(p *Params) {
+			p.MakeBackend = func(region string, pages, size int) (backend.Backend, error) {
+				if region == RegionArray {
+					return backend.NewCrashSim(backend.NewMem(pages, size)), nil
+				}
+				return backend.NewMem(pages, size), nil
+			}
+		}},
+	}
+)
+
+// checkSameDevice requires two arrays to hold the same cells of line and
+// to report the same statistics, and with profiles set the same wear
+// profiles.
+func checkSameDevice(t *testing.T, what string, got, ref pcmdev.Array, line uint64, profiles bool) {
+	t.Helper()
+	gc, gm := got.Peek(line)
+	rc, rm := ref.Peek(line)
+	if !bitutil.Equal(gc, rc) || !bitutil.Equal(gm, rm) {
+		t.Fatalf("%s: stored image differs from reference", what)
+	}
+	if g, r := got.Stats(), ref.Stats(); g != r {
+		t.Fatalf("%s: stats %+v, reference %+v", what, g, r)
+	}
+	if !profiles {
+		return
+	}
+	if !slices.Equal(got.PositionWrites(), ref.PositionWrites()) {
+		t.Fatalf("%s: position profile differs from reference", what)
+	}
+	if !slices.Equal(got.LineWrites(), ref.LineWrites()) {
+		t.Fatalf("%s: line profile differs from reference", what)
+	}
+}
+
 // TestDeuceStepMatchesReference replays one write stream into each scheme
-// through the lane-mask kernel and through the decrypt-then-step reference,
-// and requires the same cells, metadata, counters, read-back and write cost
-// after every write. 7-bit counters wrap within the stream.
+// and into the decrypt-then-step reference composed over Device.Write. It
+// requires the same cells, metadata, counters, read-back, write cost (slot
+// by slot) and statistics after every write, and the same wear profiles
+// after every write up to 128-byte lines; at 4096 bytes, where a profile
+// holds up to 37k counters, after every 32nd write and the last. KindDeuce
+// runs over each of deuceWays, at line sizes with a partial 64-byte chunk
+// (16, 48) and with many chunks (4096); the other two schemes run over the
+// bare device at 64 and 128 bytes. 7-bit counters wrap within the stream.
 func TestDeuceStepMatchesReference(t *testing.T) {
-	const lines, writes = 2, 400
 	for _, kind := range stepKinds {
-		for _, wb := range []int{1, 2, 4, 8} {
-			for _, epoch := range []int{1, 2, 4, 32} {
-				for _, lb := range []int{64, 128} {
-					name := fmt.Sprintf("%s/w%d/e%d/l%d", kind, wb, epoch, lb)
-					p := Params{Lines: lines, LineBytes: lb, WordBytes: wb, EpochInterval: epoch, CounterBits: 7}
-					got, err := newStepScheme(kind, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := newStepScheme(kind, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rng := rand.New(rand.NewSource(int64(wb*1000 + epoch*10 + lb)))
-					shadow := make([][]byte, lines)
-					for i := range shadow {
-						shadow[i] = make([]byte, lb)
-					}
-					readBuf := make([]byte, lb)
-					for i := 0; i < writes; i++ {
-						line := uint64(rng.Intn(lines))
-						mutate(rng, shadow[line])
-						g := got.Write(line, shadow[line])
-						r := ref.refWrite(line, shadow[line])
-						if g.DataFlips != r.DataFlips || g.MetaFlips != r.MetaFlips || g.Slots != r.Slots {
-							t.Fatalf("%s write %d: result %+v, reference %+v", name, i, g, r)
+		ways, sizes := []stepWay{bareWay}, []int{64, 128}
+		if kind == KindDeuce {
+			ways, sizes = deuceWays, []int{16, 48, 64, 128, 4096}
+		}
+		for _, way := range ways {
+			for _, wb := range []int{1, 2, 4, 8} {
+				for _, epoch := range []int{1, 2, 4, 32} {
+					for _, lb := range sizes {
+						name := fmt.Sprintf("%s/%s/w%d/e%d/l%d", kind, way.name, wb, epoch, lb)
+						// A 4096-byte line costs 32 times a 128-byte one
+						// in the byte-loop reference: one line, 160
+						// writes, still past the 7-bit counter's wrap.
+						lines, writes := 2, 400
+						if lb > 128 {
+							lines, writes = 1, 160
 						}
-						gc, gm := got.b.dev.Peek(line)
-						rc, rm := ref.b.dev.Peek(line)
-						if !bitutil.Equal(gc, rc) || !bitutil.Equal(gm, rm) {
-							t.Fatalf("%s write %d: stored image differs from reference", name, i)
+						p := Params{Lines: lines, LineBytes: lb, WordBytes: wb, EpochInterval: epoch, CounterBits: 7}
+						ref, err := newStepScheme(kind, p)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if gctr, rctr := got.b.ctrs.Get(line), ref.b.ctrs.Get(line); gctr != rctr {
-							t.Fatalf("%s write %d: counter %d, reference %d", name, i, gctr, rctr)
+						way.set(&p)
+						got, err := newStepScheme(kind, p)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if !bitutil.Equal(ref.refRead(line), shadow[line]) {
-							t.Fatalf("%s write %d: reference read-back wrong", name, i)
+						if _, bare := got.b.dev.(*pcmdev.Device); bare != (way.name != "wrapped") {
+							t.Fatalf("%s: array %T", name, got.b.dev)
 						}
-						if !bitutil.Equal(got.Read(line), shadow[line]) {
-							t.Fatalf("%s write %d: Read wrong", name, i)
-						}
-						got.ReadInto(line, readBuf)
-						if !bitutil.Equal(readBuf, shadow[line]) {
-							t.Fatalf("%s write %d: ReadInto wrong", name, i)
-						}
-					}
-					if got.b.ctrs.Overflows() == 0 {
-						t.Fatalf("%s: counters never wrapped", name)
+						replayStep(t, name, got, ref, lines, writes, rand.New(rand.NewSource(int64(wb*1000+epoch*10+lb))))
 					}
 				}
 			}
 		}
+	}
+}
+
+// replayStep drives got and ref with one mutating write stream and checks
+// them against each other after every write.
+func replayStep(t *testing.T, name string, got, ref stepScheme, lines, writes int, rng *rand.Rand) {
+	t.Helper()
+	lb := got.b.p.LineBytes
+	shadow := make([][]byte, lines)
+	for i := range shadow {
+		shadow[i] = make([]byte, lb)
+	}
+	readBuf := make([]byte, lb)
+	for i := 0; i < writes; i++ {
+		line := uint64(rng.Intn(lines))
+		mutate(rng, shadow[line])
+		g := got.Write(line, shadow[line])
+		r := ref.refWrite(line, shadow[line])
+		if g.DataFlips != r.DataFlips || g.MetaFlips != r.MetaFlips || g.Slots != r.Slots || !slices.Equal(g.SlotFlips, r.SlotFlips) {
+			t.Fatalf("%s write %d: result %+v, reference %+v", name, i, g, r)
+		}
+		what := fmt.Sprintf("%s write %d", name, i)
+		checkSameDevice(t, what, got.b.dev, ref.b.dev, line, lb <= 128 || i%32 == 31 || i == writes-1)
+		if gctr, rctr := got.b.ctrs.Get(line), ref.b.ctrs.Get(line); gctr != rctr {
+			t.Fatalf("%s: counter %d, reference %d", what, gctr, rctr)
+		}
+		if !bitutil.Equal(ref.refRead(line), shadow[line]) {
+			t.Fatalf("%s: reference read-back wrong", what)
+		}
+		if !bitutil.Equal(got.Read(line), shadow[line]) {
+			t.Fatalf("%s: Read wrong", what)
+		}
+		got.ReadInto(line, readBuf)
+		if !bitutil.Equal(readBuf, shadow[line]) {
+			t.Fatalf("%s: ReadInto wrong", what)
+		}
+		// The same two reads on the reference keep Stats().Reads level.
+		ref.Read(line)
+		ref.ReadInto(line, readBuf)
+	}
+	if got.b.ctrs.Overflows() == 0 {
+		t.Fatalf("%s: counters never wrapped", name)
 	}
 }
 

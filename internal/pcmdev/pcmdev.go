@@ -17,7 +17,10 @@
 //
 // The device knows nothing about encryption: schemes in internal/core decide
 // what ciphertext and metadata image to store, the device stores it and
-// reports the cost.
+// reports the cost. WriteTracked is the one place a scheme's rule runs
+// inside the device: DEUCE hands it the new plaintext and two pads as
+// opaque byte masks, and the device applies DEUCE's tracked-word rule
+// (tracked.go) in the same pass that diffs, stores and counts the line.
 //
 // Storage lives behind internal/backend: line l is page l of a Backend whose
 // page layout is [LineBytes data][⌈MetaBits/8⌉ metadata]. New builds the
@@ -211,6 +214,10 @@ type Device struct {
 	// slotScratch backs WriteResult.SlotFlips so steady-state writes do
 	// not allocate; overwritten by every Write.
 	slotScratch []int
+
+	// tail holds WriteTracked's zero-padded copies of a partial last
+	// chunk; nil when LineBytes is a multiple of 64.
+	tail *[4][64]byte
 }
 
 // New creates a PCM array with all cells zero, stored in RAM.
@@ -251,6 +258,9 @@ func NewOnBackend(cfg Config, be backend.Backend) (*Device, error) {
 	}
 	if d.pg == nil {
 		d.pageBuf = make([]byte, cfg.PageBytes())
+	}
+	if cfg.LineBytes%64 != 0 {
+		d.tail = new([4][64]byte)
 	}
 	if cfg.TrackPerLineWear {
 		d.lineWear = make([][]uint32, cfg.Lines)
@@ -433,10 +443,18 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 			copy(oldMeta, newMeta)
 		}
 	}
+	d.commit(line, p, r, &res)
+	return res
+}
+
+// commit finishes a write whose cells are already in page p and whose flip
+// words are in stage row r: a programming write flushes the page, counts
+// per-line wear and keeps its row, then the statistics take the write.
+func (d *Device) commit(line uint64, p []byte, r int, res *WriteResult) {
 	if res.DataFlips+res.MetaFlips > 0 {
 		d.flushPage(line, p)
 		if d.lineWear != nil {
-			addLineWear(d.lineWear[line], stage, r)
+			addLineWear(d.lineWear[line], d.stage, r)
 		}
 		if d.nstaged++; d.nstaged == stageDepth {
 			d.absorb()
@@ -451,7 +469,6 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 	if res.DataFlips+res.MetaFlips == 0 {
 		d.stats.ZeroWrites++
 	}
-	return res
 }
 
 // addLineWear counts one program of every cell set in staged row r into

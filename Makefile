@@ -36,18 +36,20 @@ race:
 	$(GO) test -race ./...
 
 # race-timing is the focused race pass for the deterministic-parallelism
-# machinery: the timing model's suite in internal/timing, the parallel
-# cell-pool grid / warm-replay / planner paths and the stream store's
-# concurrent prefix extension in internal/exp, the atomic obs registry's
-# concurrent hammer, the sharded serving front end's differential replay
-# suite (internal/servefront), and the one-Generator-per-goroutine
-# contract of the pad kernel (internal/otp), all under the race detector.
+# machinery: the timing model's suite in internal/timing; in internal/exp
+# the cell executor (runCells on a wide pool against a serial run, and
+# fig16/fig17 sharing one set of timed cells), the warm-replay and
+# planner paths and the stream store's concurrent prefix extension; the
+# atomic obs registry's concurrent hammer, the sharded serving front
+# end's differential replay suite (internal/servefront), and the
+# one-Generator-per-goroutine contract of the pad kernel (internal/otp),
+# all under the race detector.
 # A subset of
 # `race`, split out so CI can run it on every push even when the full
 # race matrix is pruned.
 race-timing:
 	$(GO) test -race ./internal/timing/
-	$(GO) test -race -run 'TestPerfGrid|TestWarm|TestPlan|TestStream' ./internal/exp/
+	$(GO) test -race -run 'TestPerfCells|TestRunCells|TestWarm|TestPlan|TestStream' ./internal/exp/
 	$(GO) test -race ./internal/obs/ ./internal/servefront/
 	$(GO) test -race -count=10 -run TestOneGeneratorPerGoroutine ./internal/otp/
 

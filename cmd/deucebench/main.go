@@ -35,7 +35,7 @@ func main() {
 		outDir     = flag.String("outdir", "", "also write each experiment's output (and a runmeta.json manifest) into this directory")
 		metricsOut = flag.String("metrics", "", "export suite-level metrics (per-experiment wall time, cell counts) as an obs snapshot JSON to this file")
 		spansDir   = flag.String("spans", "", "trace the suite with hierarchical spans and write chrome-trace.json + self-profile.json to this directory")
-		progress   = flag.Bool("progress", false, "report live grid-cell progress/throughput/ETA on stderr")
+		progress   = flag.Bool("progress", false, "report live cell progress/throughput/ETA on stderr")
 		httpAddr   = flag.String("http", "", "serve expvar and pprof on this address (e.g. :6060) while experiments run")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		version    = flag.Bool("version", false, "print build/version information and exit")
@@ -112,8 +112,9 @@ func main() {
 		rc.Spans = tracer
 	}
 
-	// Grid cells are announced incrementally (each experiment adds its own
-	// sweep), so the total firms up as the suite proceeds.
+	// Cells are announced incrementally (a suite's plan announces its
+	// unique cells, then each table its own cell list, served from the
+	// memo), so the total firms up as the suite proceeds.
 	var stopWatch func()
 	if *progress {
 		rc.Progress = obs.NewProgress(0)
@@ -143,10 +144,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Suite-level metrics: grid sweeps clear the per-run Metrics hook (it
-	// is single-writer), so deucebench records what the suite itself
-	// observes — per-experiment wall time and the run count — into the
-	// -metrics file.
+	// Suite-level metrics: the cell executor clears the per-run Metrics
+	// hook (it is single-writer), so deucebench records what the suite
+	// itself observes — per-experiment wall time and the run count — into
+	// the -metrics file.
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
@@ -192,7 +193,21 @@ func main() {
 		return nil
 	}
 
+	// A suite runs as one plan: its experiments' unique cells fan out
+	// together on the cell pool, then each table is assembled from the
+	// cell memo.
 	runSuite := func(es []exp.Experiment) {
+		ids := make([]string, len(es))
+		for i, e := range es {
+			ids[i] = e.ID
+		}
+		plan, err := exp.BuildPlan(ids, rc)
+		if err != nil {
+			fail("", err)
+		}
+		if err := plan.ExecuteCells(rc.Progress); err != nil {
+			fail("", err)
+		}
 		for _, e := range es {
 			if err := run(e); err != nil {
 				fail(e.ID, err)
@@ -226,9 +241,9 @@ func main() {
 		}
 	}
 	if reg != nil {
-		// Fold in the process-wide reuse aggregates: grid sweeps clear the
-		// per-run Metrics hook, so these totals are the only place the
-		// sweeps' cache behaviour surfaces.
+		// Fold in the process-wide reuse aggregates: the cell executor
+		// clears the per-run Metrics hook, so these totals are the only
+		// place the cells' memo behaviour surfaces.
 		exp.RecordReuseMetrics(reg)
 		if err := reg.Snapshot().WriteJSONFile(*metricsOut); err != nil {
 			fail("", err)

@@ -215,13 +215,15 @@ type DeuceFNW struct {
 	*base
 	codec     *fnw.Codec
 	epochMask uint64
-	modBytes  int
+	meta      fieldPair // modified bits, then flip bits
 
 	// Extra write-path scratch beyond base.scr: the FNW layer separates
 	// the raw cells from the DEUCE ciphertext, so both images of both
 	// generations are live at once.
-	oldCTBuf []byte // FNW-decoded stored ciphertext
-	newCTBuf []byte // DEUCE output before FNW encoding
+	oldCTBuf  []byte // FNW-decoded stored ciphertext
+	newCTBuf  []byte // DEUCE output before FNW encoding
+	oldFields []byte // split scratch for the stored metadata
+	newFields []byte // split scratch for the metadata to be written
 }
 
 // NewDeuceFNW constructs a DEUCE+FNW memory.
@@ -236,13 +238,16 @@ func NewDeuceFNW(p Params) (*DeuceFNW, error) {
 	if err != nil {
 		return nil, err
 	}
+	meta := newFieldPair(words)
 	return &DeuceFNW{
 		base:      b,
 		codec:     codec,
 		epochMask: uint64(p.EpochInterval - 1),
-		modBytes:  metaBytes(words),
+		meta:      meta,
 		oldCTBuf:  make([]byte, p.LineBytes),
 		newCTBuf:  make([]byte, p.LineBytes),
+		oldFields: meta.scratch(),
+		newFields: meta.scratch(),
 	}, nil
 }
 
@@ -252,15 +257,11 @@ func (s *DeuceFNW) Name() string { return "DEUCE+FNW" }
 // OverheadBits implements Scheme.
 func (s *DeuceFNW) OverheadBits() int { return 2 * s.words() }
 
-func (s *DeuceFNW) split(meta []byte) (mod, flips []byte) {
-	return meta[:s.modBytes], meta[s.modBytes:]
-}
-
 // Install implements Scheme.
 func (s *DeuceFNW) Install(line uint64, plaintext []byte) {
 	s.checkPlain(plaintext)
 	s.markInstalled(line)
-	s.dev.Load(line, s.gen.Encrypt(line, 0, plaintext), make([]byte, 2*s.modBytes))
+	s.dev.Load(line, s.gen.Encrypt(line, 0, plaintext), make([]byte, metaBytes(2*s.words())))
 }
 
 func (s *DeuceFNW) initLine(line uint64) {
@@ -270,22 +271,23 @@ func (s *DeuceFNW) initLine(line uint64) {
 }
 
 // Write implements Scheme. Allocation-free in steady state: the DEUCE step
-// writes its modified bits straight into the first half of the metadata
-// scratch and the FNW encoder its flip bits into the second half.
+// writes its modified bits into the first metadata field and the FNW
+// encoder its flip bits into the second.
 func (s *DeuceFNW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.checkPlain(plaintext)
 	s.initLine(line)
 
 	oldCells, oldMeta := s.scr.oldData, s.scr.oldMeta
 	s.dev.PeekInto(line, oldCells, oldMeta)
-	oldMod, oldFlips := s.split(oldMeta)
+	oldMod, oldFlips := s.meta.split(oldMeta, s.oldFields)
 	s.codec.DecodeInto(s.oldCTBuf, oldCells, oldFlips)
 
 	ctr, _ := s.ctrs.Increment(line)
-	newMod, newFlips := s.split(s.scr.newMeta)
+	newMod, newFlips := s.meta.split(s.scr.newMeta, s.newFields)
 	deuceStepInto(s.newCTBuf, newMod, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
 		s.oldCTBuf, oldMod, plaintext, s.scr.pads)
 	s.codec.EncodeInto(s.scr.newData, newFlips, oldCells, oldFlips, s.newCTBuf)
+	s.meta.join(s.scr.newMeta, newMod, newFlips)
 	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
 }
 
@@ -293,7 +295,7 @@ func (s *DeuceFNW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 func (s *DeuceFNW) Read(line uint64) []byte {
 	s.initLine(line)
 	cells, meta := s.dev.Read(line)
-	mod, flips := s.split(meta)
+	mod, flips := s.meta.split(meta, s.meta.scratch())
 	ct := s.codec.Decode(cells, flips)
 	return dualDecrypt(s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, ct, mod)
 }
@@ -302,7 +304,7 @@ func (s *DeuceFNW) Read(line uint64) []byte {
 func (s *DeuceFNW) ReadInto(line uint64, dst []byte) {
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
-	mod, flips := s.split(s.scr.oldMeta)
+	mod, flips := s.meta.split(s.scr.oldMeta, s.oldFields)
 	s.codec.DecodeInto(s.oldCTBuf, s.scr.oldData, flips)
 	dualDecryptInto(dst, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes,
 		s.oldCTBuf, mod, s.scr.pads)

@@ -84,16 +84,17 @@ func refDeuceWrite(s *Deuce, line uint64, pt []byte) pcmdev.WriteResult {
 func refDeuceFNWWrite(s *DeuceFNW, line uint64, pt []byte) pcmdev.WriteResult {
 	s.initLine(line)
 	oldCells, oldMeta := s.dev.Peek(line)
-	oldMod, oldFlips := s.split(oldMeta)
+	oldMod, oldFlips := s.meta.split(oldMeta, s.meta.scratch())
 	oldCT := s.codec.Decode(oldCells, oldFlips)
 	oldPlain := make([]byte, len(pt))
 	refDualDecryptInto(oldPlain, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, oldCT, oldMod)
 	ctr, _ := s.ctrs.Increment(line)
 	newCT, newMeta := make([]byte, len(pt)), make([]byte, len(oldMeta))
-	newMod, newFlips := s.split(newMeta)
+	newMod, newFlips := s.meta.split(newMeta, s.meta.scratch())
 	refDeuceStepInto(newCT, newMod, s.gen, line, ctr, s.epochMask, s.p.WordBytes, oldCT, oldMod, oldPlain, pt)
 	newCells := make([]byte, len(pt))
 	s.codec.EncodeInto(newCells, newFlips, oldCells, oldFlips, newCT)
+	s.meta.join(newMeta, newMod, newFlips)
 	return s.dev.Write(line, newCells, newMeta)
 }
 
@@ -176,7 +177,7 @@ func newStepScheme(kind Kind, p Params) (stepScheme, error) {
 			func(line uint64, pt []byte) pcmdev.WriteResult { return refDeuceFNWWrite(s, line, pt) },
 			func(line uint64) []byte {
 				cells, meta := s.dev.Peek(line)
-				mod, flips := s.split(meta)
+				mod, flips := s.meta.split(meta, s.meta.scratch())
 				out := make([]byte, len(cells))
 				refDualDecryptInto(out, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, s.codec.Decode(cells, flips), mod)
 				return out
@@ -285,8 +286,13 @@ func checkSameDevice(t *testing.T, what string, got, ref pcmdev.Array, line uint
 func TestDeuceStepMatchesReference(t *testing.T) {
 	for _, kind := range stepKinds {
 		ways, sizes := []stepWay{bareWay}, []int{64, 128}
-		if kind == KindDeuce {
+		switch kind {
+		case KindDeuce:
 			ways, sizes = deuceWays, []int{16, 48, 64, 128, 4096}
+		case KindDeuceFNW:
+			// 16- and 48-byte lines leave the two metadata fields
+			// off byte boundaries at 4- and 8-byte words.
+			sizes = []int{16, 48, 64, 128}
 		}
 		for _, way := range ways {
 			for _, wb := range []int{1, 2, 4, 8} {

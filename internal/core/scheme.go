@@ -335,6 +335,47 @@ func (b *base) words() int { return b.p.LineBytes / b.p.WordBytes }
 // metaBytes returns ceil(n/8) for building metadata images.
 func metaBytes(bits int) int { return (bits + 7) / 8 }
 
+// fieldPair is the metadata layout DEUCE+FNW and SECRET share: the device
+// holds exactly 2*words cells, the modified bits in [0, words) and the
+// scheme's second field (flip bits, zero flags) in [words, 2*words). The
+// schemes compute on each field as its own byte slice. When words is a
+// multiple of 8, as at every geometry the figures use, both fields start
+// on a byte boundary and are views of the image; otherwise split unpacks
+// them into scratch and join packs them back.
+type fieldPair struct{ words, n int } // n = metaBytes(words)
+
+func newFieldPair(words int) fieldPair { return fieldPair{words, metaBytes(words)} }
+
+// scratch returns a buffer split can unpack both fields into.
+func (f fieldPair) scratch() []byte { return make([]byte, 2*f.n) }
+
+// split returns the two fields of the metadata image img, as views of img
+// or, when they are not byte-aligned, as views of scratch holding a copy.
+func (f fieldPair) split(img, scratch []byte) (a, b []byte) {
+	if f.words%8 == 0 {
+		return img[:f.n:f.n], img[f.n : 2*f.n]
+	}
+	a, b = scratch[:f.n:f.n], scratch[f.n:2*f.n]
+	clear(scratch[:2*f.n])
+	for i := 0; i < f.words; i++ {
+		bitutil.SetBit(a, i, bitutil.GetBit(img, i))
+		bitutil.SetBit(b, i, bitutil.GetBit(img, f.words+i))
+	}
+	return a, b
+}
+
+// join stores fields a and b, as returned by split(img, ...), into img.
+// Byte-aligned fields are views of img already.
+func (f fieldPair) join(img, a, b []byte) {
+	if f.words%8 == 0 {
+		return
+	}
+	for i := 0; i < f.words; i++ {
+		bitutil.SetBit(img, i, bitutil.GetBit(a, i))
+		bitutil.SetBit(img, f.words+i, bitutil.GetBit(b, i))
+	}
+}
+
 // zeroLine returns a fresh all-zero line buffer of the configured size.
 func (b *base) zeroLine() []byte { return make([]byte, b.p.LineBytes) }
 

@@ -27,7 +27,9 @@ import (
 type Secret struct {
 	*base
 	epochMask uint64
-	modBytes  int
+	meta      fieldPair // modified bits, then zero flags
+	oldFields []byte    // split scratch for the stored metadata
+	newFields []byte    // split scratch for the metadata to be written
 }
 
 // NewSecret constructs a SECRET-style memory.
@@ -38,10 +40,13 @@ func NewSecret(p Params) (*Secret, error) {
 	if err != nil {
 		return nil, err
 	}
+	meta := newFieldPair(words)
 	return &Secret{
 		base:      b,
 		epochMask: uint64(p.EpochInterval - 1),
-		modBytes:  metaBytes(words),
+		meta:      meta,
+		oldFields: meta.scratch(),
+		newFields: meta.scratch(),
 	}, nil
 }
 
@@ -51,33 +56,28 @@ func (s *Secret) Name() string { return "SECRET" }
 // OverheadBits implements Scheme: modified bits plus zero flags.
 func (s *Secret) OverheadBits() int { return 2 * s.words() }
 
-func (s *Secret) split(meta []byte) (mod, zero []byte) {
-	return meta[:s.modBytes], meta[s.modBytes:]
-}
-
 // encodeLineInto produces the stored image for a plaintext under the given
 // counter-derived pads and the epoch's modified bits: zero words store as
 // zeros, modified non-zero words as LCTR ciphertext, untouched non-zero
-// words keep their previous cells. cells must be line-sized and meta
-// 2*modBytes; neither may alias the inputs. The padL scratch carries the
-// LCTR pad.
+// words keep their previous cells. cells must be line-sized and meta a
+// whole metadata image; neither may alias the inputs. oldMod is the stored
+// modified-bits field (unused on a full re-encryption). The padL scratch
+// carries the LCTR pad.
 func (s *Secret) encodeLineInto(cells, meta []byte, line, ctr uint64, fullReencrypt bool, oldCells, oldMod, oldPlain, plaintext []byte) {
 	w := s.p.WordBytes
 	words := s.words()
 
-	for i := range meta {
-		meta[i] = 0
-	}
-	newMod := meta[:s.modBytes]
+	newMod, newZero := s.meta.split(meta, s.newFields)
+	clear(newMod)
+	clear(newZero)
 	if !fullReencrypt {
-		copy(newMod, oldMod[:s.modBytes])
+		copy(newMod, oldMod)
 		for i := 0; i < words; i++ {
 			if !bitutil.WordsEqual(oldPlain, plaintext, w, i) {
 				bitutil.SetBit(newMod, i, true)
 			}
 		}
 	}
-	newZero := meta[s.modBytes:]
 	lpad := s.scr.padL
 	s.gen.PadInto(lpad, line, ctr)
 
@@ -110,12 +110,13 @@ func (s *Secret) encodeLineInto(cells, meta []byte, line, ctr uint64, fullReencr
 		// a word that changed from zero is marked modified. So the
 		// keep case is always valid TCTR/LCTR ciphertext.
 	}
+	s.meta.join(meta, newMod, newZero)
 }
 
 // decodeLineInto reconstructs the plaintext from stored state into dst
 // (which must not alias cells), using the base pad scratch.
 func (s *Secret) decodeLineInto(dst []byte, line uint64, cells, meta []byte) {
-	mod, zero := s.split(meta)
+	mod, zero := s.meta.split(meta, s.oldFields)
 	ctr := s.ctrs.Get(line)
 	dualDecryptInto(dst, s.gen, line, ctr, s.epochMask, s.p.WordBytes, cells, mod, s.scr.pads)
 	w := s.p.WordBytes
@@ -141,7 +142,7 @@ func (s *Secret) Install(line uint64, plaintext []byte) {
 	s.markInstalled(line)
 	zeroPlain := make([]byte, s.p.LineBytes)
 	cells := make([]byte, s.p.LineBytes)
-	meta := make([]byte, 2*s.modBytes)
+	meta := make([]byte, metaBytes(2*s.words()))
 	s.encodeLineInto(cells, meta, line, 0, true, s.gen.Encrypt(line, 0, zeroPlain), nil, nil, plaintext)
 	s.dev.Load(line, cells, meta)
 }
@@ -159,8 +160,8 @@ func (s *Secret) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 
 	oldCells, oldMeta := s.scr.oldData, s.scr.oldMeta
 	s.dev.PeekInto(line, oldCells, oldMeta)
-	oldMod, _ := s.split(oldMeta)
 	s.decodeLineInto(s.scr.oldPlain, line, oldCells, oldMeta)
+	oldMod, _ := s.meta.split(oldMeta, s.oldFields)
 	ctr, _ := s.ctrs.Increment(line)
 
 	full := ctr&s.epochMask == 0

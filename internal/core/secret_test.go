@@ -73,7 +73,7 @@ func TestSecretZeroLeak(t *testing.T) {
 	copy(data[10:], "nonzero")
 	sec.Write(0, data)
 	_, meta := sec.dev.Peek(0)
-	_, zero := sec.split(meta)
+	_, zero := sec.meta.split(meta, sec.meta.scratch())
 	for w := 0; w < 32; w++ {
 		wantZero := true
 		for j := w * 2; j < w*2+2; j++ {
@@ -89,5 +89,43 @@ func TestSecretZeroLeak(t *testing.T) {
 	cells, _ := sec.dev.Peek(0)
 	if bitutil.Equal(cells[10:17], data[10:17]) {
 		t.Error("non-zero plaintext stored in the clear")
+	}
+}
+
+// SECRET's two metadata fields pack back to back into the device's 2*words
+// cells: at geometries whose word count is not a multiple of 8 they do not
+// start on byte boundaries, and every write and read must still round-trip.
+func TestSecretUnalignedFields(t *testing.T) {
+	for _, g := range []struct{ lb, wb int }{{16, 4}, {16, 8}, {32, 8}, {48, 4}} {
+		sec, err := NewSecret(Params{Lines: 4, LineBytes: g.lb, WordBytes: g.wb, EpochInterval: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(g.lb*10 + g.wb)))
+		shadow := make([][]byte, 4)
+		for i := range shadow {
+			shadow[i] = make([]byte, g.lb)
+		}
+		got := make([]byte, g.lb)
+		for i := 0; i < 200; i++ {
+			line := rng.Intn(4)
+			// Zero some words and randomize others, so both fields move.
+			for w := 0; w < g.lb/g.wb; w++ {
+				word := shadow[line][w*g.wb : (w+1)*g.wb]
+				switch rng.Intn(3) {
+				case 0:
+					clear(word)
+				case 1:
+					rng.Read(word)
+				}
+			}
+			sec.Write(uint64(line), shadow[line])
+			for l := range shadow {
+				sec.ReadInto(uint64(l), got)
+				if !bitutil.Equal(got, shadow[l]) || !bitutil.Equal(sec.Read(uint64(l)), shadow[l]) {
+					t.Fatalf("%d/%d write %d: line %d read %x, wrote %x", g.lb, g.wb, i, l, got, shadow[l])
+				}
+			}
+		}
 	}
 }

@@ -45,7 +45,7 @@ func TestByID(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range Experiments() {
-		if e.ID == "" || e.Paper == "" || e.Run == nil {
+		if e.ID == "" || e.Paper == "" || e.table == nil {
 			t.Errorf("experiment %+v incomplete", e.ID)
 		}
 		if seen[e.ID] {

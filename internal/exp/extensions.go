@@ -17,8 +17,8 @@ import (
 // simulated crashes, digest comparison), not calibrated measurements.
 func Extensions() []Experiment {
 	return []Experiment{
-		{ID: "ext-eadr", Paper: "Extension: ADR vs eADR persistence domains — what a crash loses", Run: ExtEADR},
-		{ID: "ext-ctrrec", Paper: "Extension: counter-recovery drill — detect and localize a torn sync", Run: ExtCtrRec},
+		{ID: "ext-eadr", Paper: "Extension: ADR vs eADR persistence domains — what a crash loses", table: plain(ExtEADR)},
+		{ID: "ext-ctrrec", Paper: "Extension: counter-recovery drill — detect and localize a torn sync", table: plain(ExtCtrRec)},
 	}
 }
 

@@ -50,10 +50,10 @@ func TestExtensionsByID(t *testing.T) {
 		if got.ID != e.ID {
 			t.Errorf("ByID(%s) returned %s", e.ID, got.ID)
 		}
-		// No static cell enumeration: the planner gives extensions a bare
+		// Not built from cells: the planner gives extensions a bare
 		// table node.
-		if specs := cellSpecsFor(e.ID, RunConfig{}); specs != nil {
-			t.Errorf("cellSpecsFor(%s) = %d specs, want none", e.ID, len(specs))
+		if e.cells != nil {
+			t.Errorf("%s declares cells, want none", e.ID)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,29 +12,30 @@ import (
 	"deuce/internal/obs/span"
 )
 
-// GridCache memoizes whole-experiment computations within one process.
-// The fidelity gate and the report command both walk the expectation
-// table, and several figures share the identical underlying sweep (Fig16
-// and Fig17 are two views of one perfGrid), so without reuse the most
-// expensive computation in the repository — the 48-cell timed grid — runs
-// more than once per invocation for no new information.
+// GridCache is a single-flight memo. The package keeps one, sharedCache,
+// holding two kinds of entry: cell results (flip, perf and wear cells,
+// keyed as the planner keys its cell nodes) and recorded streams (see
+// warm.go). Tables are assembled from cells and are not memoized. Figures
+// share cells (Fig16 and Fig17 are two views of one 48-cell timed sweep),
+// and the fidelity gate and the report command walk the expectation
+// table, yet each cell executes once per process however many tables
+// read it.
 //
 // Entries are single-flight: the first caller of a key computes, and
 // concurrent callers of the same key block on that computation instead of
 // duplicating it (sync.Once per entry). Results, including errors, are
-// cached forever — every cacheable computation here is deterministic in
-// its key, so recomputing cannot change the outcome.
+// cached until dropped — every cached computation is deterministic in its
+// key, so recomputing cannot change the outcome.
 //
-// Cache-key rules (see DESIGN.md §8): a key encodes every input that can
-// change the result — the grid kind, the column schemes and their
-// core.Params, and the result-affecting scalar fields of RunConfig after
-// defaulting — and nothing else. Observability hooks (Trace, Heatmap,
-// Metrics, Progress, Spans) never enter a key: the grids clear the
-// single-writer hooks before fanning out, and Progress and Spans only
-// narrate. Inputs that
-// cannot be canonically encoded (a non-nil Params.MakeArray,
-// Params.MakeBackend or Params.Trace) make the computation uncacheable and
-// bypass the cache entirely rather than risk a false hit.
+// Cache-key rules (see DESIGN.md §8): a cell key encodes every input that
+// can change the result — workload, scheme, core.Params and the
+// result-affecting scalar fields of RunConfig after defaulting — and
+// nothing else. Observability hooks (Trace, Heatmap, Metrics, Progress,
+// Spans) never enter a key: the cell executor clears the single-writer
+// hooks before fanning out, and Progress and Spans only narrate. Inputs
+// that cannot be canonically encoded (a non-nil Params.MakeArray,
+// Params.MakeBackend or Params.Trace) make the cell unmemoizable: it runs
+// every time rather than risk a false hit.
 type GridCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -114,26 +114,44 @@ func (c *GridCache) forget(match func(key string) bool) {
 	}
 }
 
-// sharedCache is the process-wide cache the grid runners and RunTable
-// consult. Experiments are deterministic in their RunConfig, so sharing
-// across callers is safe; tests that count executions call ResetCache
-// first.
+// sharedCache is the process-wide memo of cell results and recorded
+// streams. Cells are deterministic in their keys, so sharing across
+// callers is safe; tests that count executions call ResetCache first.
 var sharedCache = NewGridCache()
 
-// cachedDo routes a computation through the shared cache and accounts for
-// the outcome against the run's observability hooks: computations record
-// their own spans inside compute, while calls served by the cache —
-// including single-flight joins on an in-flight computation — record a
-// "cache-hit" span covering the wait. Served cell-level calls also tick
-// the progress reporter's reused counter, so ETAs are computed from the
-// executed-cell rate rather than the (much faster) served completions.
+// memoCell runs one cell through the shared memo: measure executes on the
+// first request for the cell's key, built by key from the params' key, and
+// later requests are served its result. A cell whose params have no
+// canonical key, or whose config carries a single-run hook (a served
+// result records nothing), runs every time, as every cell does with the
+// memo switched off (warmReuseOff).
+func memoCell[R any](rc RunConfig, params core.Params, kind string, key func(pk string) string, measure func() (R, error)) (R, error) {
+	pk, ok := paramsKey(params)
+	if !ok || !warmReuseEnabled() || rc.Trace != nil || rc.Heatmap != nil || rc.Metrics != nil {
+		return measure()
+	}
+	v, err := cachedDo(rc, kind, key(pk), func() (interface{}, error) { return measure() })
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	return v.(R), nil
+}
+
+// cachedDo routes a cell through the shared memo and accounts for the
+// outcome against the run's observability hooks: an executed cell records
+// its own spans inside compute, while a served one — including a
+// single-flight join on an in-flight computation — records a "cache-hit"
+// span covering the wait and ticks the progress reporter's reused
+// counter, so ETAs are computed from the executed-cell rate rather than
+// the (much faster) served completions.
 func cachedDo(rc RunConfig, kind, key string, compute func() (interface{}, error)) (interface{}, error) {
 	start := time.Now()
 	v, err, computed := sharedCache.DoObserved(key, compute)
 	if computed {
 		return v, err
 	}
-	if rc.Progress != nil && strings.HasPrefix(kind, "cell/") {
+	if rc.Progress != nil {
 		rc.Progress.AddReused(1)
 	}
 	if rc.Spans != nil {
@@ -145,14 +163,12 @@ func cachedDo(rc RunConfig, kind, key string, compute func() (interface{}, error
 	return v, err
 }
 
-// ResetCache empties the process-wide experiment cache. Long-lived
-// callers that mutate global experiment behavior between sweeps (none in
-// this repository) and tests that assert on execution counts use it to
-// force recomputation.
+// ResetCache empties the process-wide memo of cells and recorded streams.
+// Tests and benchmarks that assert on execution counts use it to force
+// recomputation.
 func ResetCache() { sharedCache.Reset() }
 
-// CacheStats reports hits and misses of the process-wide experiment
-// cache.
+// CacheStats reports hits and misses of the process-wide memo.
 func CacheStats() (hits, misses int64) { return sharedCache.Stats() }
 
 // perfRuns and flipRuns count RunPerf / RunFlips invocations
@@ -161,11 +177,12 @@ var perfRuns, flipRuns atomic.Int64
 
 // RunPerfCalls returns how many timed RunPerf executions this process has
 // performed. It exists for cell-count regression tests: the gate over
-// fig16+fig17 must execute their shared 48-cell grid exactly once.
+// fig16+fig17 must execute their 48 shared cells exactly once.
 func RunPerfCalls() int64 { return perfRuns.Load() }
 
 // RunFlipsCalls returns how many RunFlips executions this process has
-// performed; the flip-grid counterpart of RunPerfCalls.
+// performed; the flip-cell counterpart of RunPerfCalls. A wear cell
+// replays its trace through RunFlips, so it counts here.
 func RunFlipsCalls() int64 { return flipRuns.Load() }
 
 // key renders the result-affecting scalar fields of the RunConfig, after
@@ -181,7 +198,7 @@ func (rc RunConfig) key() string {
 // paramsKey canonically encodes the result-affecting fields of
 // core.Params. The second return is false when the params carry inputs
 // with no canonical encoding (MakeArray, MakeBackend, Trace) — such a
-// configuration must not be cached.
+// configuration must not be memoized.
 //
 // Params are canonicalized first, so the zero value and an explicit
 // spelling of the defaults share one key — that equivalence is what lets
@@ -202,26 +219,4 @@ func paramsKey(p core.Params) (string, bool) {
 	return fmt.Sprintf("lines=%d lb=%d keysha=%s epoch=%d word=%d ctr=%d wear=%t hot=%d",
 		p.Lines, p.LineBytes, hex.EncodeToString(keyDigest[:8]), p.EpochInterval,
 		p.WordBytes, p.CounterBits, p.TrackPerLineWear, p.HotCapacity), true
-}
-
-// colsKey canonically encodes a column set; ok is false when any column
-// is uncacheable.
-func colsKey(cols []cell1) (string, bool) {
-	var b []byte
-	for _, c := range cols {
-		pk, ok := paramsKey(c.params)
-		if !ok {
-			return "", false
-		}
-		b = append(b, fmt.Sprintf("[%s|%s|%s]", c.label, c.kind, pk)...)
-	}
-	return string(b), true
-}
-
-// tableCacheable reports whether RunTable may serve this config from the
-// table cache: per-run observability hooks record the run that produced
-// them, so a config carrying any hook must execute for real.
-func tableCacheable(rc RunConfig) bool {
-	return rc.Trace == nil && rc.Heatmap == nil && rc.Metrics == nil &&
-		rc.Progress == nil
 }

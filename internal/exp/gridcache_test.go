@@ -122,52 +122,9 @@ func TestParamsKeyUncacheable(t *testing.T) {
 	if _, ok := paramsKey(withArray); ok {
 		t.Error("MakeArray params accepted into a cache key")
 	}
-	if _, ok := colsKey([]cell1{{label: "x", kind: core.KindDeuce, params: withArray}}); ok {
-		t.Error("colsKey accepted an uncacheable column")
-	}
 	a, _ := paramsKey(core.Params{WordBytes: 2})
 	b, _ := paramsKey(core.Params{WordBytes: 4})
 	if a == b {
 		t.Error("WordBytes does not reach the params key")
-	}
-}
-
-// TestRunTableCacheIsolation: a caller mutating its returned table must
-// not corrupt the cached copy served to the next caller.
-func TestRunTableCacheIsolation(t *testing.T) {
-	ResetCache()
-	defer ResetCache()
-	runs := 0
-	e := Experiment{ID: "cache-isolation-test", Run: func(rc RunConfig) (*Table, error) {
-		runs++
-		tb := &Table{Title: "t", Columns: []string{"K", "V"}}
-		tb.AddRow("row", 1.0)
-		tb.SetValue("m", "s", 3.5)
-		return tb, nil
-	}}
-	first, err := e.RunTable(RunConfig{Writebacks: 100, Lines: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Rows[0][0] = "clobbered"
-	first.Values["m/s"] = -1
-
-	second, err := e.RunTable(RunConfig{Writebacks: 100, Lines: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs != 1 {
-		t.Fatalf("experiment ran %d times, want 1", runs)
-	}
-	if second.Rows[0][0] != "row" || second.Values["m/s"] != 3.5 {
-		t.Errorf("cached table was mutated through a caller's copy: %+v", second)
-	}
-
-	// A config carrying a per-run hook must bypass the table cache.
-	if _, err := e.RunTable(RunConfig{Writebacks: 100, Lines: 32, Metrics: obs.NewRegistry()}); err != nil {
-		t.Fatal(err)
-	}
-	if runs != 2 {
-		t.Fatalf("hooked config served from cache (runs = %d, want 2)", runs)
 	}
 }

@@ -80,36 +80,33 @@ func TestRunFlipsHeatmapExactMultiple(t *testing.T) {
 	}
 }
 
-// Grid sweeps report per-cell progress through the pool and must drop the
-// single-writer hooks (sharing a Trace across concurrent cells would race).
+// A grid of cells run through the cell executor reports per-cell
+// progress through the pool and drops the single-writer hooks (sharing a
+// Trace across concurrent cells would race).
 func TestRunGridProgress(t *testing.T) {
-	profs := []workload.Profile{}
-	for _, name := range []string{"libq", "mcf"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profs = append(profs, p)
-	}
-	cfgs := []cell1{
-		{label: "deuce", kind: core.KindDeuce},
-		{label: "dcw", kind: core.KindEncrDCW},
-	}
 	tr := obs.NewTrace(64, 1)
 	prog := obs.NewProgress(0)
 	rc := RunConfig{Writebacks: 50, Lines: 32, Seed: 1, Trace: tr, Progress: prog}
-	grid, err := runGrid(profs, cfgs, rc, false)
+	var specs []cellSpec
+	for _, name := range []string{"libq", "mcf"} {
+		for _, kind := range []core.Kind{core.KindDeuce, core.KindEncrDCW} {
+			specs = append(specs, cellSpec{mode: "flip", prof: mustProfile(name), kind: kind, rc: rc})
+		}
+	}
+	res, err := runCells(rc, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grid) != 2 || len(grid[0]) != 2 {
-		t.Fatalf("grid shape %dx%d, want 2x2", len(grid), len(grid[0]))
+	for i, r := range res {
+		if r.flip.Workload != specs[i].prof.Name || r.flip.Writes != 50 {
+			t.Errorf("result %d is %s/%d writes, want %s/50", i, r.flip.Workload, r.flip.Writes, specs[i].prof.Name)
+		}
 	}
 	s := prog.Snapshot()
 	if s.Total != 4 || s.Done != 4 {
 		t.Fatalf("progress %d/%d, want 4/4", s.Done, s.Total)
 	}
 	if tr.Seen() != 0 {
-		t.Fatalf("grid sweep leaked %d events into a shared trace", tr.Seen())
+		t.Fatalf("cell executor leaked %d events into a shared trace", tr.Seen())
 	}
 }

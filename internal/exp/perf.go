@@ -7,7 +7,6 @@ import (
 	"deuce/internal/core"
 	"deuce/internal/ctrcache"
 	"deuce/internal/energy"
-	"deuce/internal/obs/span"
 	"deuce/internal/stats"
 	"deuce/internal/timing"
 	"deuce/internal/trace"
@@ -27,9 +26,9 @@ type PerfResult struct {
 // RunPerf simulates one workload on one scheme with the 8-core machine of
 // Table 1 and returns execution time and activity.
 //
-// Like RunFlips, eligible cells (see cellCacheable) are memoized: the
-// result is all-scalar and the timing model is deterministic in the cell
-// key, so a cell shared between figures executes once.
+// Like RunFlips, the cell is memoized (see memoCell): the result is
+// all-scalar and the timing model is deterministic in the cell key, so a
+// cell shared between figures executes once.
 func RunPerf(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig) (PerfResult, error) {
 	rc.setDefaults()
 	// The event budget below divides by WBPKI; guard here so a
@@ -39,18 +38,9 @@ func RunPerf(prof workload.Profile, kind core.Kind, params core.Params, rc RunCo
 		return PerfResult{}, fmt.Errorf("exp: workload %q has non-positive WBPKI (%g): cannot size the event budget",
 			prof.Name, prof.WBPKI)
 	}
-	if !cellCacheable(params, rc) {
-		return runPerfMeasured(prof, kind, params, rc)
-	}
-	pk, _ := paramsKey(params)
-	key := perfCellKey(prof, kind, pk, rc)
-	v, err := cachedDo(rc, "cell/perf", key, func() (interface{}, error) {
-		return runPerfMeasured(prof, kind, params, rc)
-	})
-	if err != nil {
-		return PerfResult{}, err
-	}
-	return v.(PerfResult), nil
+	return memoCell(rc, params, "cell/perf",
+		func(pk string) string { return perfCellKey(prof, kind, pk, rc) },
+		func() (PerfResult, error) { return runPerfMeasured(prof, kind, params, rc) })
 }
 
 // runPerfMeasured executes the cell for real: a warmed scheme costs each
@@ -114,69 +104,6 @@ func runPerfMeasured(prof workload.Profile, kind core.Kind, params core.Params, 
 	}, nil
 }
 
-// perfGrid runs the 12 workloads against baseline EncrDCW plus the given
-// scheme columns on the work-stealing cell pool. Results: [workload][0] is
-// the baseline, [workload][1+i] the i-th column. The baseline is just
-// another cell of the flattened grid, so it overlaps with the columns
-// instead of gating them.
-func perfGrid(cols []cell1, rc RunConfig) ([]workload.Profile, [][]PerfResult, error) {
-	ck, cacheable := colsKey(cols)
-	if !cacheable {
-		return perfGridRun(cols, rc)
-	}
-	type gridResult struct {
-		profs []workload.Profile
-		grid  [][]PerfResult
-	}
-	v, err := cachedDo(rc, "grid/perf", "perfGrid|"+ck+"|"+rc.key(), func() (interface{}, error) {
-		grc := rc
-		sp := grc.startSpan("grid/perf", span.Str("key", "perfGrid|"+ck+"|"+grc.key()))
-		defer sp.End()
-		grc.SpanParent = sp
-		profs, grid, err := perfGridRun(cols, grc)
-		if err != nil {
-			return nil, err
-		}
-		return gridResult{profs, grid}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	r := v.(gridResult)
-	return r.profs, r.grid, nil
-}
-
-// perfGridRun is the uncached grid execution behind perfGrid.
-func perfGridRun(cols []cell1, rc RunConfig) ([]workload.Profile, [][]PerfResult, error) {
-	profs := workload.SPEC2006()
-	cells := len(cols) + 1
-	results := make([][]PerfResult, len(profs))
-	for wi := range results {
-		results[wi] = make([]PerfResult, cells)
-	}
-	// Single-run observability objects cannot be shared across cells; see
-	// runGrid. Only the atomic Progress and Spans survive the fan-out.
-	rc.Trace, rc.Heatmap, rc.Metrics = nil, nil, nil
-	err := forEachCellObserved(len(profs)*cells, rc.Progress, func(i int) error {
-		wi, ci := i/cells, i%cells
-		kind, params, label := core.KindEncrDCW, core.Params{}, "baseline"
-		if ci > 0 {
-			c := cols[ci-1]
-			kind, params, label = c.kind, c.params, string(c.kind)
-		}
-		r, err := RunPerf(profs[wi], kind, params, rc)
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", profs[wi].Name, label, err)
-		}
-		results[wi][ci] = r
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return profs, results, nil
-}
-
 // limitSource caps the number of events drawn from an endless source.
 type limitSource struct {
 	inner     trace.Source
@@ -197,66 +124,67 @@ func (l *limitSource) Next() (trace.Event, error) {
 	return e, err
 }
 
-var perfCols = []cell1{
+// perfCols is the timed sweep of Figures 16 and 17, the encrypted
+// baseline first. Both figures run these cells, so the cell memo runs the
+// sweep once for the two.
+var perfCols = []column{
+	{label: "baseline", kind: core.KindEncrDCW},
 	{label: "Encr_FNW", kind: core.KindEncrFNW},
 	{label: "DEUCE", kind: core.KindDeuce},
 	{label: "NoEncr_FNW", kind: core.KindPlainFNW},
 }
 
-// Fig16 reports per-workload speedup over the encrypted baseline.
-func Fig16(rc RunConfig) (*Table, error) {
-	profs, grid, err := perfGrid(perfCols, rc)
-	if err != nil {
-		return nil, err
-	}
+// perfCells is the cell list of the Figure 16/17 sweep.
+func perfCells(rc RunConfig) []cellSpec { return sweepCells(rc, "perf", perfCols) }
+
+// fig16 reports per-workload speedup over the encrypted baseline.
+func fig16(rc RunConfig, res []cellResult) (*Table, error) {
+	cols := perfCols[1:]
 	t := &Table{
 		Title:   "Figure 16: speedup over encrypted memory (paper: ~1.0 / 1.27 / 1.40 avg)",
 		Note:    "8 cores, 32 banks, 75ns reads, 150ns write slots, 15-slot current budget",
 		Columns: []string{"Workload"},
 	}
-	for _, c := range perfCols {
+	for _, c := range cols {
 		t.Columns = append(t.Columns, c.label)
 	}
-	geo := make([][]float64, len(perfCols))
-	for wi, p := range profs {
-		base := grid[wi][0].Timing
-		cells := make([]interface{}, len(perfCols))
-		for ci := range perfCols {
+	geo := make([][]float64, len(cols))
+	for wi, p := range workload.SPEC2006() {
+		row := res[wi*len(perfCols) : (wi+1)*len(perfCols)]
+		cells := make([]interface{}, len(cols))
+		for ci := range cols {
 			// Equal event counts per run, so time ratio is speedup.
-			sp := base.ExecNs / grid[wi][ci+1].Timing.ExecNs
+			sp := row[0].perf.Timing.ExecNs / row[ci+1].perf.Timing.ExecNs
 			cells[ci] = fmt.Sprintf("%.2f", sp)
 			geo[ci] = append(geo[ci], sp)
 		}
 		t.AddRow(p.Name, cells...)
 	}
-	avg := make([]interface{}, len(perfCols))
-	for ci := range perfCols {
+	avg := make([]interface{}, len(cols))
+	for ci := range cols {
 		g := stats.GeoMean(geo[ci])
 		avg[ci] = fmt.Sprintf("%.2f", g)
-		t.SetValue("speedup", perfCols[ci].label, g)
+		t.SetValue("speedup", cols[ci].label, g)
 	}
 	t.AddRow("GEOMEAN", avg...)
 	return t, nil
 }
 
-// Fig17 reports speedup, memory energy, memory power and system EDP,
+// fig17 reports speedup, memory energy, memory power and system EDP,
 // normalized to the encrypted baseline and aggregated over workloads.
-func Fig17(rc RunConfig) (*Table, error) {
-	profs, grid, err := perfGrid(perfCols, rc)
-	if err != nil {
-		return nil, err
-	}
+func fig17(rc RunConfig, res []cellResult) (*Table, error) {
 	model := energy.Default()
 	t := &Table{
 		Title:   "Figure 17: normalized speedup / memory energy / memory power / system EDP",
 		Note:    "paper: DEUCE 1.27 / 0.57 / 0.72 / 0.57; Encr_FNW ~1.0 / 0.89 / ~0.89 / 0.96",
 		Columns: []string{"Scheme", "Speedup", "Mem Energy", "Mem Power", "System EDP"},
 	}
-	for ci, c := range perfCols {
+	stride := len(perfCols)
+	for ci, c := range perfCols[1:] {
 		var sp, en, pw, edp []float64
-		for wi := range profs {
-			base := grid[wi][0]
-			r := grid[wi][ci+1]
+		for wi := range workload.SPEC2006() {
+			base := res[wi*stride].perf
+			r := res[wi*stride+ci+1].perf
 			baseRep, err := model.Evaluate(energy.Usage{
 				BitFlips: base.BitFlips, Reads: base.Timing.Reads, ExecNs: base.Timing.ExecNs,
 			})

@@ -12,14 +12,14 @@ import (
 	"deuce/internal/workload"
 )
 
-// TestPerfGridSharedAcrossFigures is the cell-count regression test for
-// the duplicated-grid bug: fig16 and fig17 request perfGrid with the
-// identical columns and RunConfig, so gating both must execute the
-// 12-workload x 4-cell timed grid exactly once — 48 RunPerf calls, not
-// 96. A second pass over either figure must execute nothing.
-func TestPerfGridSharedAcrossFigures(t *testing.T) {
+// TestPerfCellsSharedAcrossFigures is the cell-count regression test for
+// the fig16/fig17 sharing: both figures declare the identical 12-workload
+// x 4-scheme timed cells, so running both must execute them exactly once —
+// 48 RunPerf calls, not 96. A second pass over either figure must execute
+// nothing.
+func TestPerfCellsSharedAcrossFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs real timed grids")
+		t.Skip("runs real timed cells")
 	}
 	ResetCache()
 	defer ResetCache()
@@ -35,52 +35,54 @@ func TestPerfGridSharedAcrossFigures(t *testing.T) {
 	}
 
 	before := RunPerfCalls()
-	t16, err := e16.RunTable(rc)
+	t16, err := e16.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := int64(len(workload.SPEC2006()) * (len(perfCols) + 1))
+	wantCells := int64(len(workload.SPEC2006()) * len(perfCols))
 	if got := RunPerfCalls() - before; got != wantCells {
 		t.Fatalf("fig16 executed %d RunPerf cells, want %d", got, wantCells)
 	}
 
-	t17, err := e17.RunTable(rc)
+	t17, err := e17.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := RunPerfCalls() - before; got != wantCells {
-		t.Fatalf("fig16+fig17 executed %d RunPerf cells, want %d (fig17 must reuse fig16's grid)", got, wantCells)
+		t.Fatalf("fig16+fig17 executed %d RunPerf cells, want %d (fig17 must reuse fig16's cells)", got, wantCells)
 	}
 
-	// Re-running either figure at the same scale serves the table cache.
-	t16b, err := e16.RunTable(rc)
+	// Re-running either figure at the same scale is served by the cell
+	// memo and assembles the same table.
+	t16b, err := e16.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e17.RunTable(rc); err != nil {
+	if _, err := e17.Run(rc); err != nil {
 		t.Fatal(err)
 	}
 	if got := RunPerfCalls() - before; got != wantCells {
-		t.Fatalf("repeat sweep executed %d RunPerf cells, want %d (tables must be cached)", got, wantCells)
+		t.Fatalf("repeat run executed %d RunPerf cells, want %d (cells must be memoized)", got, wantCells)
 	}
 	if !reflect.DeepEqual(t16, t16b) {
-		t.Error("cached fig16 table differs from the live run")
+		t.Error("fig16 assembled from memoized cells differs from the live run")
 	}
 	if t16.ID != "fig16" || t17.ID != "fig17" {
 		t.Errorf("table IDs = %q/%q", t16.ID, t17.ID)
 	}
 
-	// A different scale is a different grid: it must execute for real.
-	if _, err := e16.RunTable(RunConfig{Writebacks: 400, Lines: 64, Seed: 2}); err != nil {
+	// A different scale is a different set of cells: they must execute
+	// for real.
+	if _, err := e16.Run(RunConfig{Writebacks: 400, Lines: 64, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if got := RunPerfCalls() - before; got != 2*wantCells {
-		t.Fatalf("changed seed executed %d total cells, want %d (no false cache hits)", got, 2*wantCells)
+		t.Fatalf("changed seed executed %d total cells, want %d (no false memo hits)", got, 2*wantCells)
 	}
 }
 
-// TestFlipGridCached pins the same reuse for the flip grids: a repeated
-// fig15 sweep at one scale executes its 48 RunFlips cells once.
+// TestFlipGridCached pins the same reuse for flip cells: a repeated fig15
+// run at one scale executes its 48 RunFlips cells once.
 func TestFlipGridCached(t *testing.T) {
 	ResetCache()
 	defer ResetCache()
@@ -90,7 +92,7 @@ func TestFlipGridCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := RunFlipsCalls()
-	first, err := e15.RunTable(rc)
+	first, err := e15.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestFlipGridCached(t *testing.T) {
 	if want := int64(len(workload.SPEC2006()) * 4); ran != want {
 		t.Fatalf("fig15 executed %d RunFlips cells, want %d", ran, want)
 	}
-	again, err := e15.RunTable(rc)
+	again, err := e15.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestFlipGridCached(t *testing.T) {
 		t.Fatalf("repeat fig15 executed %d extra cells, want 0", got-ran)
 	}
 	if !reflect.DeepEqual(first, again) {
-		t.Error("cached fig15 table differs from the live run")
+		t.Error("fig15 assembled from memoized cells differs from the live run")
 	}
 }
 

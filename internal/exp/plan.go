@@ -3,28 +3,22 @@ package exp
 import (
 	"fmt"
 	"io"
-	"slices"
 	"sort"
-	"sync/atomic"
 
-	"deuce/internal/core"
 	"deuce/internal/obs"
 	"deuce/internal/obs/span"
-	"deuce/internal/wear"
-	"deuce/internal/workload"
 )
 
 // The experiment planner (DESIGN.md §10). A gate run over several
 // experiments is a DAG: warm streams feed cells, cells feed tables — and
-// distinct experiments share nodes at every level (Fig16/Fig17 share a
-// whole grid; Fig5/Fig10/Fig15 share individual cells; every
-// same-workload cell shares a warm stream).
-// BuildPlan enumerates that DAG without running anything, deduplicating
-// nodes by the exact key strings the runtime caches use, so the plan's
-// sharing is the runtime's sharing by construction. ExecuteCells then runs
-// the unique cells through the work-stealing pool in one flat fan-out —
-// wider than any single grid, which matters most for Figure 14, whose
-// 48 wear cells otherwise run sequentially inside its Run function.
+// distinct experiments share nodes at every level (Fig16/Fig17 share all
+// their cells; Fig5/Fig10/Fig15 share individual cells; every
+// same-workload cell shares a warm stream). BuildPlan enumerates that DAG
+// from the experiments' own cell lists without running anything,
+// deduplicating nodes by the exact key strings the cell memo uses, so the
+// plan's sharing is the runtime's sharing by construction. ExecuteCells
+// then runs the unique cells through runCells in one flat fan-out, wider
+// than any single experiment's.
 
 // PlanNode is one unit of work in a plan DAG.
 type PlanNode struct {
@@ -44,109 +38,40 @@ type Plan struct {
 	Experiments []string
 	Nodes       []PlanNode
 
-	// CellRefs counts cell references before deduplication — the number
-	// of cell executions a planless run of the same experiments would
-	// start with cold caches (grid- and table-level sharing aside).
+	// CellRefs counts cell references before deduplication: the cells
+	// the experiments' lists name, shared ones once per experiment.
 	CellRefs int
 
 	cells []cellSpec // unique runnable cells, parallel to the cell nodes
 	index map[string]int
 }
 
-// cellSpec is one runnable cell: the arguments of a RunFlips, RunPerf or
-// RunWear call.
-type cellSpec struct {
-	mode     string // "flip", "flip-pos", "perf", "wear"
-	prof     workload.Profile
-	kind     core.Kind
-	params   core.Params
-	wearMode wear.Mode
-	psi      int
-	rc       RunConfig
-}
-
-// topology is the shape of the recorded stream the cell replays.
-func (c cellSpec) topology() warmTopology {
-	if c.mode == "perf" {
-		return perfTopology(c.rc)
-	}
-	return flipTopology(c.rc)
-}
-
-// run executes the cell, populating the shared result caches.
-func (c cellSpec) run() error {
-	var err error
-	switch c.mode {
-	case "flip":
-		_, err = RunFlips(c.prof, c.kind, c.params, c.rc, false)
-	case "flip-pos":
-		_, err = RunFlips(c.prof, c.kind, c.params, c.rc, true)
-	case "perf":
-		_, err = RunPerf(c.prof, c.kind, c.params, c.rc)
-	case "wear":
-		_, err = RunWear(c.prof, c.kind, c.params, c.wearMode, c.psi, c.rc)
-	default:
-		err = fmt.Errorf("exp: unknown cell mode %q", c.mode)
-	}
-	return err
-}
-
-// key returns the cell's cache key; ok is false for uncacheable params
-// (such cells cannot be planned — they would re-run inside the table).
-func (c cellSpec) key() (string, bool) {
-	pk, ok := paramsKey(c.params)
-	if !ok {
-		return "", false
-	}
-	switch c.mode {
-	case "flip", "flip-pos":
-		// Both modes share one cache entry (the cached run always
-		// retains positions), hence one key.
-		return flipCellKey(c.prof, c.kind, pk, c.rc), true
-	case "perf":
-		return perfCellKey(c.prof, c.kind, pk, c.rc), true
-	case "wear":
-		return wearCellKey(c.prof, c.kind, pk, c.wearMode, c.psi, c.rc), true
-	}
-	return "", false
-}
-
-// label renders the cell for dry-run output.
-func (c cellSpec) label() string {
-	switch c.mode {
-	case "wear":
-		return fmt.Sprintf("wear %s/%s/%v", c.prof.Name, c.kind, c.wearMode)
-	case "perf":
-		return fmt.Sprintf("perf %s/%s", c.prof.Name, c.kind)
-	default:
-		return fmt.Sprintf("flip %s/%s", c.prof.Name, c.kind)
-	}
-}
-
 // BuildPlan enumerates the deduplicated execution DAG for the given
-// experiment IDs at the given scale. Experiments without a static cell
-// enumeration (table2, the ablations) contribute only their table node and
-// run conventionally.
+// experiment IDs at the given scale, from each experiment's own cell list.
+// Experiments whose table is not built from cells (table2, abl-cachesim,
+// the extensions) contribute only their table node.
 func BuildPlan(ids []string, rc RunConfig) (*Plan, error) {
 	rc.setDefaults()
 	bsp := rc.startSpan("plan.build", span.Int("experiments", int64(len(ids))))
 	defer bsp.End()
 	p := &Plan{Config: rc, index: make(map[string]int)}
 	for _, id := range ids {
-		if _, err := ByID(id); err != nil {
+		e, err := ByID(id)
+		if err != nil {
 			return nil, err
 		}
-		specs := cellSpecsFor(id, rc)
 		var deps []int
-		for _, sp := range specs {
-			p.CellRefs++
-			if ni, ok := p.addCell(sp); ok {
-				deps = append(deps, ni)
+		if e.cells != nil {
+			for _, c := range e.cells(rc) {
+				p.CellRefs++
+				if ni, ok := p.addCell(c); ok {
+					deps = append(deps, ni)
+				}
 			}
 		}
 		p.addNode(PlanNode{
 			Kind:  "table",
-			Key:   "table|" + id + "|" + rc.key(),
+			Key:   tableKey(id, rc),
 			Label: id,
 			Deps:  deps,
 		})
@@ -181,76 +106,11 @@ func (p *Plan) addCell(c cellSpec) (int, bool) {
 	}
 	// Every cell warms a fresh scheme from a recorded stream, so the
 	// stream is its only prerequisite.
-	dep := p.addNode(PlanNode{Kind: "warm-stream", Key: warmStreamKey(c.prof, c.rc, c.topology()),
+	dep := p.addNode(PlanNode{Kind: "warm-stream", Key: c.streamKey(),
 		Label: fmt.Sprintf("warm %s x%d", c.prof.Name, c.rc.Warmup)})
 	i := p.addNode(PlanNode{Kind: "cell", Key: key, Label: c.label(), Deps: []int{dep}})
 	p.cells = append(p.cells, c)
 	return i, true
-}
-
-// cellSpecsFor enumerates one experiment's cells, mirroring its Run
-// function exactly (same column helpers, same config transformations).
-// A nil return means the experiment has no static enumeration.
-func cellSpecsFor(id string, rc RunConfig) []cellSpec {
-	rc.setDefaults()
-	profs := workload.SPEC2006()
-	flips := func(cols []cell1) []cellSpec {
-		var out []cellSpec
-		for _, prof := range profs {
-			for _, c := range cols {
-				out = append(out, cellSpec{mode: "flip", prof: prof, kind: c.kind, params: c.params, rc: rc})
-			}
-		}
-		return out
-	}
-	switch id {
-	case "fig5":
-		return flips(fig5Cols())
-	case "fig8":
-		return flips(fig8Cols())
-	case "fig9":
-		return flips(fig9Cols())
-	case "fig10":
-		return flips(fig10Cols())
-	case "table3":
-		return flips(table3Cols())
-	case "fig15":
-		return flips(fig15Cols())
-	case "fig18":
-		return flips(fig18Cols())
-	case "fig12":
-		var out []cellSpec
-		for _, name := range []string{"mcf", "libq"} {
-			prof, err := workload.ByName(name)
-			if err != nil {
-				continue
-			}
-			out = append(out, cellSpec{mode: "flip-pos", prof: prof, kind: core.KindPlainDCW, rc: rc})
-		}
-		return out
-	case "fig14":
-		wrc := fig14Config(rc)
-		var out []cellSpec
-		for _, prof := range profs {
-			out = append(out, cellSpec{mode: "wear", prof: prof, kind: core.KindEncrDCW,
-				wearMode: wear.VWLOnly, psi: fig14Psi, rc: wrc})
-			for _, c := range fig14Cols() {
-				out = append(out, cellSpec{mode: "wear", prof: prof, kind: c.kind,
-					wearMode: c.mode, psi: fig14Psi, rc: wrc})
-			}
-		}
-		return out
-	case "fig16", "fig17":
-		var out []cellSpec
-		for _, prof := range profs {
-			out = append(out, cellSpec{mode: "perf", prof: prof, kind: core.KindEncrDCW, rc: rc})
-			for _, c := range perfCols {
-				out = append(out, cellSpec{mode: "perf", prof: prof, kind: c.kind, params: c.params, rc: rc})
-			}
-		}
-		return out
-	}
-	return nil
 }
 
 // PlanStats summarizes a plan for metrics and reporting.
@@ -288,50 +148,17 @@ func (p *Plan) Record(reg *obs.Registry) {
 	reg.Gauge("plan_cell_refs").Set(float64(st.CellRefs))
 }
 
-// ExecuteCells runs every unique cell through the work-stealing pool,
-// populating the shared result caches so the subsequent table runs are
+// ExecuteCells runs every unique cell of the plan through runCells,
+// filling the shared cell memo so the experiments' tables, run next, are
 // pure assembly. Warm streams materialize on demand inside the cells
-// (single-flight), in dependency order by construction. The cells of one
-// recorded stream run back to back, and the stream leaves the cache when
-// its last cell is done: the tables read only cached cell results, so past
-// that point a recording is only memory, and holding every stream at once
-// would double the gate's RSS.
+// (single-flight), in dependency order by construction.
 func (p *Plan) ExecuteCells(progress *obs.Progress) error {
-	var streams []string    // stream keys, in order of first use
-	var groups [][]cellSpec // each stream's cells
-	for _, c := range p.cells {
-		sk := warmStreamKey(c.prof, c.rc, c.topology())
-		g := slices.Index(streams, sk)
-		if g < 0 {
-			g = len(streams)
-			streams = append(streams, sk)
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], c)
-	}
-	cells := slices.Concat(groups...)
-	group := make([]int, 0, len(cells)) // each cell's stream
-	left := make([]atomic.Int64, len(groups))
-	for g, gc := range groups {
-		left[g].Store(int64(len(gc)))
-		for range gc {
-			group = append(group, g)
-		}
-	}
-	exec := p.Config.Spans.Start(p.Config.SpanParent, "plan.execute", span.Int("cells", int64(len(cells))))
+	rc := p.Config
+	exec := rc.Spans.Start(rc.SpanParent, "plan.execute", span.Int("cells", int64(len(p.cells))))
 	defer exec.End()
-	return forEachCellObserved(len(cells), progress, func(i int) error {
-		c := cells[i] // copy: the spec's RunConfig is re-parented per execution
-		c.rc.SpanParent = exec
-		err := c.run()
-		if g := group[i]; left[g].Add(-1) == 0 {
-			dropStream(streams[g])
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", c.label(), err)
-		}
-		return nil
-	})
+	rc.SpanParent, rc.Progress = exec, progress
+	_, err := runCells(rc, p.cells)
+	return err
 }
 
 // SpanDAG projects the plan onto span.DAGNode for critical-path analysis,

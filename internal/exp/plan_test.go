@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// gatePlanIDs are the paper experiments with a static cell enumeration,
-// minus fig14 (whose 40k-writeback wear cells are too slow for a unit
-// test; its plan shape is pinned separately below).
+// gatePlanIDs are the paper experiments built from cells, minus fig14,
+// whose 40k-writeback wear cells TestPlanEqualsRun covers on its own.
 var gatePlanIDs = []string{"fig5", "fig8", "fig9", "fig10", "table3", "fig12", "fig15", "fig16", "fig17", "fig18"}
 
 // TestPlanCoversGateExecutions is the planner's consistency contract: a
@@ -35,13 +34,79 @@ func TestPlanCoversGateExecutions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.RunTable(rc); err != nil {
+		if _, err := e.Run(rc); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
 	if got := (RunFlipsCalls() - f0) + (RunPerfCalls() - p0); got != executed {
 		t.Errorf("table assembly re-ran %d cells the plan missed", got-executed)
 	}
+}
+
+// raceDetector is set when the tests run under -race (race_test.go).
+var raceDetector bool
+
+// TestPlanEqualsRun: for every experiment that declares cells, a Run
+// executes exactly its plan's unique cells that the memo does not hold
+// yet, and a repeat executes none. Each experiment starts from a cold
+// memo except the wear experiments: their cells cost 40k writebacks each
+// and largely coincide, so they share one memo, fig14 first. They are
+// skipped under -short and under -race, where they take minutes and run
+// the same executor paths as the other legs. A wear cell replays its
+// trace through RunFlips, so it counts as a flip execution.
+func TestPlanEqualsRun(t *testing.T) {
+	rc := RunConfig{Writebacks: 300, Lines: 64, Seed: 4}
+	setWarmReuse(true)
+	ResetCache()
+	t.Cleanup(ResetCache)
+	executions := func() int64 { return RunFlipsCalls() + RunPerfCalls() }
+	var cold, wear []Experiment
+	for _, e := range append(append(Experiments(), Ablations()...), Extensions()...) {
+		switch {
+		case e.cells == nil:
+		case e.cells(rc)[0].mode != "wear":
+			cold = append(cold, e)
+		case !testing.Short() && !raceDetector:
+			wear = append(wear, e)
+		}
+	}
+	for i, e := range append(cold, wear...) {
+		if i <= len(cold) {
+			ResetCache()
+		}
+		plan, err := BuildPlan([]string{e.ID}, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		for _, n := range plan.Nodes {
+			if n.Kind == "cell" && !memoized(n.Key) {
+				want++
+			}
+		}
+		before := executions()
+		if _, err := e.Run(rc); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if got := executions() - before; got != want {
+			t.Errorf("%s: Run executed %d cells, its plan has %d unique ones not yet memoized", e.ID, got, want)
+		}
+		before = executions()
+		if _, err := e.Run(rc); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if got := executions() - before; got != 0 {
+			t.Errorf("%s: repeated Run executed %d cells, want 0", e.ID, got)
+		}
+	}
+}
+
+// memoized reports whether the shared memo holds key.
+func memoized(key string) bool {
+	sharedCache.mu.Lock()
+	defer sharedCache.mu.Unlock()
+	_, ok := sharedCache.entries[key]
+	return ok
 }
 
 // TestPlanExecuteDropsStreams: once every cell of a recorded stream has

@@ -13,10 +13,10 @@ import (
 // atomic counter, so a worker that finishes early steals the remaining
 // cells instead of idling — unlike the one-goroutine-per-workload layout
 // this replaced, where one slow workload row serialized its whole column
-// sweep while other goroutines sat done, and a grid with few workloads
+// sweep while other goroutines sat done, and a sweep with few workloads
 // could not use more cores than rows.
 //
-// Results are deterministic: fn must derive everything from i (each grid
+// Results are deterministic: fn must derive everything from i (each
 // cell replays its own deterministic stream into its own scheme), writes
 // only to its own index, and so claim order cannot affect the outcome. All
 // cells run even after a failure; the lowest-index error is returned.

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"deuce/internal/core"
-	"deuce/internal/workload"
 )
 
 // Every index must run exactly once, no matter how wide the pool is
@@ -66,46 +66,35 @@ func TestForEachCellNPropagatesSentinel(t *testing.T) {
 	}
 }
 
-// Concurrent-sweep regression: a grid run on a deliberately wide pool must
-// be race-free (each cell owns its generator and scheme) and bit-identical
-// to the same grid run serially.
-func TestRunGridConcurrentMatchesSerial(t *testing.T) {
-	profs := workload.SPEC2006()[:4]
-	cfgs := []cell1{
+// Concurrent-executor regression: cells run on a deliberately wide pool
+// must be race-free (each cell owns its scheme) and bit-identical to the
+// same cells run serially. The memo is off, so every cell executes in
+// both runs.
+func TestRunCellsConcurrentMatchesSerial(t *testing.T) {
+	rc := RunConfig{Writebacks: 400, Warmup: 64, Lines: 32, Seed: 11}
+	cols := []column{
 		{label: "DCW", kind: core.KindPlainDCW},
 		{label: "DEUCE", kind: core.KindDeuce},
 		{label: "Encr_DCW", kind: core.KindEncrDCW},
 	}
-	rc := RunConfig{Writebacks: 400, Warmup: 64, Lines: 32, Seed: 11}
+	specs := sweepCells(rc, "flip", cols)
+	setWarmReuse(false)
+	defer setWarmReuse(true)
+	t.Cleanup(ResetCache)
 
-	run := func(workers int) [][]FlipResult {
-		results := make([][]FlipResult, len(profs))
-		for wi := range results {
-			results[wi] = make([]FlipResult, len(cfgs))
-		}
-		err := forEachCellN(workers, len(profs)*len(cfgs), func(i int) error {
-			wi, ci := i/len(cfgs), i%len(cfgs)
-			r, err := RunFlips(profs[wi], cfgs[ci].kind, cfgs[ci].params, rc, false)
-			if err != nil {
-				return err
-			}
-			results[wi][ci] = r
-			return nil
-		})
+	run := func(procs int) []cellResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := runCells(rc, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results
+		return res
 	}
-
 	serial := run(1)
 	wide := run(8)
-	for wi := range serial {
-		for ci := range serial[wi] {
-			if !reflect.DeepEqual(serial[wi][ci], wide[wi][ci]) {
-				t.Errorf("%s/%s: serial %+v != concurrent %+v",
-					profs[wi].Name, cfgs[ci].label, serial[wi][ci], wide[wi][ci])
-			}
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], wide[i]) {
+			t.Errorf("%s: serial %+v != concurrent %+v", specs[i].label(), serial[i].flip, wide[i].flip)
 		}
 	}
 }

@@ -29,8 +29,8 @@ type ReuseStats struct {
 	// ColdWarmups is the number of warmup replays executed: one per cell
 	// actually run.
 	ColdWarmups int64
-	// CacheHits / CacheMisses are the process-wide experiment cache's
-	// counters (grids, tables, cells and recorded streams all share it).
+	// CacheHits / CacheMisses are the process-wide memo's counters: cell
+	// results and recorded streams are its only entries.
 	CacheHits   int64
 	CacheMisses int64
 }

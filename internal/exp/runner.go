@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 
 	"deuce/internal/bitutil"
 	"deuce/internal/core"
@@ -42,11 +42,11 @@ type RunConfig struct {
 	// (always-hit) counter store, the default the paper assumes.
 	CounterCacheBlocks int
 	// Observability hooks. Trace, Heatmap and Metrics follow the
-	// single-writer contract (one run, one goroutine), so grid sweeps
-	// clear them before fanning out — they describe a single run, not a
-	// sweep. Progress is atomic and is the one field that crosses the
-	// worker pool. All are optional; nil disables the hook at the cost of
-	// at most one branch per writeback.
+	// single-writer contract (one run, one goroutine), so the cell
+	// executor clears them before fanning out — they describe a single
+	// run, not a sweep. Progress and Spans are atomic and cross the worker
+	// pool. All are optional; nil disables the hook at the cost of at most
+	// one branch per writeback.
 
 	// Trace receives one WriteEvent per measured writeback (sampled at
 	// the trace's configured rate). Forwarded into core.Params.Trace
@@ -57,14 +57,14 @@ type RunConfig struct {
 	// non-nil Heatmap means a single snapshot at the end of the run.
 	Heatmap      *obs.Heatmap
 	HeatmapEvery int
-	// Progress is announced the sweep's cell count and ticked once per
-	// completed cell by the grid runners.
+	// Progress is announced each cell list's length and ticked once per
+	// completed cell by the cell executor.
 	Progress *obs.Progress
 	// Metrics, when non-nil, records per-writeback slot and flip
 	// histograms ("write_slots", "write_flips") over the measured window.
 	Metrics *obs.Registry
 	// Spans, when non-nil, collects a hierarchical wall-clock span per
-	// cell, warmup, grid, table and cache hit. Like Progress it is
+	// cell, warmup, table and cache hit. Like Progress it is
 	// atomic-safe and crosses the worker pool, so sweeps keep it when
 	// they clear the single-writer hooks; like every hook it never enters
 	// a cache key — spans observe time, which the determinism contract
@@ -72,7 +72,7 @@ type RunConfig struct {
 	Spans *span.Tracer
 	// SpanParent is the span under which this run's spans nest; nil roots
 	// them at the tracer. Runners re-point it as they descend (table →
-	// grid → cell → warmup).
+	// cell → warmup).
 	SpanParent *span.Span
 }
 
@@ -121,29 +121,22 @@ type FlipResult struct {
 // scheme and reports flip statistics. keepPositions retains the per-bit
 // wear profile (costs a copy).
 //
-// When warm-state reuse is enabled and the cell has a canonical key (see
-// cellCacheable), the result is memoized: several gate experiments share
+// The result is memoized (see memoCell): several experiments share
 // identical (workload, scheme, params, config) cells, and the second
-// consumer is served the recorded result instead of re-running. The cached
-// run always retains positions; the flag only controls what the caller
-// receives.
+// consumer is served the recorded result instead of re-running. The
+// memoized run always retains positions; the flag only controls what the
+// caller receives.
 func RunFlips(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, keepPositions bool) (FlipResult, error) {
 	rc.setDefaults()
-	if !cellCacheable(params, rc) {
-		return runFlipsMeasured(prof, kind, params, rc, keepPositions)
-	}
-	pk, _ := paramsKey(params)
-	key := flipCellKey(prof, kind, pk, rc)
-	v, err := cachedDo(rc, "cell/flip", key, func() (interface{}, error) {
-		return runFlipsMeasured(prof, kind, params, rc, true)
-	})
+	r, err := memoCell(rc, params, "cell/flip",
+		func(pk string) string { return flipCellKey(prof, kind, pk, rc) },
+		func() (FlipResult, error) { return runFlipsMeasured(prof, kind, params, rc) })
 	if err != nil {
 		return FlipResult{}, err
 	}
-	r := v.(FlipResult)
 	if keepPositions {
-		// Hand out a copy so callers cannot mutate the cached profile.
-		r.PositionWrites = append([]uint64(nil), r.PositionWrites...)
+		// Hand out a copy so callers cannot mutate the memoized profile.
+		r.PositionWrites = slices.Clone(r.PositionWrites)
 	} else {
 		r.PositionWrites = nil
 	}
@@ -152,7 +145,7 @@ func RunFlips(prof workload.Profile, kind core.Kind, params core.Params, rc RunC
 
 // runFlipsMeasured executes a flip run for real: a fresh scheme warmed
 // from the recorded stream, then the measured window replayed from it.
-func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig, keepPositions bool) (FlipResult, error) {
+func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params, rc RunConfig) (FlipResult, error) {
 	flipRuns.Add(1)
 	sp := rc.startSpan("cell/flip", cellAttrs(prof, kind, params, rc, flipCellKey)...)
 	defer sp.End()
@@ -197,84 +190,15 @@ func runFlipsMeasured(prof workload.Profile, kind core.Kind, params core.Params,
 	// but normalizes by the 512 data bits of the line: FNW on encrypted
 	// data comes out at 42.7% (Table 3) only under that convention.
 	lineBits := float64(s.Device().Config().LineBits())
-	res := FlipResult{
-		Workload:     prof.Name,
-		Scheme:       s.Name(),
-		FlipFrac:     st.AvgFlipsPerWrite() / lineBits,
-		DataFlipFrac: float64(st.DataFlips) / float64(st.Writes) / lineBits,
-		SlotAvg:      st.AvgSlotsPerWrite(),
-		Writes:       st.Writes,
-	}
-	if keepPositions {
-		res.PositionWrites = s.Device().PositionWrites()
-	}
-	return res, nil
-}
-
-// runGrid executes a workloads x configurations sweep on the work-stealing
-// cell pool and returns results indexed [workload][config]. Every
-// (workload, config) cell is an independent unit of work: it replays its
-// workload's recorded stream into its own scheme, so results are
-// bit-identical to a serial sweep regardless of which worker claims which
-// cell.
-func runGrid(profs []workload.Profile, cfgs []cell1, rc RunConfig, keepPositions bool) ([][]FlipResult, error) {
-	ck, cacheable := colsKey(cfgs)
-	if !cacheable {
-		return runGridRun(profs, cfgs, rc, keepPositions)
-	}
-	names := make([]string, len(profs))
-	for i, p := range profs {
-		names[i] = p.Name
-	}
-	key := fmt.Sprintf("flipGrid|profs=%s|keep=%t|%s|%s", strings.Join(names, ","), keepPositions, ck, rc.key())
-	v, err := cachedDo(rc, "grid/flip", key, func() (interface{}, error) {
-		grc := rc
-		sp := grc.startSpan("grid/flip", span.Str("key", key))
-		defer sp.End()
-		grc.SpanParent = sp
-		return runGridRun(profs, cfgs, grc, keepPositions)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([][]FlipResult), nil
-}
-
-// runGridRun is the uncached sweep execution behind runGrid.
-func runGridRun(profs []workload.Profile, cfgs []cell1, rc RunConfig, keepPositions bool) ([][]FlipResult, error) {
-	results := make([][]FlipResult, len(profs))
-	for wi := range results {
-		results[wi] = make([]FlipResult, len(cfgs))
-	}
-	if len(cfgs) == 0 {
-		return results, nil
-	}
-	// Trace/Heatmap/Metrics are single-writer objects describing one run;
-	// sharing them across concurrently executing cells would race and
-	// interleave unrelated runs. Progress and Spans are the designed
-	// cross-worker hooks and are the ones a sweep keeps.
-	rc.Trace, rc.Heatmap, rc.Metrics = nil, nil, nil
-	err := forEachCellObserved(len(profs)*len(cfgs), rc.Progress, func(i int) error {
-		wi, ci := i/len(cfgs), i%len(cfgs)
-		c := cfgs[ci]
-		r, err := RunFlips(profs[wi], c.kind, c.params, rc, keepPositions)
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", profs[wi].Name, c.kind, err)
-		}
-		results[wi][ci] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// cell1 is a scheme configuration column in a sweep.
-type cell1 struct {
-	label  string
-	kind   core.Kind
-	params core.Params
+	return FlipResult{
+		Workload:       prof.Name,
+		Scheme:         s.Name(),
+		FlipFrac:       st.AvgFlipsPerWrite() / lineBits,
+		DataFlipFrac:   float64(st.DataFlips) / float64(st.Writes) / lineBits,
+		SlotAvg:        st.AvgSlotsPerWrite(),
+		Writes:         st.Writes,
+		PositionWrites: s.Device().PositionWrites(),
+	}, nil
 }
 
 // ReplayFlips drives the writebacks of a recorded trace through a freshly
@@ -335,24 +259,18 @@ type WearResult struct {
 // RunWear replays a workload against a scheme whose array is wrapped in a
 // Start-Gap leveler with the given mode, and analyzes the wear profile.
 //
-// The wrapped array makes the underlying flip run uncacheable, so the
+// The wrapped array makes the underlying flip run unmemoizable, so the
 // result is memoized here instead, keyed by the pre-wrap params plus the
 // leveler configuration.
 func RunWear(prof workload.Profile, kind core.Kind, params core.Params, mode wear.Mode, psi int, rc RunConfig) (WearResult, error) {
 	rc.setDefaults()
-	if !cellCacheable(params, rc) {
-		return runWearMeasured(prof, kind, params, mode, psi, rc)
-	}
-	pk, _ := paramsKey(params)
-	key := wearCellKey(prof, kind, pk, mode, psi, rc)
-	v, err := cachedDo(rc, "cell/wear", key, func() (interface{}, error) {
-		return runWearMeasured(prof, kind, params, mode, psi, rc)
-	})
+	r, err := memoCell(rc, params, "cell/wear",
+		func(pk string) string { return wearCellKey(prof, kind, pk, mode, psi, rc) },
+		func() (WearResult, error) { return runWearMeasured(prof, kind, params, mode, psi, rc) })
 	if err != nil {
 		return WearResult{}, err
 	}
-	r := v.(WearResult)
-	r.PositionWrites = append([]uint64(nil), r.PositionWrites...)
+	r.PositionWrites = slices.Clone(r.PositionWrites)
 	return r, nil
 }
 

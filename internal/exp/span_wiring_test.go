@@ -10,8 +10,8 @@ import (
 // tracedMiniGate runs a small planned gate (plan pre-pass + table
 // assembly) under a fresh tracer and returns the assembled span tree.
 // fig16 exercises every span kind at once: warm streams, warmups, perf
-// cells and their timing-model runs, the perf grid, cache hits during
-// table assembly, and the table span itself.
+// cells and their timing-model runs, cache hits during table assembly,
+// and the table span itself.
 func tracedMiniGate(t *testing.T) *span.Tree {
 	t.Helper()
 	setWarmReuse(true)
@@ -30,7 +30,7 @@ func tracedMiniGate(t *testing.T) *span.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunTable(rc); err != nil {
+	if _, err := e.Run(rc); err != nil {
 		t.Fatal(err)
 	}
 	return tr.Snapshot()
@@ -55,7 +55,7 @@ func TestPlanSpanStructureDeterminism(t *testing.T) {
 		t.Errorf("span structure is schedule-dependent:\nrun1:\n%s\nrun2:\n%s", a, b)
 	}
 	for _, want := range []string{"plan.build", "plan.execute", "cell/perf",
-		"warm-stream", "warmup", "timing.run", "grid/perf", "table/fig16", "cache-hit"} {
+		"warm-stream", "warmup", "timing.run", "table/fig16", "cache-hit"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("traced gate structure is missing %q spans", want)
 		}

@@ -5,13 +5,13 @@
 // wrappers around this package.
 //
 // Concurrency: Experiment.Run is safe to call from multiple goroutines —
-// the process-wide result caches are single-flight (GridCache), recorded
-// streams only grow under their own lock, and the grid runners fan cells
+// the process-wide cell memo is single-flight (GridCache), recorded
+// streams only grow under their own lock, and the cell executor fans cells
 // out over an internal worker pool whose cells each build and own their
 // scheme instance outright. The per-run observability hooks in RunConfig
 // (Trace, Heatmap, Metrics) are the exception: they are single-writer,
-// which is why the grids clear them before fanning out and why a config
-// carrying one bypasses every cache.
+// which is why the executor clears them before fanning out and why a cell
+// run directly with one bypasses the memo.
 package exp
 
 import (
@@ -75,27 +75,6 @@ func (t *Table) AddRow(key string, values ...interface{}) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
-}
-
-// Clone returns a deep copy, so cached tables stay pristine when a
-// consumer mutates its copy.
-func (t *Table) Clone() *Table {
-	if t == nil {
-		return nil
-	}
-	out := &Table{ID: t.ID, Title: t.Title, Note: t.Note}
-	out.Columns = append([]string(nil), t.Columns...)
-	out.Rows = make([][]string, len(t.Rows))
-	for i, row := range t.Rows {
-		out.Rows[i] = append([]string(nil), row...)
-	}
-	if t.Values != nil {
-		out.Values = make(map[string]float64, len(t.Values))
-		for k, v := range t.Values {
-			out.Values[k] = v
-		}
-	}
-	return out
 }
 
 // Render formats the table as aligned text.

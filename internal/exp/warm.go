@@ -276,17 +276,3 @@ func cellAttrs(prof workload.Profile, kind core.Kind, params core.Params, rc Run
 	}
 	return attrs
 }
-
-// cellCacheable reports whether a single cell's result may be memoized:
-// the params must have a canonical key and the config must carry no
-// single-run observability hook (a cached result records nothing, so a
-// hooked run must execute for real).
-func cellCacheable(params core.Params, rc RunConfig) bool {
-	if !warmReuseEnabled() {
-		return false
-	}
-	if _, ok := paramsKey(params); !ok {
-		return false
-	}
-	return rc.Trace == nil && rc.Heatmap == nil && rc.Metrics == nil
-}

@@ -271,12 +271,10 @@ func EvaluateTables(tables map[string]*exp.Table, exps []Expectation) *Report {
 // sharing results across its expectations) and evaluates them. A nil or
 // empty expectation slice checks the full table.
 //
-// The experiments go through the experiment planner first when warm-state
-// reuse is active: BuildPlan deduplicates their cells across experiments
-// and ExecuteCells fans the unique ones through the work-stealing pool, so
-// the subsequent per-experiment table assembly is pure cache readout
-// (widest win: Figure 14's 48 wear cells, otherwise sequential inside its
-// Run function).
+// The experiments run as one plan: BuildPlan deduplicates their cells
+// across experiments and ExecuteCells fans the unique ones out on the
+// work-stealing pool, so each experiment's table is then pure assembly
+// from the cell memo.
 func Check(rc exp.RunConfig, exps []Expectation) (*Report, map[string]*exp.Table, error) {
 	if len(exps) == 0 {
 		exps = Expectations()
@@ -286,21 +284,12 @@ func Check(rc exp.RunConfig, exps []Expectation) (*Report, map[string]*exp.Table
 	defer root.End()
 	rc.SpanParent = root // everything below — plan, tables, evaluation — nests here
 	ids := ExperimentIDs(exps)
-	// The pre-pass only pays off when cell results are cacheable: with
-	// single-run observability hooks attached, executed cells would not
-	// be served back to the table assembly and every cell would run
-	// twice. Progress and Spans deliberately do not count as hooks: both
-	// are pool-safe and cache-neutral, so a traced gate keeps the exact
-	// execution shape of an untraced one.
-	hooked := rc.Trace != nil || rc.Heatmap != nil || rc.Metrics != nil
-	if !hooked {
-		plan, err := exp.BuildPlan(ids, rc)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := plan.ExecuteCells(rc.Progress); err != nil {
-			return nil, nil, err
-		}
+	plan, err := exp.BuildPlan(ids, rc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := plan.ExecuteCells(rc.Progress); err != nil {
+		return nil, nil, err
 	}
 	tables := make(map[string]*exp.Table, len(ids))
 	values := make(map[string]map[string]float64, len(ids))
@@ -309,7 +298,7 @@ func Check(rc exp.RunConfig, exps []Expectation) (*Report, map[string]*exp.Table
 		if err != nil {
 			return nil, nil, err
 		}
-		t, err := e.RunTable(rc)
+		t, err := e.Run(rc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fidelity: %s: %w", id, err)
 		}

@@ -199,10 +199,10 @@ func TestFilterAndExperimentIDs(t *testing.T) {
 }
 
 // TestCheckSmall runs the real gate end-to-end on the cheapest experiment
-// at a tiny scale: the wiring (ByID → RunTable → Values → Evaluate) must
-// produce a verdict for every fig5 expectation. Tolerances are calibrated
-// for the default and CI scales, not this tiny one, so only structure is
-// asserted, not Pass.
+// at a tiny scale: the wiring (BuildPlan → ExecuteCells → Run → Values →
+// Evaluate) must produce a verdict for every fig5 expectation. Tolerances
+// are calibrated for the default and CI scales, not this tiny one, so only
+// structure is asserted, not Pass.
 func TestCheckSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real experiment")

@@ -10,7 +10,7 @@ import (
 // experiment runner's worker pool. It is the one place in this package
 // where atomics are required: many workers report completions while a
 // monitor goroutine reads snapshots. The work unit is whatever the caller
-// counts — grid cells for experiment sweeps, writebacks for single runs.
+// counts — experiment cells for sweeps, writebacks for single runs.
 type Progress struct {
 	total  atomic.Int64
 	done   atomic.Int64
@@ -20,8 +20,8 @@ type Progress struct {
 
 // NewProgress starts tracking total units of work from now. A total of 0
 // is fine when the amount is not known up front: producers announce work
-// with AddTotal as they discover it (the experiment grids do this), and
-// percentages/ETA firm up as announcements arrive.
+// with AddTotal as they discover it (the experiment cell executor does
+// this), and percentages/ETA firm up as announcements arrive.
 func NewProgress(total int) *Progress {
 	p := &Progress{start: time.Now()}
 	p.total.Store(int64(total))

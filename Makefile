@@ -57,10 +57,11 @@ race-timing:
 # backend implementations and their failure-path tests, the pcmdev /
 # ctrstore page mapping, the typed-error Restore tests of both (a failed
 # Restore changes nothing), the durable snapshot framing with its
-# truncate-at-every-offset atomicity test, and the restart
-# differential suite (every scheme replayed on mem vs file vs file synced
-# every 64 writes vs dir vs a mid-trace close/reopen — all five must be
-# bit-identical). A subset of
+# truncate-at-every-offset atomicity test, the journal's crash-point
+# enumeration (internal/backend), and the restart differential suite
+# (every scheme replayed on mem vs file vs file synced every 64 writes vs
+# dir vs a mid-trace close/reopen vs file synced every 8 writes and
+# restarted mid-trace — all six must be bit-identical). A subset of
 # `race`, split out so the CI durability job can run it on every push.
 race-durability:
 	$(GO) test -race ./internal/backend/
@@ -68,7 +69,7 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs nine fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs ten fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
@@ -82,7 +83,9 @@ race-durability:
 # Dir manifest parser on fields fuzzed past their checksum (typed errors
 # only; every accepted shard split opens), OpenFile on arbitrary DPG1 file
 # headers (typed errors only; an accepted file keeps its geometry and
-# pages), and the pad kernel (PadInto and PadPairInto on both pad paths
+# pages), the journal's replay over arbitrary log headers and records
+# (typed errors only, no write outside the data region's geometry; an
+# accepted log reopens without changing data), and the pad kernel (PadInto and PadPairInto on both pad paths
 # against crypto/aes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
@@ -93,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadState -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/backend
 	$(GO) test -run '^$$' -fuzz FuzzFileHeader -fuzztime 10s ./internal/backend
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/backend
 	$(GO) test -run '^$$' -fuzz FuzzPad -fuzztime 10s ./internal/otp
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay

@@ -192,7 +192,7 @@ func ExampleMemory_PersistToFile() {
 	m.PersistToFile(filepath.Join(dir, "ctl.snap")) // controller state snapshot
 	m.Close()
 
-	m2 := MustNew(opts) // reopens dir/array.pg and dir/counters.pg
+	m2 := MustNew(opts) // reopens dir/{array,counters}.{pg,jnl}
 	defer m2.Close()
 	m2.RestoreFromFile(filepath.Join(dir, "ctl.snap"))
 	fmt.Println(string(bytes.TrimRight(m2.Read(7), "\x00")))

@@ -133,12 +133,15 @@ const (
 	// Persist.
 	MemBackend Backend = "mem"
 	// FileBackend stores each region in one mmap-backed file under
-	// Options.Dir (array.pg, counters.pg). Contents survive Close and
-	// are picked up again by a Memory reopened on the same directory.
+	// Options.Dir (array.pg, counters.pg), each with a redo journal
+	// beside it (array.jnl, counters.jnl) that Sync appends the changed
+	// bytes to. Contents survive Close and are picked up again by a
+	// Memory reopened on the same directory.
 	FileBackend Backend = "file"
 	// DirBackend shards the cell array over a directory of mmap-backed
 	// files (Options.Dir/array/shard-*.pg), for arrays far larger than
-	// RAM; counters stay in a single file.
+	// RAM; counters stay in a single file. Both regions are journaled
+	// as under FileBackend (array.jnl, counters.jnl).
 	DirBackend Backend = "dir"
 )
 
@@ -436,8 +439,10 @@ func (m *Memory) RestoreFromFile(path string) error {
 }
 
 // writeFileAtomic streams write's output into a temp file next to path and
-// renames it into place only after a successful write+fsync. On any error
-// the temp file is removed and path is untouched.
+// renames it into place only after a successful write+fsync, then fsyncs
+// the directory so the rename itself is durable: once it returns, a crash
+// cannot bring back the previous file. On an error before the rename the
+// temp file is removed and path is untouched.
 func writeFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -463,6 +468,22 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("deuce: %w", err)
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, so an entry renamed into it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("deuce: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("deuce: sync dir %s: %w", dir, err)
 	}
 	return nil
 }

@@ -12,6 +12,9 @@
 // physical scenario the counter-recovery drills in internal/exp exploit
 // (data line durable, its encryption counter rolled back, or vice versa).
 // CrashSim models that tear deterministically for tests and experiments.
+// Journaled wraps a durable region in a redo log, so a Sync flushes only
+// the bytes written since the last one, appended to one log, instead of
+// every page they landed in.
 //
 // Concurrency: a Backend is single-goroutine, like the pcmdev.Device above
 // it. Concurrent fronts must partition pages or lock around the owner.
@@ -63,34 +66,18 @@ type Backend interface {
 }
 
 // Pager is the zero-copy fast path: Page returns the live storage of a page
-// for direct read/write, valid until Close. In-memory backends and
-// mmap-mapped files support it; probe with AsPager — a bare type assertion
-// is wrong because a file backend that fell back from mmap to pread/pwrite
-// still has the method but cannot honor it.
+// for direct read/write, valid until Close. Only the in-memory Mem has it:
+// durable regions are Journaled, whose every write must pass through
+// WritePage to be logged, and CrashSim, whose point is to interpose on
+// writes.
 type Pager interface {
 	Page(page int) []byte
 }
 
-// conditionalPager is implemented by backends whose zero-copy support is
-// decided at open time (mmap succeeded or not).
-type conditionalPager interface {
-	Pager
-	pageable() bool
-}
-
-// AsPager returns b's zero-copy page view, or nil when b cannot provide one
-// (a file opened without mmap, a write-buffering wrapper like CrashSim).
+// AsPager returns b's zero-copy page view, or nil when b has none.
 func AsPager(b Backend) Pager {
-	if c, ok := b.(conditionalPager); ok {
-		if c.pageable() {
-			return c
-		}
-		return nil
-	}
-	if p, ok := b.(Pager); ok {
-		return p
-	}
-	return nil
+	p, _ := b.(Pager)
+	return p
 }
 
 // checkGeometry validates a page index and buffer length against the

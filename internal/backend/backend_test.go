@@ -42,7 +42,7 @@ func checkPattern(t *testing.T, b Backend, seed int64) {
 }
 
 // TestConformance runs every implementation through the same read/write/
-// sync contract, with and without the Pager fast path.
+// sync contract; only Mem has the Pager fast path.
 func TestConformance(t *testing.T) {
 	const pages, pageSize = 37, 80
 	cases := []struct {
@@ -57,7 +57,7 @@ func TestConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			return b
-		}, true},
+		}, false},
 		{"file-nommap", func(t *testing.T) Backend {
 			b, err := OpenFile(filepath.Join(t.TempDir(), "a.pg"), pages, pageSize, FileOptions{NoMmap: true})
 			if err != nil {
@@ -71,8 +71,27 @@ func TestConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			return b
-		}, true},
+		}, false},
 		{"crashsim", func(t *testing.T) Backend { return NewCrashSim(NewMem(pages, pageSize)) }, false},
+		{"journal", func(t *testing.T) Backend {
+			b, err := Journal(NewMem(pages, pageSize), NewMem(JournalPages(pages, pageSize), JournalPageSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}, false},
+		{"journal-file", func(t *testing.T) Backend {
+			root := t.TempDir()
+			data, err := OpenFile(filepath.Join(root, "a.pg"), pages, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := OpenJournal(filepath.Join(root, "a.jnl"), data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

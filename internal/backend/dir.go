@@ -160,25 +160,6 @@ func (d *Dir) route(page int) (shard *File, local int) {
 	return d.shards[page/d.perShard], page % d.perShard
 }
 
-// pageable reports whether every shard has its mmap fast path; see AsPager.
-func (d *Dir) pageable() bool {
-	if d.closed {
-		return false
-	}
-	for _, s := range d.shards {
-		if !s.pageable() {
-			return false
-		}
-	}
-	return true
-}
-
-// Page implements Pager by routing into the owning shard's mapping.
-func (d *Dir) Page(page int) []byte {
-	s, local := d.route(page)
-	return s.Page(local)
-}
-
 // ReadPage implements Backend.
 func (d *Dir) ReadPage(page int, dst []byte) error {
 	if d.closed {

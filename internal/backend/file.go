@@ -28,8 +28,8 @@ var fileMagic = [4]byte{'D', 'P', 'G', '1'}
 
 // File is a single-file Backend: a validated header block followed by the
 // page data. When the OS allows it the data region is mmap'd MAP_SHARED and
-// the file implements the Pager fast path; otherwise every page access goes
-// through pread/pwrite on the same layout. Sync is msync (mapped) or
+// pages are copied in and out of the mapping; otherwise every page access
+// goes through pread/pwrite on the same layout. Sync is msync (mapped) or
 // File.Sync (unmapped) — either way, after Sync returns, every page written
 // so far is in the persistence domain.
 type File struct {
@@ -149,12 +149,9 @@ func (fb *File) Pages() int { return fb.pages }
 // PageSize implements Backend.
 func (fb *File) PageSize() int { return fb.pageSize }
 
-// pageable reports whether the mmap fast path is live; see AsPager.
-func (fb *File) pageable() bool { return fb.mapped != nil && !fb.closed }
-
-// Page implements Pager over the mapping. Only valid when AsPager returned
-// this file, i.e. when the mapping exists.
-func (fb *File) Page(page int) []byte {
+// mappedPage returns a page's window of the mapping; only valid when the
+// mapping exists.
+func (fb *File) mappedPage(page int) []byte {
 	off := page * fb.pageSize
 	return fb.data[off : off+fb.pageSize : off+fb.pageSize]
 }
@@ -172,7 +169,7 @@ func (fb *File) ReadPage(page int, dst []byte) error {
 		return err
 	}
 	if fb.mapped != nil {
-		copy(dst, fb.Page(page))
+		copy(dst, fb.mappedPage(page))
 		return nil
 	}
 	if _, err := fb.f.ReadAt(dst, fb.pageOff(page)); err != nil {
@@ -190,7 +187,7 @@ func (fb *File) WritePage(page int, src []byte) error {
 		return err
 	}
 	if fb.mapped != nil {
-		copy(fb.Page(page), src)
+		copy(fb.mappedPage(page), src)
 		return nil
 	}
 	if _, err := fb.f.WriteAt(src, fb.pageOff(page)); err != nil {

@@ -126,15 +126,24 @@ const (
 // cell array either in dir/array.pg or — when shardArray is set — sharded
 // over dir/array/shard-*.pg for arrays larger than one file comfortably
 // holds. shards is the shard-file count (0 means backend.DefaultDirShards);
-// an existing directory's manifest overrides it. Both the public deuce
-// package and deucesim's -backend flag build their makers through this one
-// function, so every entry point lays files out identically.
+// an existing directory's manifest overrides it. Each region is journaled
+// (backend.Journaled) in dir/<region>.jnl, so a Sync flushes the changed
+// bytes to one log instead of every page a write touched. Both the public
+// deuce package and deucesim's -backend flag build their makers through
+// this one function, so every entry point lays files out identically.
 func DirBackendMaker(dir string, shardArray bool, shards int) func(region string, pages, pageSize int) (backend.Backend, error) {
 	return func(region string, pages, pageSize int) (backend.Backend, error) {
+		var data backend.Backend
+		var err error
 		if shardArray && region == RegionArray {
-			return backend.OpenDir(filepath.Join(dir, region), pages, pageSize, shards)
+			data, err = backend.OpenDir(filepath.Join(dir, region), pages, pageSize, shards)
+		} else {
+			data, err = backend.OpenFile(filepath.Join(dir, region+".pg"), pages, pageSize)
 		}
-		return backend.OpenFile(filepath.Join(dir, region+".pg"), pages, pageSize)
+		if err != nil {
+			return nil, err
+		}
+		return backend.OpenJournal(filepath.Join(dir, region+".jnl"), data)
 	}
 }
 

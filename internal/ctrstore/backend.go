@@ -97,13 +97,12 @@ func (s *Store) flushDirty() error {
 			continue
 		}
 		base := p * countersPerPage
-		for i := 0; i < countersPerPage; i++ {
-			var v uint64
-			if base+i < len(s.counters) {
-				v = s.counters[base+i]
-			}
-			binary.LittleEndian.PutUint64(s.pageBuf[i*8:], v)
+		vals := s.counters[base:min(base+countersPerPage, len(s.counters))]
+		buf := s.pageBuf[:len(vals)*8]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(buf[i*8:], v)
 		}
+		clear(s.pageBuf[len(buf):])
 		if err := s.be.WritePage(p, s.pageBuf); err != nil {
 			return fmt.Errorf("ctrstore: %w", err)
 		}

@@ -26,8 +26,9 @@
 // page layout is [LineBytes data][⌈MetaBits/8⌉ metadata]. New builds the
 // device on the in-memory backend (the status quo); NewOnBackend accepts a
 // file or sharded-directory backend, making cell contents durable across
-// Close/reopen. Backends exposing the zero-copy Pager fast path (RAM, mmap)
-// keep the write path allocation-free; others go through a scratch page.
+// Close/reopen. The in-memory backend exposes the zero-copy Pager fast
+// path; durable (journaled) and crash-simulating backends go through a
+// scratch page and ReadPage/WritePage, so every write reaches them.
 //
 // Concurrency: a Device is single-goroutine, like every Backend under it;
 // the experiment harness runs one device per goroutine.
@@ -174,8 +175,8 @@ type Device struct {
 	// be stores the cells: line l is page l, laid out as
 	// [LineBytes data][metaBytes metadata].
 	be backend.Backend
-	// pg is the zero-copy fast path (non-nil for RAM and mmap backends);
-	// nil routes every access through pageBuf + ReadPage/WritePage.
+	// pg is the zero-copy fast path (non-nil for the RAM backend); nil
+	// routes every access through pageBuf + ReadPage/WritePage.
 	pg backend.Pager
 	// pageBuf is the slow-path scratch page, sized PageBytes.
 	pageBuf   []byte

@@ -90,12 +90,41 @@ func persistMidpoint(t *testing.T) func(m *Memory, _ *traceResult) *Memory {
 	}
 }
 
+// restartMidpoint is a full power cycle mid-trace: controller snapshot,
+// durable sync, close, reopen on opts.Dir, restore.
+func restartMidpoint(t *testing.T, opts Options) func(m *Memory, res *traceResult) *Memory {
+	snap := filepath.Join(opts.Dir, "ctl.snap")
+	return func(m *Memory, res *traceResult) *Memory {
+		t.Helper()
+		if err := m.PersistToFile(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		res.addStats(m.Stats())
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m2.RestoreFromFile(snap); err != nil {
+			t.Fatal(err)
+		}
+		return m2
+	}
+}
+
 // TestRestartDifferential pins the backend layer's central promise: the
 // same trace produces bit-identical contents and activity counters on the
-// in-memory backend, the file backend, the sharded-dir backend, and a file
+// in-memory backend, the file backend, the sharded-dir backend, a file
 // backend that is synced, closed, reopened and restored in the middle of
-// the trace, and a file backend synced every 64 writes throughout. Every scheme must hold this — a divergence means a backend
-// leaks into scheme behavior or a restart loses state.
+// the trace, a file backend synced every 64 writes throughout, and one
+// synced every 8 writes and restarted mid-trace. Every scheme must hold
+// this — a divergence means a backend leaks into scheme behavior or a
+// restart loses state.
 func TestRestartDifferential(t *testing.T) {
 	for _, s := range Schemes() {
 		s := s
@@ -127,29 +156,15 @@ func TestRestartDifferential(t *testing.T) {
 				{"restart", func(t *testing.T) traceResult {
 					opts := base
 					opts.Backend, opts.Dir = FileBackend, t.TempDir()
-					snap := filepath.Join(opts.Dir, "ctl.snap")
-					return runTrace(t, MustNew(opts), 0, func(m *Memory, res *traceResult) *Memory {
-						// Full power cycle mid-trace: controller snapshot,
-						// durable sync, close, reopen, restore.
-						if err := m.PersistToFile(snap); err != nil {
-							t.Fatal(err)
-						}
-						if err := m.Sync(); err != nil {
-							t.Fatal(err)
-						}
-						res.addStats(m.Stats())
-						if err := m.Close(); err != nil {
-							t.Fatal(err)
-						}
-						m2, err := New(opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := m2.RestoreFromFile(snap); err != nil {
-							t.Fatal(err)
-						}
-						return m2
-					})
+					return runTrace(t, MustNew(opts), 0, restartMidpoint(t, opts))
+				}},
+				// Synced every 8 writes, the journal fills its log and
+				// checkpoints before the restart, which then replays a
+				// non-empty log.
+				{"file-sync8", func(t *testing.T) traceResult {
+					opts := base
+					opts.Backend, opts.Dir = FileBackend, t.TempDir()
+					return runTrace(t, MustNew(opts), 8, restartMidpoint(t, opts))
 				}},
 			}
 			for _, v := range variants {

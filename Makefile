@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check doclint build build-arm64 vet test race race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing fidelity fidelity-record
+.PHONY: check fmt-check doclint build build-arm64 vet test race bench-module race-timing race-durability fuzz-smoke bench-smoke bench-writehot bench-timing fidelity fidelity-record
 
 # check is the pre-merge gate: static checks, full tests under the race
 # detector, a cross-build of the portable code paths, and a short smoke of
 # the steady-state write benchmark so a regression that reintroduces
-# hot-path allocations fails fast.
-check: fmt-check doclint vet build build-arm64 test race bench-smoke
+# hot-path allocations fails fast. bench-module compiles and tests the
+# benchmark module, which none of the root ./... steps reach.
+check: fmt-check doclint vet build build-arm64 test race bench-module bench-smoke
 
 # fmt-check fails (listing the offenders) when any file is not gofmt-clean.
 fmt-check:
@@ -34,6 +35,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-module vets and tests bench/, a Go module of its own (deuce/bench)
+# that the root `go build/vet/test ./...` never compiles, in the module
+# mode bench/run.sh builds it in: a change to an API bench/ calls fails
+# here rather than on the first benchmark run.
+bench-module:
+	cd bench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) test ./...
 
 # race-timing is the focused race pass for the deterministic-parallelism
 # machinery: the timing model's suite in internal/timing; in internal/exp

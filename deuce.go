@@ -329,15 +329,20 @@ func (m *Memory) Write(line uint64, data []byte) WriteInfo {
 	return WriteInfo{BitFlips: res.TotalFlips(), WriteSlots: res.Slots}
 }
 
-// Read returns the current plaintext of a line.
-func (m *Memory) Read(line uint64) []byte { return m.scheme.Read(line) }
+// Read returns the current plaintext of a line in a fresh slice: ReadInto
+// into a new 64-byte buffer.
+func (m *Memory) Read(line uint64) []byte {
+	dst := make([]byte, m.scheme.Device().Config().LineBytes)
+	m.scheme.ReadInto(line, dst)
+	return dst
+}
 
 // ReadInto decrypts a line's current plaintext into dst, which must be 64
-// bytes. It is Read without the allocation: on a memory without wear
-// leveling the whole read path — device copy-out, pad generation,
-// decryption — runs through preallocated scheme scratch, which is what
-// lets serving hot paths (internal/kvstore) read at zero allocations per
-// operation.
+// bytes (it panics otherwise). It is Read without the allocation: on a
+// memory without wear leveling the whole read path — device copy-out, pad
+// generation, decryption — runs through preallocated scheme scratch, which
+// is what lets serving hot paths (internal/kvstore) read at zero
+// allocations per operation.
 func (m *Memory) ReadInto(line uint64, dst []byte) { m.scheme.ReadInto(line, dst) }
 
 // LineBits returns the number of data cells per line (512 for the 64-byte

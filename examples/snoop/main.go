@@ -114,7 +114,7 @@ func tamperDemo() {
 	guard.Inner().Load(1, oldImage, oldMeta)
 	caught := false
 	guard.OnViolation = func(uint64) { caught = true }
-	mem.Read(1)
+	mem.ReadInto(1, line)
 	fmt.Printf("  adversary replayed the old stored image; detected: %v\n", caught)
 	fmt.Println("  -> the secure on-chip root binds every line+metadata image, so")
 	fmt.Println("     counter rollback / replay is caught on the next read.")

@@ -22,15 +22,14 @@ type BLE struct {
 // NewBLE constructs a block-level-encrypted memory.
 func NewBLE(p Params) (*BLE, error) {
 	p.setDefaults()
-	b, err := newBase(p, 0, true)
+	b, err := newBase(p, "BLE", 0, true)
 	if err != nil {
 		return nil, err
 	}
-	return &BLE{base: b, blocks: p.LineBytes / otp.BlockSize}, nil
+	s := &BLE{base: b, blocks: p.LineBytes / otp.BlockSize}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *BLE) Name() string { return "BLE" }
 
 // OverheadBits implements Scheme. BLE's overhead is the three extra
 // counters per line beyond the baseline's single line counter.
@@ -47,20 +46,15 @@ func (s *BLE) Install(line uint64, plaintext []byte) {
 	s.checkPlain(plaintext)
 	s.markInstalled(line)
 	img := make([]byte, s.p.LineBytes)
+	pad := s.scr.padL[:otp.BlockSize] // pad scratch, free before any Write or ReadInto step
 	for blk := 0; blk < s.blocks; blk++ {
 		off := blk * otp.BlockSize
-		pad := s.gen.BlockPad(line, 0, blk)
+		s.gen.BlockPadInto(pad, line, 0, blk)
 		for j := 0; j < otp.BlockSize; j++ {
 			img[off+j] = plaintext[off+j] ^ pad[j]
 		}
 	}
 	s.dev.Load(line, img, nil)
-}
-
-func (s *BLE) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, make([]byte, s.p.LineBytes))
-	}
 }
 
 // decryptLineInto reconstructs the plaintext from per-block counters into
@@ -74,13 +68,6 @@ func (s *BLE) decryptLineInto(dst []byte, line uint64, ct []byte) {
 			dst[off+j] = ct[off+j] ^ pad[j]
 		}
 	}
-}
-
-// decryptLine is the allocating convenience for the read path.
-func (s *BLE) decryptLine(line uint64, ct []byte) []byte {
-	out := make([]byte, len(ct))
-	s.decryptLineInto(out, line, ct)
-	return out
 }
 
 // Write implements Scheme. Allocation-free in steady state.
@@ -106,18 +93,12 @@ func (s *BLE) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 			newCT[off+j] = plaintext[off+j] ^ pad[j]
 		}
 	}
-	return s.observe(s.Name(), line, s.dev.Write(line, newCT, nil), false)
-}
-
-// Read implements Scheme.
-func (s *BLE) Read(line uint64) []byte {
-	s.initLine(line)
-	ct, _ := s.dev.Read(line)
-	return s.decryptLine(line, ct)
+	return s.observe(line, s.dev.Write(line, newCT, nil), false)
 }
 
 // ReadInto implements Scheme.
 func (s *BLE) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, nil)
 	s.decryptLineInto(dst, line, s.scr.oldData)
@@ -139,19 +120,18 @@ type BLEDeuce struct {
 func NewBLEDeuce(p Params) (*BLEDeuce, error) {
 	p.setDefaults()
 	words := p.LineBytes / p.WordBytes
-	b, err := newBase(p, words, true)
+	b, err := newBase(p, "BLE+DEUCE", words, true)
 	if err != nil {
 		return nil, err
 	}
-	return &BLEDeuce{
+	s := &BLEDeuce{
 		base:      b,
 		blocks:    p.LineBytes / otp.BlockSize,
 		epochMask: uint64(p.EpochInterval - 1),
-	}, nil
+	}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *BLEDeuce) Name() string { return "BLE+DEUCE" }
 
 // OverheadBits implements Scheme: extra block counters plus the modified
 // bits.
@@ -171,20 +151,15 @@ func (s *BLEDeuce) Install(line uint64, plaintext []byte) {
 	s.checkPlain(plaintext)
 	s.markInstalled(line)
 	img := make([]byte, s.p.LineBytes)
+	pad := s.scr.padL[:otp.BlockSize] // pad scratch, free before any Write or ReadInto step
 	for blk := 0; blk < s.blocks; blk++ {
 		off := blk * otp.BlockSize
-		pad := s.gen.BlockPad(line, 0, blk)
+		s.gen.BlockPadInto(pad, line, 0, blk)
 		for j := 0; j < otp.BlockSize; j++ {
 			img[off+j] = plaintext[off+j] ^ pad[j]
 		}
 	}
 	s.dev.Load(line, img, make([]byte, metaBytes(s.words())))
-}
-
-func (s *BLEDeuce) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, make([]byte, s.p.LineBytes))
-	}
 }
 
 // decryptLineInto reconstructs plaintext using per-block dual counters into
@@ -214,13 +189,6 @@ func (s *BLEDeuce) decryptLineInto(dst []byte, line uint64, ct, mod []byte) {
 			}
 		}
 	}
-}
-
-// decryptLine is the allocating convenience for the read path.
-func (s *BLEDeuce) decryptLine(line uint64, ct, mod []byte) []byte {
-	out := make([]byte, len(ct))
-	s.decryptLineInto(out, line, ct, mod)
-	return out
 }
 
 // Write implements Scheme. Allocation-free in steady state.
@@ -278,18 +246,12 @@ func (s *BLEDeuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 			}
 		}
 	}
-	return s.observe(s.Name(), line, s.dev.Write(line, newCT, newMod), epochReset)
-}
-
-// Read implements Scheme.
-func (s *BLEDeuce) Read(line uint64) []byte {
-	s.initLine(line)
-	ct, mod := s.dev.Read(line)
-	return s.decryptLine(line, ct, mod)
+	return s.observe(line, s.dev.Write(line, newCT, newMod), epochReset)
 }
 
 // ReadInto implements Scheme.
 func (s *BLEDeuce) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	s.decryptLineInto(dst, line, s.scr.oldData, s.scr.oldMeta)

@@ -43,15 +43,14 @@ type Deuce struct {
 // tracking granularity.
 func NewDeuce(p Params) (*Deuce, error) {
 	p.setDefaults()
-	b, err := newBase(p, p.LineBytes/p.WordBytes, false)
+	b, err := newBase(p, "DEUCE", p.LineBytes/p.WordBytes, false)
 	if err != nil {
 		return nil, err
 	}
-	return &Deuce{base: b, epochMask: uint64(p.EpochInterval - 1)}, nil
+	s := &Deuce{base: b, epochMask: uint64(p.EpochInterval - 1)}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *Deuce) Name() string { return "DEUCE" }
 
 // OverheadBits implements Scheme.
 func (s *Deuce) OverheadBits() int { return s.words() }
@@ -88,14 +87,6 @@ func dualDecryptInto(dst []byte, gen *otp.Generator, line, ctr, epochMask uint64
 		pad := lt.Select(lt.Group(mod, k), binary.LittleEndian.Uint64(tpadBuf[off:]), binary.LittleEndian.Uint64(lpadBuf[off:]))
 		binary.LittleEndian.PutUint64(dst[off:], binary.LittleEndian.Uint64(ct[off:])^pad)
 	}
-}
-
-// dualDecrypt is the allocating convenience over dualDecryptInto, used on
-// read paths where a fresh plaintext slice is the return value anyway.
-func dualDecrypt(gen *otp.Generator, line, ctr, epochMask uint64, wordBytes int, ct, mod []byte) []byte {
-	out := make([]byte, len(ct))
-	dualDecryptInto(out, gen, line, ctr, epochMask, wordBytes, ct, mod, make([]byte, 2*len(ct)))
-	return out
 }
 
 // deuceStepInto computes the ciphertext image and modified bits produced by
@@ -152,12 +143,6 @@ func (s *Deuce) Install(line uint64, plaintext []byte) {
 	s.dev.Load(line, s.gen.Encrypt(line, 0, plaintext), make([]byte, metaBytes(s.words())))
 }
 
-func (s *Deuce) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
-}
-
 // Write implements Scheme. The steady-state path allocates nothing. On a
 // bare device a write is one counter increment, one pad derivation (a
 // PadPairInto off a boundary, a PadInto at one) and one WriteTracked call,
@@ -179,7 +164,7 @@ func (s *Deuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 		}
 		res := d.WriteTracked(line, plaintext, s.scr.padL, s.scr.padT, s.p.WordBytes, reset)
 		if s.p.Trace != nil {
-			s.observe(s.Name(), line, res, reset)
+			s.observe(line, res, reset)
 		}
 		return res
 	}
@@ -189,18 +174,12 @@ func (s *Deuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	ctr, _ := s.ctrs.Increment(line)
 	deuceStepInto(s.scr.newData, s.scr.newMeta, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
 		oldCT, oldMod, plaintext, s.scr.pads)
-	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
-}
-
-// Read implements Scheme.
-func (s *Deuce) Read(line uint64) []byte {
-	s.initLine(line)
-	ct, mod := s.dev.Read(line)
-	return dualDecrypt(s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, ct, mod)
+	return s.observe(line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
 }
 
 // ReadInto implements Scheme.
 func (s *Deuce) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	dualDecryptInto(dst, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes,
@@ -234,12 +213,12 @@ func NewDeuceFNW(p Params) (*DeuceFNW, error) {
 		return nil, err
 	}
 	words := p.LineBytes / p.WordBytes
-	b, err := newBase(p, 2*words, false)
+	b, err := newBase(p, "DEUCE+FNW", 2*words, false)
 	if err != nil {
 		return nil, err
 	}
 	meta := newFieldPair(words)
-	return &DeuceFNW{
+	s := &DeuceFNW{
 		base:      b,
 		codec:     codec,
 		epochMask: uint64(p.EpochInterval - 1),
@@ -248,11 +227,10 @@ func NewDeuceFNW(p Params) (*DeuceFNW, error) {
 		newCTBuf:  make([]byte, p.LineBytes),
 		oldFields: meta.scratch(),
 		newFields: meta.scratch(),
-	}, nil
+	}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *DeuceFNW) Name() string { return "DEUCE+FNW" }
 
 // OverheadBits implements Scheme.
 func (s *DeuceFNW) OverheadBits() int { return 2 * s.words() }
@@ -262,12 +240,6 @@ func (s *DeuceFNW) Install(line uint64, plaintext []byte) {
 	s.checkPlain(plaintext)
 	s.markInstalled(line)
 	s.dev.Load(line, s.gen.Encrypt(line, 0, plaintext), make([]byte, metaBytes(2*s.words())))
-}
-
-func (s *DeuceFNW) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
 }
 
 // Write implements Scheme. Allocation-free in steady state: the DEUCE step
@@ -288,20 +260,12 @@ func (s *DeuceFNW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 		s.oldCTBuf, oldMod, plaintext, s.scr.pads)
 	s.codec.EncodeInto(s.scr.newData, newFlips, oldCells, oldFlips, s.newCTBuf)
 	s.meta.join(s.scr.newMeta, newMod, newFlips)
-	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
-}
-
-// Read implements Scheme.
-func (s *DeuceFNW) Read(line uint64) []byte {
-	s.initLine(line)
-	cells, meta := s.dev.Read(line)
-	mod, flips := s.meta.split(meta, s.meta.scratch())
-	ct := s.codec.Decode(cells, flips)
-	return dualDecrypt(s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, ct, mod)
+	return s.observe(line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
 }
 
 // ReadInto implements Scheme.
 func (s *DeuceFNW) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	mod, flips := s.meta.split(s.scr.oldMeta, s.oldFields)

@@ -49,7 +49,7 @@ func TestFigure6Walkthrough(t *testing.T) {
 	// The figure starts at counter 0 with a fresh epoch, which is the
 	// lazily-initialized line state; force initialization with a read
 	// before taking the first snapshot.
-	s.Read(0)
+	read(s, 0)
 
 	// ctr 1: W1 written -> only W1 re-encrypted.
 	before := snapshot()
@@ -193,9 +193,10 @@ func TestDualDecryptPaths(t *testing.T) {
 			ct[j] = plain[j] ^ pad[j]
 		}
 	}
-	got := dualDecrypt(gen, line, ctr, mask, 2, ct, mod)
+	got := make([]byte, 64)
+	dualDecryptInto(got, gen, line, ctr, mask, 2, ct, mod, make([]byte, 128))
 	if !bitutil.Equal(got, plain) {
-		t.Fatal("dualDecrypt failed to reconstruct mixed-pad line")
+		t.Fatal("dualDecryptInto failed to reconstruct mixed-pad line")
 	}
 }
 

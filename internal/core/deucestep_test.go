@@ -85,7 +85,8 @@ func refDeuceFNWWrite(s *DeuceFNW, line uint64, pt []byte) pcmdev.WriteResult {
 	s.initLine(line)
 	oldCells, oldMeta := s.dev.Peek(line)
 	oldMod, oldFlips := s.meta.split(oldMeta, s.meta.scratch())
-	oldCT := s.codec.Decode(oldCells, oldFlips)
+	oldCT := make([]byte, len(pt))
+	s.codec.DecodeInto(oldCT, oldCells, oldFlips)
 	oldPlain := make([]byte, len(pt))
 	refDualDecryptInto(oldPlain, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, oldCT, oldMod)
 	ctr, _ := s.ctrs.Increment(line)
@@ -178,8 +179,9 @@ func newStepScheme(kind Kind, p Params) (stepScheme, error) {
 			func(line uint64) []byte {
 				cells, meta := s.dev.Peek(line)
 				mod, flips := s.meta.split(meta, s.meta.scratch())
-				out := make([]byte, len(cells))
-				refDualDecryptInto(out, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, s.codec.Decode(cells, flips), mod)
+				ct, out := make([]byte, len(cells)), make([]byte, len(cells))
+				s.codec.DecodeInto(ct, cells, flips)
+				refDualDecryptInto(out, s.gen, line, s.ctrs.Get(line), s.epochMask, s.p.WordBytes, ct, mod)
 				return out
 			}}, nil
 	case KindDynDeuce:
@@ -353,15 +355,11 @@ func replayStep(t *testing.T, name string, got, ref stepScheme, lines, writes in
 		if !bitutil.Equal(ref.refRead(line), shadow[line]) {
 			t.Fatalf("%s: reference read-back wrong", what)
 		}
-		if !bitutil.Equal(got.Read(line), shadow[line]) {
-			t.Fatalf("%s: Read wrong", what)
-		}
 		got.ReadInto(line, readBuf)
 		if !bitutil.Equal(readBuf, shadow[line]) {
 			t.Fatalf("%s: ReadInto wrong", what)
 		}
-		// The same two reads on the reference keep Stats().Reads level.
-		ref.Read(line)
+		// The same read on the reference keeps Stats().Reads level.
 		ref.ReadInto(line, readBuf)
 	}
 	if got.b.ctrs.Overflows() == 0 {

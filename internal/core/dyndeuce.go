@@ -40,11 +40,11 @@ func NewDynDeuce(p Params) (*DynDeuce, error) {
 	}
 	words := p.LineBytes / p.WordBytes
 	// words tracking bits plus one mode bit.
-	b, err := newBase(p, words+1, false)
+	b, err := newBase(p, "DynDEUCE", words+1, false)
 	if err != nil {
 		return nil, err
 	}
-	return &DynDeuce{
+	s := &DynDeuce{
 		base:        b,
 		codec:       codec,
 		epochMask:   uint64(p.EpochInterval - 1),
@@ -52,11 +52,10 @@ func NewDynDeuce(p Params) (*DynDeuce, error) {
 		deuceCTBuf:  make([]byte, p.LineBytes),
 		deuceModBuf: make([]byte, metaBytes(words)),
 		fnwCTBuf:    make([]byte, p.LineBytes),
-	}, nil
+	}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *DynDeuce) Name() string { return "DynDEUCE" }
 
 // OverheadBits implements Scheme.
 func (s *DynDeuce) OverheadBits() int { return s.words() + 1 }
@@ -74,12 +73,6 @@ func (s *DynDeuce) Install(line uint64, plaintext []byte) {
 	s.dev.Load(line, s.gen.Encrypt(line, 0, plaintext), make([]byte, s.metaLen()))
 }
 
-func (s *DynDeuce) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
-}
-
 // plainOfInto reconstructs the current plaintext from stored state into dst
 // (which must not alias cells), using the base pad scratch.
 func (s *DynDeuce) plainOfInto(dst []byte, line uint64, cells, meta []byte) {
@@ -91,13 +84,6 @@ func (s *DynDeuce) plainOfInto(dst []byte, line uint64, cells, meta []byte) {
 		return
 	}
 	dualDecryptInto(dst, s.gen, line, ctr, s.epochMask, s.p.WordBytes, cells, meta, s.scr.pads)
-}
-
-// plainOf is the allocating convenience for the read path.
-func (s *DynDeuce) plainOf(line uint64, cells, meta []byte) []byte {
-	out := make([]byte, len(cells))
-	s.plainOfInto(out, line, cells, meta)
-	return out
 }
 
 // Write implements Scheme. Allocation-free in steady state: both candidate
@@ -151,18 +137,12 @@ func (s *DynDeuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 			copy(newMeta[:s.trackBytes], s.deuceModBuf[:s.trackBytes])
 		}
 	}
-	return s.observe(s.Name(), line, s.dev.Write(line, newCells, newMeta), ctr&s.epochMask == 0)
-}
-
-// Read implements Scheme.
-func (s *DynDeuce) Read(line uint64) []byte {
-	s.initLine(line)
-	cells, meta := s.dev.Read(line)
-	return s.plainOf(line, cells, meta)
+	return s.observe(line, s.dev.Write(line, newCells, newMeta), ctr&s.epochMask == 0)
 }
 
 // ReadInto implements Scheme.
 func (s *DynDeuce) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	s.plainOfInto(dst, line, s.scr.oldData, s.scr.oldMeta)

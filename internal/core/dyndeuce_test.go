@@ -136,7 +136,7 @@ func TestDynDeuceRoundTripAcrossModeChanges(t *testing.T) {
 			data[0] = byte(rng.Int()) // sparse
 		}
 		dyn.Write(0, data)
-		if !bitutil.Equal(dyn.Read(0), data) {
+		if !bitutil.Equal(read(dyn, 0), data) {
 			t.Fatalf("round trip broken at step %d", i)
 		}
 	}

@@ -16,15 +16,14 @@ type EncrDCW struct {
 
 // NewEncrDCW constructs the baseline encrypted memory.
 func NewEncrDCW(p Params) (*EncrDCW, error) {
-	b, err := newBase(p, 0, false)
+	b, err := newBase(p, "Encr_DCW", 0, false)
 	if err != nil {
 		return nil, err
 	}
-	return &EncrDCW{base: b}, nil
+	s := &EncrDCW{base: b}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *EncrDCW) Name() string { return "Encr_DCW" }
 
 // OverheadBits implements Scheme.
 func (s *EncrDCW) OverheadBits() int { return 0 }
@@ -36,12 +35,6 @@ func (s *EncrDCW) Install(line uint64, plaintext []byte) {
 	s.dev.Load(line, s.gen.Encrypt(line, 0, plaintext), nil)
 }
 
-func (s *EncrDCW) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
-}
-
 // Write implements Scheme. Allocation-free in steady state: the fresh
 // ciphertext is built in the scheme's scratch buffer.
 func (s *EncrDCW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
@@ -49,18 +42,12 @@ func (s *EncrDCW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.initLine(line)
 	ctr, _ := s.ctrs.Increment(line)
 	s.gen.EncryptInto(s.scr.newData, line, ctr, plaintext)
-	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, nil), false)
-}
-
-// Read implements Scheme.
-func (s *EncrDCW) Read(line uint64) []byte {
-	s.initLine(line)
-	data, _ := s.dev.Read(line)
-	return s.gen.Decrypt(line, s.ctrs.Get(line), data)
+	return s.observe(line, s.dev.Write(line, s.scr.newData, nil), false)
 }
 
 // ReadInto implements Scheme.
 func (s *EncrDCW) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, nil)
 	s.gen.DecryptInto(dst, line, s.ctrs.Get(line), s.scr.oldData)
@@ -82,15 +69,14 @@ func NewEncrFNW(p Params) (*EncrFNW, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := newBase(p, codec.FlipBits(p.LineBytes), false)
+	b, err := newBase(p, "Encr_FNW", codec.FlipBits(p.LineBytes), false)
 	if err != nil {
 		return nil, err
 	}
-	return &EncrFNW{base: b, codec: codec}, nil
+	s := &EncrFNW{base: b, codec: codec}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *EncrFNW) Name() string { return "Encr_FNW" }
 
 // OverheadBits implements Scheme.
 func (s *EncrFNW) OverheadBits() int { return s.codec.FlipBits(s.p.LineBytes) }
@@ -101,12 +87,6 @@ func (s *EncrFNW) Install(line uint64, plaintext []byte) {
 	s.markInstalled(line)
 	ct := s.gen.Encrypt(line, 0, plaintext)
 	s.dev.Load(line, ct, make([]byte, metaBytes(s.codec.FlipBits(s.p.LineBytes))))
-}
-
-func (s *EncrFNW) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
 }
 
 // Write implements Scheme. Allocation-free in steady state; the fresh
@@ -120,19 +100,12 @@ func (s *EncrFNW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.gen.EncryptInto(ct, line, ctr, plaintext)
 	s.dev.PeekInto(line, s.scr.oldData, s.scr.oldMeta)
 	s.codec.EncodeInto(s.scr.newData, s.scr.newMeta, s.scr.oldData, s.scr.oldMeta, ct)
-	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), false)
-}
-
-// Read implements Scheme.
-func (s *EncrFNW) Read(line uint64) []byte {
-	s.initLine(line)
-	data, flips := s.dev.Read(line)
-	ct := s.codec.Decode(data, flips)
-	return s.gen.Decrypt(line, s.ctrs.Get(line), ct)
+	return s.observe(line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), false)
 }
 
 // ReadInto implements Scheme.
 func (s *EncrFNW) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	s.codec.DecodeInto(s.scr.oldPlain, s.scr.oldData, s.scr.oldMeta)

@@ -37,13 +37,13 @@ func FuzzSchemeConsistency(f *testing.F) {
 			}
 			// Spot-verify one scheme per step (all every 8 steps).
 			probe := schemes[i/3%len(schemes)]
-			if !bitutil.Equal(probe.Read(line), shadow[line]) {
+			if !bitutil.Equal(read(probe, line), shadow[line]) {
 				t.Fatalf("%s diverged at step %d", probe.Name(), i/3)
 			}
 		}
 		for l := uint64(0); l < lines; l++ {
 			for _, s := range schemes {
-				if !bitutil.Equal(s.Read(l), shadow[l]) {
+				if !bitutil.Equal(read(s, l), shadow[l]) {
 					t.Fatalf("%s: final state mismatch on line %d", s.Name(), l)
 				}
 			}

@@ -84,7 +84,7 @@ func TestDeuceWrapForcesEpoch(t *testing.T) {
 	if bitutil.PopCount(meta) != 0 {
 		t.Fatal("modified bits not cleared at wrap-induced epoch")
 	}
-	if !bitutil.Equal(s.Read(0), data) {
+	if !bitutil.Equal(read(s, 0), data) {
 		t.Fatal("data lost across counter wrap")
 	}
 }
@@ -101,7 +101,7 @@ func TestWordSizeGrid(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				data[rng.Intn(64)] = byte(rng.Int())
 				s.Write(0, data)
-				if !bitutil.Equal(s.Read(0), data) {
+				if !bitutil.Equal(read(s, 0), data) {
 					t.Fatalf("%s word=%dB: round trip failed at write %d", k, wb, i)
 				}
 			}

@@ -18,9 +18,9 @@ import (
 // Restoring into a scheme with a different key, geometry or kind fails
 // loudly rather than decrypting garbage.
 //
-// Every scheme in this package implements Persistent. i-NVMM implements
-// it by first encrypting its hot set (its power-down obligation); see
-// INVMM.SaveState.
+// Every scheme in this package implements Persistent through the shared
+// base. i-NVMM wraps it to encrypt its hot set first (its power-down
+// obligation); see INVMM.SaveState.
 type Persistent interface {
 	// SaveState writes the memory's persistent image to w.
 	SaveState(w io.Writer) error
@@ -54,8 +54,8 @@ type stateHeader struct {
 	KeyDigest   [8]byte
 }
 
-func (b *base) header(schemeName string) stateHeader {
-	sum := sha256.Sum256(append([]byte(schemeName+"\x00"), b.p.Key...))
+func (b *base) header() stateHeader {
+	sum := sha256.Sum256(append([]byte(b.name+"\x00"), b.p.Key...))
 	var h stateHeader
 	h.Lines = uint64(b.p.Lines)
 	h.LineBytes = uint64(b.p.LineBytes)
@@ -71,11 +71,11 @@ func (b *base) header(schemeName string) stateHeader {
 // scheme kinds — instead of a generic "state mismatch". A line-count or
 // line-size mismatch wraps backend.ErrGeometry, as pcmdev.Restore's does;
 // a scheme, parameter or key mismatch wraps ErrStateMismatch.
-func (b *base) checkHeader(schemeName, gotName string, h stateHeader) error {
-	if gotName != schemeName {
-		return fmt.Errorf("core: snapshot holds scheme %q, this memory runs %q: %w", gotName, schemeName, ErrStateMismatch)
+func (b *base) checkHeader(gotName string, h stateHeader) error {
+	if gotName != b.name {
+		return fmt.Errorf("core: snapshot holds scheme %q, this memory runs %q: %w", gotName, b.name, ErrStateMismatch)
 	}
-	want := b.header(schemeName)
+	want := b.header()
 	if h.Lines != want.Lines || h.LineBytes != want.LineBytes {
 		return fmt.Errorf("core: geometry mismatch: snapshot %d lines × %dB, memory %d lines × %dB: %w",
 			h.Lines, h.LineBytes, want.Lines, want.LineBytes, backend.ErrGeometry)
@@ -101,8 +101,9 @@ func (b *base) device() (*pcmdev.Device, error) {
 	return dev, nil
 }
 
-// saveState is the shared implementation behind every scheme's SaveState.
-func (b *base) saveState(schemeName string, w io.Writer) error {
+// SaveState implements Persistent. The snapshot names the scheme, so it
+// cannot be restored into a different protocol.
+func (b *base) SaveState(w io.Writer) error {
 	dev, err := b.device()
 	if err != nil {
 		return err
@@ -111,16 +112,16 @@ func (b *base) saveState(schemeName string, w io.Writer) error {
 	if _, err := bw.Write(stateMagic[:]); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if len(schemeName) > 0xFFFF {
-		return fmt.Errorf("core: scheme name %q too long for snapshot framing", schemeName)
+	if len(b.name) > 0xFFFF {
+		return fmt.Errorf("core: scheme name %q too long for snapshot framing", b.name)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint16(len(schemeName))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint16(len(b.name))); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if _, err := bw.WriteString(schemeName); err != nil {
+	if _, err := bw.WriteString(b.name); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, b.header(schemeName)); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, b.header()); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	// Touched-line bitmap (lazily-installed lines must stay lazy). The
@@ -138,14 +139,14 @@ func (b *base) saveState(schemeName string, w io.Writer) error {
 	return dev.Serialize(w)
 }
 
-// loadState is the shared implementation behind every scheme's LoadState.
-// It is atomic: a snapshot that fails to parse anywhere installs nothing.
-// Framing failures are typed like pcmdev.Restore's and ctrstore.Stage's:
-// backend.ErrTruncated for a snapshot that ends early, backend.ErrCorrupt
-// for a bad (or retired v1) magic, backend.ErrGeometry for a snapshot of
-// another line count or line size, and ErrStateMismatch for one of another
-// scheme, parameter set or key.
-func (b *base) loadState(schemeName string, r io.Reader) error {
+// LoadState implements Persistent. It is atomic: a snapshot that fails to
+// parse anywhere installs nothing. Framing failures are typed like
+// pcmdev.Restore's and ctrstore.Stage's: backend.ErrTruncated for a
+// snapshot that ends early, backend.ErrCorrupt for a bad (or retired v1)
+// magic, backend.ErrGeometry for a snapshot of another line count or line
+// size, and ErrStateMismatch for one of another scheme, parameter set or
+// key.
+func (b *base) LoadState(r io.Reader) error {
 	dev, err := b.device()
 	if err != nil {
 		return err
@@ -173,7 +174,7 @@ func (b *base) loadState(schemeName string, r io.Reader) error {
 	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
 		return fmt.Errorf("core: reading state header: %w: %w", backend.ErrTruncated, err)
 	}
-	if err := b.checkHeader(schemeName, string(nameBuf), h); err != nil {
+	if err := b.checkHeader(string(nameBuf), h); err != nil {
 		return err
 	}
 	// Stage the bitmap and the counters, and install them only once the
@@ -196,69 +197,6 @@ func (b *base) loadState(schemeName string, r io.Reader) error {
 	return nil
 }
 
-// SaveState / LoadState implementations. Each scheme names itself so a
-// snapshot cannot be restored into a different protocol.
-
-// SaveState implements Persistent.
-func (s *PlainDCW) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *PlainDCW) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *PlainFNW) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *PlainFNW) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *EncrDCW) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *EncrDCW) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *EncrFNW) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *EncrFNW) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *Deuce) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *Deuce) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *DeuceFNW) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *DeuceFNW) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *DynDeuce) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *DynDeuce) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *BLE) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *BLE) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *BLEDeuce) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *BLEDeuce) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
-// SaveState implements Persistent.
-func (s *AddrPad) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *AddrPad) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
-
 // SaveState implements Persistent: i-NVMM must encrypt its hot set before
 // the image is durable (the power-down obligation of §7.2) — a snapshot
 // with plain-text lines would defeat the stolen-DIMM protection the
@@ -267,13 +205,13 @@ func (s *INVMM) SaveState(w io.Writer) error {
 	if _, err := s.PowerDown(); err != nil {
 		return err
 	}
-	return s.saveState(s.Name(), w)
+	return s.base.SaveState(w)
 }
 
 // LoadState implements Persistent. After a power cycle every line is cold
 // (encrypted), which is exactly the post-PowerDown state SaveState wrote.
 func (s *INVMM) LoadState(r io.Reader) error {
-	if err := s.loadState(s.Name(), r); err != nil {
+	if err := s.base.LoadState(r); err != nil {
 		return err
 	}
 	s.lru = newLineLRU(s.p.Lines)

@@ -45,7 +45,7 @@ func TestPowerCycleAllSchemes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for l := uint64(0); l < 8; l++ {
-				if !bitutil.Equal(s2.Read(l), shadow[l]) {
+				if !bitutil.Equal(read(s2, l), shadow[l]) {
 					t.Fatalf("line %d lost across power cycle", l)
 				}
 			}
@@ -55,7 +55,7 @@ func TestPowerCycleAllSchemes(t *testing.T) {
 				l := rng.Intn(8)
 				shadow[l][rng.Intn(64)] = byte(rng.Int())
 				s2.Write(uint64(l), shadow[l])
-				if !bitutil.Equal(s2.Read(uint64(l)), shadow[l]) {
+				if !bitutil.Equal(read(s2, uint64(l)), shadow[l]) {
 					t.Fatalf("restored memory corrupt at post-restore write %d", i)
 				}
 			}
@@ -234,7 +234,7 @@ func TestINVMMSnapshotIsEncrypted(t *testing.T) {
 	if s2.Exposed(3) {
 		t.Error("line exposed after restore")
 	}
-	if !bitutil.Equal(s2.Read(3), secret) {
+	if !bitutil.Equal(read(s2, 3), secret) {
 		t.Error("data lost across i-NVMM power cycle")
 	}
 }

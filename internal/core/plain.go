@@ -15,15 +15,12 @@ type PlainDCW struct {
 
 // NewPlainDCW constructs an unencrypted DCW memory.
 func NewPlainDCW(p Params) (*PlainDCW, error) {
-	b, err := newBase(p, 0, false)
+	b, err := newBase(p, "NoEncr_DCW", 0, false)
 	if err != nil {
 		return nil, err
 	}
 	return &PlainDCW{base: b}, nil
 }
-
-// Name implements Scheme.
-func (s *PlainDCW) Name() string { return "NoEncr_DCW" }
 
 // OverheadBits implements Scheme.
 func (s *PlainDCW) OverheadBits() int { return 0 }
@@ -39,17 +36,12 @@ func (s *PlainDCW) Install(line uint64, plaintext []byte) {
 func (s *PlainDCW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.checkPlain(plaintext)
 	s.inited.Set(int(line), true)
-	return s.observe(s.Name(), line, s.dev.Write(line, plaintext, nil), false)
-}
-
-// Read implements Scheme.
-func (s *PlainDCW) Read(line uint64) []byte {
-	data, _ := s.dev.Read(line)
-	return data
+	return s.observe(line, s.dev.Write(line, plaintext, nil), false)
 }
 
 // ReadInto implements Scheme.
 func (s *PlainDCW) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.dev.ReadInto(line, dst, nil)
 }
 
@@ -68,15 +60,12 @@ func NewPlainFNW(p Params) (*PlainFNW, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := newBase(p, codec.FlipBits(p.LineBytes), false)
+	b, err := newBase(p, "NoEncr_FNW", codec.FlipBits(p.LineBytes), false)
 	if err != nil {
 		return nil, err
 	}
 	return &PlainFNW{base: b, codec: codec}, nil
 }
-
-// Name implements Scheme.
-func (s *PlainFNW) Name() string { return "NoEncr_FNW" }
 
 // OverheadBits implements Scheme.
 func (s *PlainFNW) OverheadBits() int { return s.codec.FlipBits(s.p.LineBytes) }
@@ -94,17 +83,12 @@ func (s *PlainFNW) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.inited.Set(int(line), true)
 	s.dev.PeekInto(line, s.scr.oldData, s.scr.oldMeta)
 	s.codec.EncodeInto(s.scr.newData, s.scr.newMeta, s.scr.oldData, s.scr.oldMeta, plaintext)
-	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), false)
-}
-
-// Read implements Scheme.
-func (s *PlainFNW) Read(line uint64) []byte {
-	data, flips := s.dev.Read(line)
-	return s.codec.Decode(data, flips)
+	return s.observe(line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), false)
 }
 
 // ReadInto implements Scheme.
 func (s *PlainFNW) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	s.codec.DecodeInto(dst, s.scr.oldData, s.scr.oldMeta)
 }

@@ -2,55 +2,29 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 )
 
-// TestReadIntoMatchesRead is the differential pin for the zero-allocation
-// read path: for every scheme, after a random mix of writes, ReadInto must
-// produce byte-for-byte the same plaintext as Read — interleaved with
-// further writes so mid-epoch DEUCE-family state is covered too.
-func TestReadIntoMatchesRead(t *testing.T) {
-	for _, k := range allKinds {
-		t.Run(string(k), func(t *testing.T) {
-			s, err := New(k, Params{Lines: 16})
+// TestReadIntoStatsMatchRead: one ReadInto counts exactly one device read,
+// on the bare device and through every wrapped array (each wrapper reads
+// through the device below it and adds no read of its own), so sharded
+// front ends that read through ReadInto merge to the same Stats a
+// sequential run produces.
+func TestReadIntoStatsMatchRead(t *testing.T) {
+	for _, leg := range arrayLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			s, err := New(KindDeuce, Params{Lines: 8, MakeArray: leg.make})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(42))
 			buf := make([]byte, 64)
-			data := make([]byte, 64)
-			for i := 0; i < 400; i++ {
-				line := uint64(rng.Intn(16))
-				rng.Read(data)
-				s.Write(line, data)
-				probe := uint64(rng.Intn(16))
-				want := s.Read(probe)
-				s.ReadInto(probe, buf)
-				if !bytes.Equal(want, buf) {
-					t.Fatalf("op %d line %d: ReadInto diverges from Read\n read: %x\n into: %x",
-						i, probe, want, buf)
-				}
+			s.Write(3, buf)
+			before := s.Device().Stats().Reads
+			s.ReadInto(3, buf)
+			if got := s.Device().Stats().Reads - before; got != 1 {
+				t.Fatalf("one ReadInto counted %d device reads, want 1", got)
 			}
 		})
-	}
-}
-
-// TestReadIntoStatsMatchRead: ReadInto must account exactly like Read — one
-// device read per call — so sharded front ends that read through ReadInto
-// merge to the same Stats a sequential Read-based run produces.
-func TestReadIntoStatsMatchRead(t *testing.T) {
-	s, err := New(KindDeuce, Params{Lines: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	s.Write(3, buf)
-	before := s.Device().Stats().Reads
-	s.Read(3)
-	s.ReadInto(3, buf)
-	if got := s.Device().Stats().Reads - before; got != 2 {
-		t.Fatalf("Read+ReadInto counted %d device reads, want 2", got)
 	}
 }
 

@@ -21,15 +21,14 @@ type AddrPad struct {
 
 // NewAddrPad constructs an address-keyed encrypted memory.
 func NewAddrPad(p Params) (*AddrPad, error) {
-	b, err := newBase(p, 0, false)
+	b, err := newBase(p, "AddrPad", 0, false)
 	if err != nil {
 		return nil, err
 	}
-	return &AddrPad{base: b}, nil
+	s := &AddrPad{base: b}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *AddrPad) Name() string { return "AddrPad" }
 
 // OverheadBits implements Scheme. AddrPad needs no counters at all, but
 // the baseline accounting treats counter storage as given, so the
@@ -50,32 +49,18 @@ func (s *AddrPad) Install(line uint64, plaintext []byte) {
 	s.dev.Load(line, ct, nil)
 }
 
-func (s *AddrPad) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
-}
-
 // Write implements Scheme. Allocation-free in steady state.
 func (s *AddrPad) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.checkPlain(plaintext)
 	s.initLine(line)
 	s.gen.PadInto(s.scr.padL, line, 0)
 	bitutil.XOR(s.scr.newData, plaintext, s.scr.padL)
-	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, nil), false)
-}
-
-// Read implements Scheme.
-func (s *AddrPad) Read(line uint64) []byte {
-	s.initLine(line)
-	ct, _ := s.dev.Read(line)
-	out := make([]byte, len(ct))
-	bitutil.XOR(out, ct, s.pad(line))
-	return out
+	return s.observe(line, s.dev.Write(line, s.scr.newData, nil), false)
 }
 
 // ReadInto implements Scheme.
 func (s *AddrPad) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, nil)
 	s.gen.PadInto(s.scr.padL, line, 0)
@@ -108,7 +93,7 @@ type INVMM struct {
 // NewINVMM constructs an i-NVMM-style partially encrypted memory. The hot
 // set defaults to 1/8 of the lines.
 func NewINVMM(p Params) (*INVMM, error) {
-	b, err := newBase(p, 0, false)
+	b, err := newBase(p, "i-NVMM", 0, false)
 	if err != nil {
 		return nil, err
 	}
@@ -119,16 +104,15 @@ func NewINVMM(p Params) (*INVMM, error) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &INVMM{
+	s := &INVMM{
 		base:        b,
 		capacity:    capacity,
 		lru:         newLineLRU(b.p.Lines),
 		slotScratch: make([]int, 0, 2*b.p.LineBytes*8/pcmdev.SlotBits),
-	}, nil
+	}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *INVMM) Name() string { return "i-NVMM" }
 
 // OverheadBits implements Scheme: one controller-side hotness bit per line
 // (kept off-array, like the counters).
@@ -154,12 +138,6 @@ func (s *INVMM) Install(line uint64, plaintext []byte) {
 	s.dev.Load(line, s.gen.Encrypt(line, s.ctrs.Get(line), plaintext), nil)
 }
 
-func (s *INVMM) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
-}
-
 // Write implements Scheme: the written line joins the hot set and is
 // stored in plain text; a line displaced from the hot set re-encrypts
 // with a fresh counter.
@@ -183,21 +161,12 @@ func (s *INVMM) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 		s.slotScratch = append(s.slotScratch, cool.SlotFlips...)
 		res.SlotFlips = s.slotScratch
 	}
-	return s.observe(s.Name(), line, res, false)
-}
-
-// Read implements Scheme.
-func (s *INVMM) Read(line uint64) []byte {
-	s.initLine(line)
-	data, _ := s.dev.Read(line)
-	if s.lru.Contains(line) {
-		return data
-	}
-	return s.gen.Decrypt(line, s.ctrs.Get(line), data)
+	return s.observe(line, res, false)
 }
 
 // ReadInto implements Scheme.
 func (s *INVMM) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, nil)
 	if s.lru.Contains(line) {

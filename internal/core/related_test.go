@@ -44,7 +44,7 @@ func TestAddrPadAtRestProtection(t *testing.T) {
 	if bitutil.Equal(img0, img1) {
 		t.Error("same value on two lines stored identically (dictionary attack)")
 	}
-	if !bitutil.Equal(s.Read(0), secret) {
+	if !bitutil.Equal(read(s, 0), secret) {
 		t.Error("round trip failed")
 	}
 }
@@ -95,7 +95,7 @@ func TestINVMMHotExposure(t *testing.T) {
 	if bitutil.Equal(img, secret) {
 		t.Error("cooled line still in plain text")
 	}
-	if !bitutil.Equal(s.Read(0), secret) {
+	if !bitutil.Equal(read(s, 0), secret) {
 		t.Error("cooled line does not decrypt")
 	}
 	if s.HotLines() != 2 {
@@ -130,7 +130,7 @@ func TestINVMMPowerDown(t *testing.T) {
 		if s.Exposed(line) {
 			t.Errorf("line %d exposed after power down", line)
 		}
-		if !bitutil.Equal(s.Read(line), want) {
+		if !bitutil.Equal(read(s, line), want) {
 			t.Errorf("line %d lost data across power down", line)
 		}
 	}

@@ -5,7 +5,7 @@
 // Encryption, and BLE+DEUCE.
 //
 // Every scheme presents the same contract: a plaintext cache line goes in
-// on Write, the same plaintext comes back on Read, and the backing
+// on Write, the same plaintext comes back on ReadInto, and the backing
 // pcmdev.Device records exactly how many cells each write programmed. The
 // schemes differ only in the stored image they choose, which is the entire
 // subject of the paper.
@@ -38,22 +38,19 @@ type Scheme interface {
 	// exact device cost of doing so.
 	Write(line uint64, plaintext []byte) pcmdev.WriteResult
 
-	// Read returns the current plaintext of the line.
-	Read(line uint64) []byte
-
 	// ReadInto decrypts the line's current plaintext into dst, which must
-	// be LineBytes long. It is Read without the allocation: schemes stage
-	// the stored image and pads in their write-path scratch (safe under
-	// the single-goroutine contract), so serving hot paths can read at
-	// zero allocations per call on a bare device. Wear-leveled or
-	// integrity-guarded arrays allocate inside the array layer.
+	// be LineBytes long (it panics otherwise). It is the only read path:
+	// schemes stage the stored image and pads in their write-path scratch
+	// (safe under the single-goroutine contract), so a read allocates
+	// nothing on a bare device. Wear-leveled or integrity-guarded arrays
+	// allocate inside the array layer.
 	ReadInto(line uint64, dst []byte)
 
 	// Install places initial content into a line without any write-cost
 	// accounting, modelling §3.1's assumption that pages are brought
 	// into memory and initially encrypted by the memory controller
 	// before the measured run. It must be called at most once per line,
-	// before any Write or Read touches it; it panics otherwise.
+	// before any Write or ReadInto touches it; it panics otherwise.
 	Install(line uint64, plaintext []byte)
 
 	// OverheadBits returns the per-line metadata storage the scheme adds
@@ -197,14 +194,22 @@ func (p *Params) validate() error {
 	return nil
 }
 
-// base carries the plumbing shared by every scheme.
+// base carries the plumbing shared by every scheme, and the parts of the
+// Scheme and Persistent contracts every scheme states the same way: Name,
+// Device, SaveState and LoadState.
 type base struct {
 	p    Params
+	name string // display name, also the snapshot's scheme field
 	dev  pcmdev.Array
 	gen  *otp.Generator
 	ctrs *ctrstore.Store
 
 	inited *bitutil.Vector // lazily-initialized lines
+
+	// install is the scheme's Install, stored once by its constructor,
+	// so initLine can place a line's first image without a method value
+	// built per call.
+	install func(line uint64, plaintext []byte)
 
 	// scr holds the scheme-owned write-path scratch buffers. A Scheme is
 	// single-goroutine (like its Generator and Device), so one set per
@@ -232,7 +237,7 @@ func (s *scratch) setPads(pads []byte) {
 	s.pads, s.padL, s.padT = pads, pads[:n:n], pads[n:]
 }
 
-func newBase(p Params, metaBits int, blockCtrs bool) (*base, error) {
+func newBase(p Params, name string, metaBits int, blockCtrs bool) (*base, error) {
 	p.setDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -285,7 +290,7 @@ func newBase(p Params, metaBits int, blockCtrs bool) (*base, error) {
 		return nil, err
 	}
 	mb := metaBytes(metaBits)
-	b := &base{p: p, dev: dev, gen: gen, ctrs: ctrs, inited: bitutil.NewVector(p.Lines)}
+	b := &base{p: p, name: name, dev: dev, gen: gen, ctrs: ctrs, inited: bitutil.NewVector(p.Lines)}
 	b.scr = scratch{
 		oldData:  make([]byte, p.LineBytes),
 		newData:  make([]byte, p.LineBytes),
@@ -299,18 +304,23 @@ func newBase(p Params, metaBits int, blockCtrs bool) (*base, error) {
 	return b, nil
 }
 
+// Name implements Scheme: the scheme's display name as used in the
+// paper's figures.
+func (b *base) Name() string { return b.name }
+
+// Device implements Scheme.
 func (b *base) Device() pcmdev.Array { return b.dev }
 
 // observe forwards one completed write to the configured event trace and
 // hands the result back, so scheme Write methods wrap their final device
-// write in a single expression. scheme is the static display name (never
-// built per call), epochReset marks a DEUCE-family full re-encryption.
-// With tracing off this is one nil check; with it on, Trace.Record stores
-// into a pre-sized ring — the write path allocates in neither case.
-func (b *base) observe(scheme string, line uint64, res pcmdev.WriteResult, epochReset bool) pcmdev.WriteResult {
+// write in a single expression. epochReset marks a DEUCE-family full
+// re-encryption. With tracing off this is one nil check; with it on,
+// Trace.Record stores into a pre-sized ring — the write path allocates in
+// neither case.
+func (b *base) observe(line uint64, res pcmdev.WriteResult, epochReset bool) pcmdev.WriteResult {
 	if t := b.p.Trace; t != nil {
 		t.Record(obs.WriteEvent{
-			Scheme:     scheme,
+			Scheme:     b.name,
 			Line:       line,
 			DataFlips:  res.DataFlips,
 			MetaFlips:  res.MetaFlips,
@@ -324,6 +334,14 @@ func (b *base) observe(scheme string, line uint64, res pcmdev.WriteResult, epoch
 // touched reports whether a line has been installed.
 func (b *base) touched(line uint64) bool { return b.inited.Get(int(line)) }
 
+// initLine installs the all-zero line on first touch (the lazy initial
+// placement described in the package comment).
+func (b *base) initLine(line uint64) {
+	if !b.touched(line) {
+		b.install(line, make([]byte, b.p.LineBytes))
+	}
+}
+
 // markInstalled flags a line as placed, enforcing the Install contract.
 func (b *base) markInstalled(line uint64) {
 	if b.inited.Get(int(line)) {
@@ -335,6 +353,13 @@ func (b *base) markInstalled(line uint64) {
 func (b *base) checkPlain(plaintext []byte) {
 	if len(plaintext) != b.p.LineBytes {
 		panic(fmt.Sprintf("core: plaintext of %d bytes for %d-byte line", len(plaintext), b.p.LineBytes))
+	}
+}
+
+// checkDst is checkPlain for a ReadInto destination.
+func (b *base) checkDst(dst []byte) {
+	if len(dst) != b.p.LineBytes {
+		panic(fmt.Sprintf("core: ReadInto buffer of %d bytes for %d-byte line", len(dst), b.p.LineBytes))
 	}
 }
 
@@ -383,20 +408,4 @@ func (f fieldPair) join(img, a, b []byte) {
 		bitutil.SetBit(img, i, bitutil.GetBit(a, i))
 		bitutil.SetBit(img, f.words+i, bitutil.GetBit(b, i))
 	}
-}
-
-// zeroLine returns a fresh all-zero line buffer of the configured size.
-func (b *base) zeroLine() []byte { return make([]byte, b.p.LineBytes) }
-
-// changedWords returns a bitmap (one bit per word of width w) of the words
-// that differ between old and new.
-func changedWords(old, new []byte, w int) *bitutil.Vector {
-	words := len(old) / w
-	v := bitutil.NewVector(words)
-	for i := 0; i < words; i++ {
-		if !bitutil.WordsEqual(old, new, w, i) {
-			v.Set(i, true)
-		}
-	}
-	return v
 }

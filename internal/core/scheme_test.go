@@ -3,9 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"deuce/internal/bitutil"
+	"deuce/internal/integrity"
+	"deuce/internal/pcmdev"
+	"deuce/internal/wear"
 )
 
 // allKinds lists every scheme for table-driven tests, including the
@@ -18,6 +22,38 @@ var allKinds = []Kind{
 
 func testParams() Params {
 	return Params{Lines: 16}
+}
+
+// read returns the line's current plaintext through ReadInto, the one read
+// path, into a fresh buffer.
+func read(s Scheme, line uint64) []byte {
+	dst := make([]byte, s.Device().Config().LineBytes)
+	s.ReadInto(line, dst)
+	return dst
+}
+
+// arrayLegs are the arrays a scheme runs on: the bare device, and each
+// wrapper whose ReadInto reads through the device below it — Start-Gap
+// with HWL rotation and counted gap moves, Security Refresh, and the
+// integrity guard. A nil make is the bare device.
+var arrayLegs = []struct {
+	name string
+	make func(pcmdev.Config) (pcmdev.Array, error)
+}{
+	{"bare", nil},
+	{"start-gap", func(c pcmdev.Config) (pcmdev.Array, error) {
+		return wear.NewStartGap(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL})
+	}},
+	{"security-refresh", func(c pcmdev.Config) (pcmdev.Array, error) {
+		return wear.NewSecurityRefresh(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL}, 1)
+	}},
+	{"guard", func(c pcmdev.Config) (pcmdev.Array, error) {
+		dev, err := pcmdev.New(c)
+		if err != nil {
+			return nil, err
+		}
+		return integrity.NewGuard(dev)
+	}},
 }
 
 func TestRegistryConstructsAll(t *testing.T) {
@@ -87,48 +123,56 @@ func TestLineBytesBounds(t *testing.T) {
 }
 
 // Invariant 1 from DESIGN.md: every scheme returns the last written
-// plaintext, under long random write/read sequences against a shadow model.
+// plaintext, under long random write/read sequences against a shadow
+// model, on the bare device and on every wrapped array.
 func TestRoundTripShadowModel(t *testing.T) {
 	for _, k := range allKinds {
 		k := k
 		t.Run(string(k), func(t *testing.T) {
 			t.Parallel()
-			const lines = 8
-			s := MustNew(k, Params{Lines: lines, EpochInterval: 4})
-			shadow := make([][]byte, lines)
-			for i := range shadow {
-				shadow[i] = make([]byte, 64)
-			}
-			rng := rand.New(rand.NewSource(42))
-			for step := 0; step < 2000; step++ {
-				line := uint64(rng.Intn(lines))
-				switch rng.Intn(3) {
-				case 0: // full random write
-					rng.Read(shadow[line])
-				case 1: // sparse write: mutate a couple of words
-					for n := 0; n < 1+rng.Intn(3); n++ {
-						off := rng.Intn(32) * 2
-						shadow[line][off] = byte(rng.Int())
-					}
-				case 2: // read-only step
-					got := s.Read(line)
-					if !bitutil.Equal(got, shadow[line]) {
-						t.Fatalf("step %d: read mismatch on line %d", step, line)
-					}
-					continue
-				}
-				s.Write(line, shadow[line])
-				if got := s.Read(line); !bitutil.Equal(got, shadow[line]) {
-					t.Fatalf("step %d: read-after-write mismatch on line %d", step, line)
-				}
-			}
-			// Final sweep across all lines.
-			for l := uint64(0); l < lines; l++ {
-				if !bitutil.Equal(s.Read(l), shadow[l]) {
-					t.Fatalf("final sweep mismatch on line %d", l)
-				}
+			for _, leg := range arrayLegs {
+				t.Run(leg.name, func(t *testing.T) {
+					roundTripShadow(t, MustNew(k, Params{Lines: 8, EpochInterval: 4, MakeArray: leg.make}))
+				})
 			}
 		})
+	}
+}
+
+func roundTripShadow(t *testing.T, s Scheme) {
+	const lines = 8
+	shadow := make([][]byte, lines)
+	for i := range shadow {
+		shadow[i] = make([]byte, 64)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for step := 0; step < 2000; step++ {
+		line := uint64(rng.Intn(lines))
+		switch rng.Intn(3) {
+		case 0: // full random write
+			rng.Read(shadow[line])
+		case 1: // sparse write: mutate a couple of words
+			for n := 0; n < 1+rng.Intn(3); n++ {
+				off := rng.Intn(32) * 2
+				shadow[line][off] = byte(rng.Int())
+			}
+		case 2: // read-only step
+			got := read(s, line)
+			if !bitutil.Equal(got, shadow[line]) {
+				t.Fatalf("step %d: read mismatch on line %d", step, line)
+			}
+			continue
+		}
+		s.Write(line, shadow[line])
+		if got := read(s, line); !bitutil.Equal(got, shadow[line]) {
+			t.Fatalf("step %d: read-after-write mismatch on line %d", step, line)
+		}
+	}
+	// Final sweep across all lines.
+	for l := uint64(0); l < lines; l++ {
+		if !bitutil.Equal(read(s, l), shadow[l]) {
+			t.Fatalf("final sweep mismatch on line %d", l)
+		}
 	}
 }
 
@@ -136,7 +180,7 @@ func TestRoundTripShadowModel(t *testing.T) {
 func TestReadBeforeWriteIsZero(t *testing.T) {
 	for _, k := range allKinds {
 		s := MustNew(k, testParams())
-		got := s.Read(3)
+		got := read(s, 3)
 		if bitutil.PopCount(got) != 0 {
 			t.Errorf("%s: unwritten line reads non-zero", k)
 		}
@@ -243,20 +287,33 @@ func TestDeuceBeatsBaselineOnSparseWrites(t *testing.T) {
 	}
 }
 
-// Plaintext size mismatches must panic loudly for every scheme.
+// Plaintext and ReadInto buffer size mismatches must panic loudly, with
+// the package's message, for every scheme: a 65- or 128-byte dst once read
+// back only 64 bytes, and i-NVMM once filled a 32-byte dst with a
+// truncated line.
 func TestWrongSizeWritePanics(t *testing.T) {
 	for _, k := range allKinds {
 		k := k
 		t.Run(string(k), func(t *testing.T) {
 			s := MustNew(k, testParams())
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: short write did not panic", k)
-				}
-			}()
-			s.Write(0, make([]byte, 16))
+			s.Write(0, make([]byte, 64))
+			mustPanic(t, "short write", func() { s.Write(0, make([]byte, 16)) })
+			for _, n := range []int{32, 65, 128} {
+				mustPanic(t, fmt.Sprintf("ReadInto of %d bytes", n), func() { s.ReadInto(0, make([]byte, n)) })
+			}
 		})
 	}
+}
+
+// mustPanic fails the test unless f panics with a core message.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.HasPrefix(msg, "core: ") {
+			t.Errorf("%s: panic %q, want a core: message", what, msg)
+		}
+	}()
+	f()
 }
 
 // Counter wrap must preserve the round trip (forced by a tiny counter).
@@ -268,7 +325,7 @@ func TestCounterWrapRoundTrip(t *testing.T) {
 		for i := 0; i < 40; i++ { // > 2^4 writes: counters wrap at least twice
 			rng.Read(data)
 			s.Write(1, data)
-			if !bitutil.Equal(s.Read(1), data) {
+			if !bitutil.Equal(read(s, 1), data) {
 				t.Fatalf("%s: round trip broken after %d writes (wrap)", k, i+1)
 			}
 		}
@@ -283,6 +340,8 @@ func ExampleNew() {
 	line := make([]byte, 64)
 	copy(line, "hello, secure PCM")
 	res := s.Write(7, line)
-	fmt.Println(string(s.Read(7)[:17]), res.TotalFlips() > 0)
+	got := make([]byte, 64)
+	s.ReadInto(7, got)
+	fmt.Println(string(got[:17]), res.TotalFlips() > 0)
 	// Output: hello, secure PCM true
 }

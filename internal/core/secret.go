@@ -1,8 +1,6 @@
 package core
 
 import (
-	"io"
-
 	"deuce/internal/bitutil"
 	"deuce/internal/pcmdev"
 )
@@ -36,22 +34,21 @@ type Secret struct {
 func NewSecret(p Params) (*Secret, error) {
 	p.setDefaults()
 	words := p.LineBytes / p.WordBytes
-	b, err := newBase(p, 2*words, false)
+	b, err := newBase(p, "SECRET", 2*words, false)
 	if err != nil {
 		return nil, err
 	}
 	meta := newFieldPair(words)
-	return &Secret{
+	s := &Secret{
 		base:      b,
 		epochMask: uint64(p.EpochInterval - 1),
 		meta:      meta,
 		oldFields: meta.scratch(),
 		newFields: meta.scratch(),
-	}, nil
+	}
+	s.install = s.Install
+	return s, nil
 }
-
-// Name implements Scheme.
-func (s *Secret) Name() string { return "SECRET" }
 
 // OverheadBits implements Scheme: modified bits plus zero flags.
 func (s *Secret) OverheadBits() int { return 2 * s.words() }
@@ -129,13 +126,6 @@ func (s *Secret) decodeLineInto(dst []byte, line uint64, cells, meta []byte) {
 	}
 }
 
-// decodeLine is the allocating convenience for the read path.
-func (s *Secret) decodeLine(line uint64, cells, meta []byte) []byte {
-	out := make([]byte, len(cells))
-	s.decodeLineInto(out, line, cells, meta)
-	return out
-}
-
 // Install implements Scheme.
 func (s *Secret) Install(line uint64, plaintext []byte) {
 	s.checkPlain(plaintext)
@@ -145,12 +135,6 @@ func (s *Secret) Install(line uint64, plaintext []byte) {
 	meta := make([]byte, metaBytes(2*s.words()))
 	s.encodeLineInto(cells, meta, line, 0, true, s.gen.Encrypt(line, 0, zeroPlain), nil, nil, plaintext)
 	s.dev.Load(line, cells, meta)
-}
-
-func (s *Secret) initLine(line uint64) {
-	if !s.touched(line) {
-		s.Install(line, s.zeroLine())
-	}
 }
 
 // Write implements Scheme. Allocation-free in steady state.
@@ -166,28 +150,16 @@ func (s *Secret) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 
 	full := ctr&s.epochMask == 0
 	s.encodeLineInto(s.scr.newData, s.scr.newMeta, line, ctr, full, oldCells, oldMod, s.scr.oldPlain, plaintext)
-	return s.observe(s.Name(), line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), full)
-}
-
-// Read implements Scheme.
-func (s *Secret) Read(line uint64) []byte {
-	s.initLine(line)
-	cells, meta := s.dev.Read(line)
-	return s.decodeLine(line, cells, meta)
+	return s.observe(line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), full)
 }
 
 // ReadInto implements Scheme.
 func (s *Secret) ReadInto(line uint64, dst []byte) {
+	s.checkDst(dst)
 	s.initLine(line)
 	s.dev.ReadInto(line, s.scr.oldData, s.scr.oldMeta)
 	s.decodeLineInto(dst, line, s.scr.oldData, s.scr.oldMeta)
 }
-
-// SaveState implements Persistent.
-func (s *Secret) SaveState(w io.Writer) error { return s.saveState(s.Name(), w) }
-
-// LoadState implements Persistent.
-func (s *Secret) LoadState(r io.Reader) error { return s.loadState(s.Name(), r) }
 
 // KindSecret selects the SECRET-style scheme.
 const KindSecret Kind = "secret"

@@ -5,8 +5,8 @@
 // wrappers around this package.
 //
 // Concurrency: Experiment.Run is safe to call from multiple goroutines —
-// the process-wide cell memo is single-flight (GridCache), recorded
-// streams only grow under their own lock, and the cell executor fans cells
+// the process-wide memo of cells and streams is single-flight (Memo),
+// recorded streams only grow under their own lock, and the cell executor fans cells
 // out over an internal worker pool whose cells each build and own their
 // scheme instance outright. The per-run observability hooks in RunConfig
 // (Trace, Heatmap, Metrics) are the exception: they are single-writer,

@@ -22,8 +22,10 @@ func Example() {
 	cost := codec.CountFlips(stored, flips, allOnes)
 	fmt.Printf("writing ~x over x: %d of 512 cells (plain DCW would program 512)\n", cost)
 
-	newData, newFlips := codec.Encode(stored, flips, allOnes)
-	roundTrip := codec.Decode(newData, newFlips)
+	newData, newFlips := make([]byte, 64), make([]byte, 4)
+	codec.EncodeInto(newData, newFlips, stored, flips, allOnes)
+	roundTrip := make([]byte, 64)
+	codec.DecodeInto(roundTrip, newData, newFlips)
 	fmt.Println(roundTrip[0] == 0xff)
 	// Output:
 	// writing ~x over x: 32 of 512 cells (plain DCW would program 512)

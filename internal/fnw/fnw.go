@@ -62,23 +62,15 @@ func (c *Codec) Words(lineBytes int) int { return lineBytes / c.wordBytes }
 // per word.
 func (c *Codec) FlipBits(lineBytes int) int { return c.Words(lineBytes) }
 
-// Encode computes the stored image for writing logical over the current
-// stored image. storedData are the raw cells currently in the array,
-// storedFlips the current flip bits (one bit per word, little-endian in a
-// byte slice of ⌈words/8⌉ bytes; bits past the word count must be zero —
-// the codec neither reads nor preserves them). It returns the new raw
-// cells and flip bits; it does not mutate its inputs.
-func (c *Codec) Encode(storedData, storedFlips, logical []byte) (newData, newFlips []byte) {
-	newData = make([]byte, len(logical))
-	newFlips = make([]byte, len(storedFlips))
-	c.EncodeInto(newData, newFlips, storedData, storedFlips, logical)
-	return newData, newFlips
-}
-
-// EncodeInto is Encode into caller-owned buffers, the allocation-free hot
-// path. newData must match the line length and newFlips must hold at least
-// ⌈words/8⌉ bytes; every word's flip bit is written explicitly (set or
-// cleared), while flip-buffer bits past the word count are left untouched —
+// EncodeInto computes the stored image for writing logical over the
+// current stored image, into caller-owned buffers without allocating.
+// storedData are the raw cells currently in the array, storedFlips the
+// current flip bits (one bit per word, little-endian in a byte slice of
+// ⌈words/8⌉ bytes; bits past the word count are neither read nor
+// preserved); it does not mutate its inputs. newData must match the line
+// length and newFlips must hold at least ⌈words/8⌉ bytes; every word's
+// flip bit is written explicitly (set or cleared), while flip-buffer bits
+// past the word count are left untouched —
 // callers that reuse a scratch buffer must manage any trailing bits (such as
 // DynDEUCE's mode bit) themselves. newData/newFlips must not alias the
 // inputs.
@@ -121,7 +113,7 @@ func (c *Codec) EncodeInto(newData, newFlips, storedData, storedFlips, logical [
 }
 
 // CountFlips returns the number of cell programs (data + flip bits) that
-// Encode would incur, without materializing the encoding. DynDEUCE uses
+// EncodeInto would incur, without materializing the encoding. DynDEUCE uses
 // this to estimate the FNW cost of a write (paper §4.6, Figure 11).
 // It does not allocate.
 func (c *Codec) CountFlips(storedData, storedFlips, logical []byte) int {
@@ -155,15 +147,8 @@ func (c *Codec) CountFlips(storedData, storedFlips, logical []byte) int {
 	return total
 }
 
-// Decode recovers the logical value from a stored image: words whose flip
-// bit is set are inverted back.
-func (c *Codec) Decode(storedData, storedFlips []byte) []byte {
-	out := make([]byte, len(storedData))
-	c.DecodeInto(out, storedData, storedFlips)
-	return out
-}
-
-// DecodeInto is Decode into a caller-owned buffer. dst must match the line
+// DecodeInto recovers the logical value from a stored image into dst:
+// words whose flip bit is set are inverted back. dst must match the line
 // length; it may alias storedData (the inversion is in place per word).
 func (c *Codec) DecodeInto(dst, storedData, storedFlips []byte) {
 	if len(dst) != len(storedData) {

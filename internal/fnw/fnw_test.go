@@ -8,6 +8,20 @@ import (
 	"deuce/internal/bitutil"
 )
 
+// encode is EncodeInto into fresh buffers sized like the inputs.
+func encode(c *Codec, stored, flips, logical []byte) (newData, newFlips []byte) {
+	newData, newFlips = make([]byte, len(logical)), make([]byte, len(flips))
+	c.EncodeInto(newData, newFlips, stored, flips, logical)
+	return newData, newFlips
+}
+
+// decode is DecodeInto into a fresh buffer.
+func decode(c *Codec, stored, flips []byte) []byte {
+	out := make([]byte, len(stored))
+	c.DecodeInto(out, stored, flips)
+	return out
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		if _, err := New(w); err != nil {
@@ -27,8 +41,8 @@ func TestEncodeDecodeIdentity(t *testing.T) {
 	flips := make([]byte, 4)
 	logical := make([]byte, 64)
 	rand.New(rand.NewSource(9)).Read(logical)
-	newData, newFlips := c.Encode(stored, flips, logical)
-	if !bitutil.Equal(c.Decode(newData, newFlips), logical) {
+	newData, newFlips := encode(c, stored, flips, logical)
+	if !bitutil.Equal(decode(c, newData, newFlips), logical) {
 		t.Fatal("decode(encode(x)) != x")
 	}
 }
@@ -44,8 +58,8 @@ func TestRoundTripProperty(t *testing.T) {
 		rng.Read(flips)
 		logical := make([]byte, 64)
 		rng.Read(logical)
-		d, fl := c.Encode(stored, flips, logical)
-		return bitutil.Equal(c.Decode(d, fl), logical)
+		d, fl := encode(c, stored, flips, logical)
+		return bitutil.Equal(decode(c, d, fl), logical)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -84,7 +98,7 @@ func TestAllBitsInverted(t *testing.T) {
 	for i := range logical {
 		logical[i] = 0xff
 	}
-	newData, newFlips := c.Encode(stored, flips, logical)
+	newData, newFlips := encode(c, stored, flips, logical)
 	// Stored image should remain all zeros with every flip bit set.
 	if bitutil.PopCount(newData) != 0 {
 		t.Errorf("stored data popcount = %d, want 0", bitutil.PopCount(newData))
@@ -104,11 +118,11 @@ func TestNoChangeWriteCostsZero(t *testing.T) {
 	rng.Read(logical)
 	stored := make([]byte, 64)
 	flips := make([]byte, 4)
-	d1, f1 := c.Encode(stored, flips, logical)
+	d1, f1 := encode(c, stored, flips, logical)
 	if got := c.CountFlips(d1, f1, logical); got != 0 {
 		t.Errorf("rewriting identical value costs %d, want 0", got)
 	}
-	d2, f2 := c.Encode(d1, f1, logical)
+	d2, f2 := encode(c, d1, f1, logical)
 	if !bitutil.Equal(d2, d1) || !bitutil.Equal(f2, f1) {
 		t.Error("identical rewrite changed the stored image")
 	}
@@ -125,7 +139,7 @@ func TestCountFlipsMatchesEncode(t *testing.T) {
 		rng.Read(stored)
 		rng.Read(flips)
 		rng.Read(logical)
-		newData, newFlips := c.Encode(stored, flips, logical)
+		newData, newFlips := encode(c, stored, flips, logical)
 		actual := bitutil.Hamming(stored, newData) + bitutil.Hamming(flips, newFlips)
 		return c.CountFlips(stored, flips, logical) == actual
 	}
@@ -179,7 +193,7 @@ func TestMismatchedLengthsPanic(t *testing.T) {
 			t.Fatal("mismatched lengths did not panic")
 		}
 	}()
-	c.Encode(make([]byte, 64), make([]byte, 4), make([]byte, 32))
+	encode(c, make([]byte, 64), make([]byte, 4), make([]byte, 32))
 }
 
 func TestShortFlipSlicePanics(t *testing.T) {
@@ -189,7 +203,7 @@ func TestShortFlipSlicePanics(t *testing.T) {
 			t.Fatal("short flip slice did not panic")
 		}
 	}()
-	c.Encode(make([]byte, 64), make([]byte, 1), make([]byte, 64))
+	encode(c, make([]byte, 64), make([]byte, 1), make([]byte, 64))
 }
 
 // On random data vs random stored state, average FNW cost per word must be
@@ -206,7 +220,7 @@ func TestRandomDataBeatsDCW(t *testing.T) {
 		rng.Read(logical)
 		totalFNW += c.CountFlips(stored, flips, logical)
 		totalDCW += bitutil.Hamming(stored, logical)
-		stored, flips = c.Encode(stored, flips, logical)
+		stored, flips = encode(c, stored, flips, logical)
 	}
 	fnwFrac := float64(totalFNW) / float64(500*544) // 512 data + 32 flip cells
 	dcwFrac := float64(totalDCW) / float64(500*512)
@@ -227,8 +241,9 @@ func BenchmarkEncode(b *testing.B) {
 	logical := make([]byte, 64)
 	rng.Read(stored)
 	rng.Read(logical)
+	newData, newFlips := make([]byte, 64), make([]byte, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Encode(stored, flips, logical)
+		c.EncodeInto(newData, newFlips, stored, flips, logical)
 	}
 }

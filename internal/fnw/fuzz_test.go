@@ -29,8 +29,8 @@ func FuzzRoundTrip(f *testing.F) {
 			bitutil.SetBit(flips, b, false)
 		}
 
-		newData, newFlips := c.Encode(stored, flips, logical)
-		if got := c.Decode(newData, newFlips); !bitutil.Equal(got, logical) {
+		newData, newFlips := encode(c, stored, flips, logical)
+		if got := decode(c, newData, newFlips); !bitutil.Equal(got, logical) {
 			t.Fatalf("round trip failed (w=%d)", c.WordBytes())
 		}
 		want := bitutil.Hamming(stored, newData) + bitutil.Hamming(flips, newFlips)

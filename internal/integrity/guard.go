@@ -91,35 +91,26 @@ func (g *Guard) Load(line uint64, data, meta []byte) {
 	}
 }
 
-// Read implements pcmdev.Array, verifying the fetched image against the
-// secure root.
-func (g *Guard) Read(line uint64) (data, meta []byte) {
-	data, meta = g.inner.Read(line)
-	g.check(line, data, meta)
-	return data, meta
-}
-
-// Peek implements pcmdev.Array with the same verification as Read.
+// Peek implements pcmdev.Array with the same verification as ReadInto.
 func (g *Guard) Peek(line uint64) (data, meta []byte) {
 	data, meta = g.inner.Peek(line)
 	g.check(line, data, meta)
 	return data, meta
 }
 
-// PeekInto implements pcmdev.Array with the same verification as Read.
+// PeekInto implements pcmdev.Array with the same verification as ReadInto.
 func (g *Guard) PeekInto(line uint64, data, meta []byte) {
 	d, m := g.Peek(line)
 	copy(data, d)
 	copy(meta, m)
 }
 
-// ReadInto implements pcmdev.Array with the same verification as Read.
-// Verification hashes the fetched image, so this path allocates; guarded
-// arrays are not on the zero-allocation read path.
+// ReadInto implements pcmdev.Array: the inner array's read, verified
+// against the secure root. Verification hashes the fetched image, so this
+// path allocates; guarded arrays are not on the zero-allocation read path.
 func (g *Guard) ReadInto(line uint64, data, meta []byte) {
-	d, m := g.Read(line)
-	copy(data, d)
-	copy(meta, m)
+	g.inner.ReadInto(line, data, meta)
+	g.check(line, data, meta)
 }
 
 func (g *Guard) check(line uint64, data, meta []byte) {

@@ -140,7 +140,8 @@ func TestGuardPassThrough(t *testing.T) {
 	data[0] = 0xaa
 	meta[0] = 0x01
 	g.Write(3, data, meta)
-	d, m := g.Read(3)
+	d, m := make([]byte, 64), make([]byte, 4)
+	g.ReadInto(3, d, m)
 	if d[0] != 0xaa || m[0] != 0x01 {
 		t.Error("guard corrupted data path")
 	}
@@ -173,7 +174,7 @@ func TestGuardDetectsTampering(t *testing.T) {
 
 	var caught []uint64
 	g.OnViolation = func(line uint64) { caught = append(caught, line) }
-	g.Read(2)
+	g.ReadInto(2, make([]byte, 64), nil)
 	if len(caught) != 1 || caught[0] != 2 {
 		t.Fatalf("tampering not detected: %v", caught)
 	}
@@ -182,7 +183,7 @@ func TestGuardDetectsTampering(t *testing.T) {
 		t.Errorf("violations = %d", viol)
 	}
 	// Untampered lines still verify.
-	g.Read(3)
+	g.ReadInto(3, make([]byte, 64), nil)
 	if len(caught) != 1 {
 		t.Error("false positive on clean line")
 	}
@@ -199,7 +200,7 @@ func TestGuardPanicsByDefault(t *testing.T) {
 			t.Fatal("tampered read did not panic")
 		}
 	}()
-	g.Read(0)
+	g.ReadInto(0, make([]byte, 64), nil)
 }
 
 // A counter-rollback attack against a full DEUCE memory built on a guarded
@@ -233,7 +234,7 @@ func TestGuardedDeuceDetectsReplay(t *testing.T) {
 	g.Inner().Load(0, oldImage, oldMeta)
 	var caught bool
 	g.OnViolation = func(uint64) { caught = true }
-	s.Read(0)
+	s.ReadInto(0, data)
 	if !caught {
 		t.Fatal("replayed line image not detected")
 	}

@@ -15,7 +15,8 @@ func Example() {
 	const lineAddr, counter = 42, 7
 	plaintext := []byte("sixteen byte msg")
 	ciphertext := gen.Encrypt(lineAddr, counter, plaintext)
-	recovered := gen.Decrypt(lineAddr, counter, ciphertext)
+	recovered := make([]byte, len(ciphertext))
+	gen.DecryptInto(recovered, lineAddr, counter, ciphertext)
 
 	fmt.Printf("%s\n", recovered)
 	fmt.Println(string(ciphertext) == string(plaintext))

@@ -26,7 +26,8 @@
 // The ...Into variants (PadInto, PadPairInto, EncryptInto, BlockPadInto)
 // write into caller-owned buffers and perform no heap allocation in steady
 // state; they are the hot-path API the schemes in internal/core use.
-// Pad/Encrypt/Decrypt are allocating conveniences layered on top.
+// Pad and Encrypt are allocating conveniences layered on top, for
+// one-time installs and examples.
 package otp
 
 import (
@@ -158,7 +159,8 @@ func (g *Generator) Pad(lineAddr, counter uint64, n int) []byte {
 
 // BlockPadInto fills dst (BlockSize bytes) with the single pad block for AES
 // block blockIdx of the line, used by Block-Level Encryption where each
-// 16-byte block carries its own counter.
+// 16-byte block carries its own counter. It equals
+// Pad(lineAddr, counter, (blockIdx+1)*16)[blockIdx*16:].
 func (g *Generator) BlockPadInto(dst []byte, lineAddr, counter uint64, blockIdx int) {
 	if len(dst) != BlockSize {
 		panic(fmt.Sprintf("otp: block pad length %d, want %d", len(dst), BlockSize))
@@ -169,14 +171,6 @@ func (g *Generator) BlockPadInto(dst []byte, lineAddr, counter uint64, blockIdx 
 	// One block has nothing to interleave: both paths use crypto/aes.
 	g.pads++
 	g.block.Encrypt(dst, g.tweak(lineAddr, counter, blockIdx))
-}
-
-// BlockPad returns the single 16-byte pad for AES block blockIdx of the line.
-// It equals Pad(lineAddr, counter, (blockIdx+1)*16)[blockIdx*16:].
-func (g *Generator) BlockPad(lineAddr, counter uint64, blockIdx int) []byte {
-	out := make([]byte, BlockSize)
-	g.BlockPadInto(out, lineAddr, counter, blockIdx)
-	return out
 }
 
 // derive fills dst with npads pads of n blocks each for lineAddr, pad q
@@ -267,11 +261,6 @@ func (g *Generator) Encrypt(lineAddr, counter uint64, plaintext []byte) []byte {
 	out := make([]byte, len(plaintext))
 	g.EncryptInto(out, lineAddr, counter, plaintext)
 	return out
-}
-
-// Decrypt is the inverse of Encrypt (XOR with the same pad).
-func (g *Generator) Decrypt(lineAddr, counter uint64, ciphertext []byte) []byte {
-	return g.Encrypt(lineAddr, counter, ciphertext)
 }
 
 // XorInto writes src XOR pad into dst word-parallel. pad may be longer than

@@ -8,18 +8,16 @@ package pcmdev
 type Array interface {
 	// Write stores data and metadata with differential-write accounting.
 	Write(line uint64, data, meta []byte) WriteResult
-	// Read returns copies of the stored data and metadata.
-	Read(line uint64) (data, meta []byte)
-	// Peek is Read without read-statistics side effects.
+	// Peek returns copies of the stored data and metadata, without
+	// read-statistics side effects.
 	Peek(line uint64) (data, meta []byte)
 	// PeekInto is Peek into caller-owned buffers (no allocation on the
 	// bare device; wrappers that must transform the image may allocate).
 	// data must be LineBytes long and meta ⌈MetaBits/8⌉ bytes (nil when
 	// the array has no metadata).
 	PeekInto(line uint64, data, meta []byte)
-	// ReadInto is Read into caller-owned buffers: PeekInto's copy with
-	// Read's statistics side effect. It is what makes zero-allocation
-	// scheme reads possible; buffer requirements are PeekInto's.
+	// ReadInto is the read path: PeekInto's copy, counted as one device
+	// read. Buffer requirements are PeekInto's.
 	ReadInto(line uint64, data, meta []byte)
 	// Load stores without cost accounting (initial placement).
 	Load(line uint64, data, meta []byte)

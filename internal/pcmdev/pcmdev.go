@@ -166,7 +166,7 @@ type WriteResult struct {
 func (r WriteResult) TotalFlips() int { return r.DataFlips + r.MetaFlips }
 
 // Device is a simulated PCM array. No method is safe for concurrent use:
-// Write, Read, Load and ResetStats mutate it, and so does PositionWrites,
+// Write, ReadInto, Load and ResetStats mutate it, and so does PositionWrites,
 // which absorbs the staged rows and folds the wear planes in place. The
 // experiment harness runs one device per goroutine.
 type Device struct {
@@ -339,17 +339,10 @@ func (d *Device) Config() Config { return d.cfg }
 // Lines returns the number of lines in the array.
 func (d *Device) Lines() int { return d.cfg.Lines }
 
-// Read returns copies of the stored data and metadata for the line.
-func (d *Device) Read(line uint64) (data, meta []byte) {
-	d.checkLine(line)
-	d.stats.Reads++
-	p := d.page(line)
-	return bitutil.Clone(p[:d.lineBytes]), bitutil.Clone(p[d.lineBytes:])
-}
-
-// Peek is Read without statistics side effects, for schemes that must
-// inspect the stored image while computing a write (read-modify-write is
-// already accounted by the caller).
+// Peek returns copies of the stored data and metadata for the line,
+// without statistics side effects, for callers that must inspect the
+// stored image outside the read path (read-modify-write is already
+// accounted by the caller).
 func (d *Device) Peek(line uint64) (data, meta []byte) {
 	d.checkLine(line)
 	p := d.page(line)
@@ -376,10 +369,10 @@ func (d *Device) PeekInto(line uint64, data, meta []byte) {
 	copy(meta, p[d.lineBytes:])
 }
 
-// ReadInto is Read into caller-owned buffers: the same copy-out as
-// PeekInto, with Read's statistics side effect, and no allocation. Buffer
-// requirements are PeekInto's: data must be LineBytes long; meta must be
-// ⌈MetaBits/8⌉ bytes, or nil when the array has no metadata.
+// ReadInto is the device's read: the same copy-out as PeekInto, counted as
+// one read in Stats, and no allocation. Buffer requirements are
+// PeekInto's: data must be LineBytes long; meta must be ⌈MetaBits/8⌉
+// bytes, or nil when the array has no metadata.
 func (d *Device) ReadInto(line uint64, data, meta []byte) {
 	d.PeekInto(line, data, meta)
 	d.stats.Reads++

@@ -49,7 +49,8 @@ func TestReadBackAfterWrite(t *testing.T) {
 	rand.New(rand.NewSource(1)).Read(data)
 	meta[0] = 0xa5
 	d.Write(2, data, meta)
-	gotData, gotMeta := d.Read(2)
+	gotData, gotMeta := make([]byte, 64), make([]byte, 4)
+	d.ReadInto(2, gotData, gotMeta)
 	if !bitutil.Equal(gotData, data) {
 		t.Error("data read-back mismatch")
 	}
@@ -57,7 +58,8 @@ func TestReadBackAfterWrite(t *testing.T) {
 		t.Error("meta read-back mismatch")
 	}
 	// Other lines untouched.
-	other, _ := d.Read(3)
+	other := make([]byte, 64)
+	d.ReadInto(3, other, make([]byte, 4))
 	if bitutil.PopCount(other) != 0 {
 		t.Error("write leaked into another line")
 	}
@@ -175,7 +177,7 @@ func TestStatsAveragesAndReset(t *testing.T) {
 		t.Error("ResetStats did not clear counters")
 	}
 	// Contents preserved across reset.
-	got, _ := d.Read(0)
+	got, _ := d.Peek(0)
 	if got[0] != 0xff {
 		t.Error("ResetStats clobbered stored data")
 	}
@@ -263,9 +265,9 @@ func TestPeekDoesNotCountRead(t *testing.T) {
 	if d.Stats().Reads != 0 {
 		t.Error("Peek counted as a read")
 	}
-	d.Read(0)
+	d.ReadInto(0, make([]byte, 64), nil)
 	if d.Stats().Reads != 1 {
-		t.Error("Read not counted")
+		t.Error("ReadInto not counted")
 	}
 }
 

@@ -22,7 +22,8 @@ func Example() {
 		data[0] ^= 0xff // hammer the first byte
 		sg.Write(3, data, nil)
 	}
-	got, _ := sg.Read(3)
+	got := make([]byte, 64)
+	sg.ReadInto(3, got, nil)
 	fmt.Println("data survives remap+rotation:", got[0] == data[0])
 
 	profile := wear.MustAnalyze(sg.PositionWrites(), writes)

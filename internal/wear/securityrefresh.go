@@ -168,13 +168,6 @@ func (s *SecurityRefresh) Write(line uint64, data, meta []byte) pcmdev.WriteResu
 	return res
 }
 
-// Read implements pcmdev.Array.
-func (s *SecurityRefresh) Read(line uint64) (data, meta []byte) {
-	s.checkLine(line)
-	d, m := s.inner.Read(s.physical(line))
-	return s.rotate(d, m, -s.rotation(line))
-}
-
 // Peek implements pcmdev.Array.
 func (s *SecurityRefresh) Peek(line uint64) (data, meta []byte) {
 	s.checkLine(line)
@@ -190,10 +183,13 @@ func (s *SecurityRefresh) PeekInto(line uint64, data, meta []byte) {
 	copy(meta, m)
 }
 
-// ReadInto implements pcmdev.Array. The de-rotation allocates; wear-leveled
+// ReadInto implements pcmdev.Array: the inner device's read, counted
+// there, then de-rotated in place. The de-rotation allocates; wear-leveled
 // arrays are not on the zero-allocation read path.
 func (s *SecurityRefresh) ReadInto(line uint64, data, meta []byte) {
-	d, m := s.Read(line)
+	s.checkLine(line)
+	s.inner.ReadInto(s.physical(line), data, meta)
+	d, m := s.rotate(data, meta, -s.rotation(line))
 	copy(data, d)
 	copy(meta, m)
 }

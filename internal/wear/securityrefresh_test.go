@@ -150,13 +150,14 @@ func TestSROutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range access did not panic")
 		}
 	}()
-	s.Read(8)
+	s.ReadInto(8, make([]byte, 64), nil)
 }
 
 // Reads on a freshly booted array return zeroes (identity initial mapping).
 func TestSRFreshReadsZero(t *testing.T) {
 	s := srDev(t, 8, 8, StartGapConfig{})
-	d, m := s.Read(5)
+	d, m := make([]byte, 64), make([]byte, 1)
+	s.ReadInto(5, d, m)
 	if bitutil.PopCount(d) != 0 || bitutil.PopCount(m) != 0 {
 		t.Error("fresh array reads non-zero")
 	}

@@ -230,13 +230,6 @@ func (s *StartGap) Write(line uint64, data, meta []byte) pcmdev.WriteResult {
 	return res
 }
 
-// Read implements pcmdev.Array.
-func (s *StartGap) Read(line uint64) (data, meta []byte) {
-	s.checkLine(line)
-	d, m := s.inner.Read(s.physical(line))
-	return s.rotate(d, m, -s.rotation(line))
-}
-
 // Peek implements pcmdev.Array.
 func (s *StartGap) Peek(line uint64) (data, meta []byte) {
 	s.checkLine(line)
@@ -252,10 +245,13 @@ func (s *StartGap) PeekInto(line uint64, data, meta []byte) {
 	copy(meta, m)
 }
 
-// ReadInto implements pcmdev.Array. The de-rotation allocates; wear-leveled
+// ReadInto implements pcmdev.Array: the inner device's read, counted
+// there, then de-rotated in place. The de-rotation allocates; wear-leveled
 // arrays are not on the zero-allocation read path.
 func (s *StartGap) ReadInto(line uint64, data, meta []byte) {
-	d, m := s.Read(line)
+	s.checkLine(line)
+	s.inner.ReadInto(s.physical(line), data, meta)
+	d, m := s.rotate(data, meta, -s.rotation(line))
 	copy(data, d)
 	copy(meta, m)
 }

@@ -261,31 +261,18 @@ func New(opts Options) (*Memory, error) {
 	default:
 		return nil, fmt.Errorf("deuce: unknown backend %q (want %q, %q or %q)", opts.Backend, MemBackend, FileBackend, DirBackend)
 	}
-	switch opts.WearLeveling {
-	case NoWearLeveling:
-	case SecurityRefreshWL, SecurityRefreshHWL:
-		mode := wear.VWLOnly
-		if opts.WearLeveling == SecurityRefreshHWL {
-			mode = wear.HWLHashed
-		}
-		params.MakeArray = func(cfg pcmdev.Config) (pcmdev.Array, error) {
-			return wear.NewSecurityRefresh(cfg, wear.StartGapConfig{
-				Mode:         mode,
-				Psi:          opts.GapWriteInterval,
-				FreeGapMoves: opts.ExcludeGapMoveWear,
-			}, 1)
-		}
-	default:
+	if opts.WearLeveling != NoWearLeveling {
 		mode, err := wearMode(opts.WearLeveling)
 		if err != nil {
 			return nil, err
 		}
+		wcfg := wear.StartGapConfig{Mode: mode, Psi: opts.GapWriteInterval, FreeGapMoves: opts.ExcludeGapMoveWear}
+		sr := opts.WearLeveling == SecurityRefreshWL || opts.WearLeveling == SecurityRefreshHWL
 		params.MakeArray = func(cfg pcmdev.Config) (pcmdev.Array, error) {
-			return wear.NewStartGap(cfg, wear.StartGapConfig{
-				Mode:         mode,
-				Psi:          opts.GapWriteInterval,
-				FreeGapMoves: opts.ExcludeGapMoveWear,
-			})
+			if sr {
+				return wear.NewSecurityRefresh(cfg, wcfg, 1)
+			}
+			return wear.NewStartGap(cfg, wcfg)
 		}
 	}
 	s, err := core.New(kind, params)
@@ -297,11 +284,11 @@ func New(opts Options) (*Memory, error) {
 
 func wearMode(w WearLeveling) (wear.Mode, error) {
 	switch w {
-	case VerticalWL:
+	case VerticalWL, SecurityRefreshWL:
 		return wear.VWLOnly, nil
 	case HorizontalWL:
 		return wear.HWL, nil
-	case HorizontalWLHashed:
+	case HorizontalWLHashed, SecurityRefreshHWL:
 		return wear.HWLHashed, nil
 	default:
 		return 0, fmt.Errorf("deuce: unknown wear-leveling mode %d", int(w))

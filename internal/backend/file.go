@@ -21,7 +21,6 @@ import (
 const (
 	fileHeaderSize = 4096
 	fileVersion    = 1
-	noMmapEnv      = "DEUCE_BACKEND_NO_MMAP" // forces the pread/pwrite path
 )
 
 var fileMagic = [4]byte{'D', 'P', 'G', '1'}
@@ -62,9 +61,6 @@ func OpenFile(path string, pages, pageSize int, opts ...FileOptions) (*File, err
 	var opt FileOptions
 	if len(opts) > 0 {
 		opt = opts[0]
-	}
-	if os.Getenv(noMmapEnv) != "" {
-		opt.NoMmap = true
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package bitutil provides the low-level bit manipulation primitives that the
 // rest of the simulator is built on: Hamming distance and popcount over byte
-// slices, fixed-width word extraction and insertion, bit-level rotation of a
-// line (used by Horizontal Wear Leveling), and a small growable bit vector.
+// slices, fixed-width word extraction and insertion, word-wide rotation of a
+// line's bit string (the Horizontal Wear Leveling shifter), and a small
+// growable bit vector.
 //
 // All cache-line payloads in this repository are []byte in little-endian bit
 // order: bit i of a line lives in byte i/8 at position i%8 (LSB first). Every
@@ -178,31 +179,38 @@ func CopyWord(dst, src []byte, w, idx int) {
 	copy(dst[idx*w:(idx+1)*w], src[idx*w:(idx+1)*w])
 }
 
-// RotateLeft returns b rotated left by k bits, treating b as a little-endian
-// bit string of length 8*len(b): output bit (i+k) mod n == input bit i.
-// k may be any integer (negative rotates right).
-func RotateLeft(b []byte, k int) []byte {
-	n := len(b) * 8
-	out := make([]byte, len(b))
-	if n == 0 {
-		return out
-	}
+// RotateWords is the Horizontal Wear Leveling shifter: it stores into dst
+// the n-bit string src rotated left by k bits, so that bit (i+k) mod n of
+// dst is bit i of src, where bit i lives in word i/64 at position i%64 —
+// GetBit's order over the little-endian bytes of the words. k may be any
+// integer (negative rotates right). src's bits past n are cleared first and
+// dst's stay zero; dst and src hold ⌈n/64⌉ words each and must not overlap.
+func RotateWords(dst, src []uint64, n, k int) {
+	last, top := len(src)-1, ^uint64(0)>>(63-(n-1)%64)
+	src[last] &= top
 	k = ((k % n) + n) % n
-	if k == 0 {
-		copy(out, b)
-		return out
-	}
-	for i := 0; i < n; i++ {
-		if GetBit(b, i) {
-			SetBit(out, (i+k)%n, true)
+	// dst = src<<k, truncated to the words of n bits.
+	ws, bs := k/64, uint(k%64)
+	for i := last; i >= 0; i-- {
+		var w uint64
+		if j := i - ws; j >= 0 {
+			w = src[j] << bs
+			if j > 0 {
+				w |= src[j-1] >> (64 - bs)
+			}
 		}
+		dst[i] = w
 	}
-	return out
-}
-
-// RotateRight returns b rotated right by k bits (inverse of RotateLeft).
-func RotateRight(b []byte, k int) []byte {
-	return RotateLeft(b, -k)
+	// dst |= src>>(n-k): the bits the left shift carried past n.
+	ws, bs = (n-k)/64, uint((n-k)%64)
+	for i := 0; i+ws <= last; i++ {
+		w := src[i+ws] >> bs
+		if i+ws < last {
+			w |= src[i+ws+1] << (64 - bs)
+		}
+		dst[i] |= w
+	}
+	dst[last] &= top
 }
 
 // Clone returns a copy of b.

@@ -1,6 +1,7 @@
 package bitutil
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -144,37 +145,61 @@ func TestWordHelpers(t *testing.T) {
 	}
 }
 
+// rotated returns src's first n bits rotated left by k through
+// RotateWords, leaving src as it was.
+func rotated(src []uint64, n, k int) []uint64 {
+	in := append([]uint64(nil), src[:(n+63)/64]...)
+	out := make([]uint64, len(in))
+	RotateWords(out, in, n, k)
+	return out
+}
+
 func TestRotateLeftSimple(t *testing.T) {
-	b := []byte{0x01} // bit 0 set
-	r := RotateLeft(b, 1)
-	if r[0] != 0x02 {
-		t.Errorf("RotateLeft(0x01,1) = %#x, want 0x02", r[0])
+	b := []uint64{0x01} // bit 0 set
+	if r := rotated(b, 8, 1); r[0] != 0x02 {
+		t.Errorf("rotate 0x01 by 1 over 8 bits = %#x, want 0x02", r[0])
 	}
-	r = RotateLeft(b, 8) // full rotation
-	if r[0] != 0x01 {
-		t.Errorf("RotateLeft(0x01,8) = %#x, want 0x01", r[0])
+	if r := rotated(b, 8, 8); r[0] != 0x01 { // full rotation
+		t.Errorf("rotate 0x01 by 8 over 8 bits = %#x, want 0x01", r[0])
 	}
-	r = RotateLeft(b, -1) // wrap to MSB
-	if r[0] != 0x80 {
-		t.Errorf("RotateLeft(0x01,-1) = %#x, want 0x80", r[0])
+	if r := rotated(b, 8, -1); r[0] != 0x80 { // wrap to the top bit
+		t.Errorf("rotate 0x01 by -1 over 8 bits = %#x, want 0x80", r[0])
+	}
+	if r := rotated([]uint64{0xff01}, 8, 1); r[0] != 0x02 { // bits past n ignored
+		t.Errorf("rotate with dirty padding = %#x, want 0x02", r[0])
 	}
 }
 
 func TestRotateCrossesBytes(t *testing.T) {
-	b := []byte{0x80, 0x00} // bit 7
-	r := RotateLeft(b, 1)   // -> bit 8
-	if r[0] != 0x00 || r[1] != 0x01 {
-		t.Errorf("RotateLeft crossing byte = %v", r)
+	if r := rotated([]uint64{0x80}, 16, 1); r[0] != 0x100 { // bit 7 -> bit 8
+		t.Errorf("rotate crossing a byte = %#x, want 0x100", r[0])
+	}
+	r := rotated([]uint64{1 << 63, 0}, 128, 1) // bit 63 -> bit 64
+	if r[0] != 0 || r[1] != 1 {
+		t.Errorf("rotate crossing a word = %#x", r)
+	}
+	r = rotated([]uint64{1, 0}, 65, -1) // bit 0 -> bit 64, the top bit
+	if r[0] != 0 || r[1] != 1 {
+		t.Errorf("rotate right across the wrap = %#x", r)
 	}
 }
 
-// Property: RotateRight undoes RotateLeft for any shift.
+// quickBits draws an n-bit string for the rotation properties: n up to
+// 64*len(w), the words of w with their bits past n cleared.
+func quickBits(w []uint64, trim uint8) ([]uint64, int) {
+	n := 64*len(w) - int(trim)%64
+	return rotated(w, n, 0), n
+}
+
+// Property: rotating right by k undoes rotating left by k.
 func TestRotateRoundTrip(t *testing.T) {
-	f := func(b []byte, k int) bool {
-		if len(b) == 0 {
+	f := func(w []uint64, trim uint8, k int) bool {
+		if len(w) == 0 {
 			return true
 		}
-		return Equal(RotateRight(RotateLeft(b, k), k), b)
+		b, n := quickBits(w, trim)
+		back := rotated(rotated(b, n, k), n, -k)
+		return Equal(wordBytes(back), wordBytes(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -183,8 +208,12 @@ func TestRotateRoundTrip(t *testing.T) {
 
 // Property: rotation preserves popcount.
 func TestRotatePreservesPopcount(t *testing.T) {
-	f := func(b []byte, k int) bool {
-		return PopCount(RotateLeft(b, k)) == PopCount(b)
+	f := func(w []uint64, trim uint8, k int) bool {
+		if len(w) == 0 {
+			return true
+		}
+		b, n := quickBits(w, trim)
+		return PopCount(wordBytes(rotated(b, n, k))) == PopCount(wordBytes(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -195,15 +224,27 @@ func TestRotatePreservesPopcount(t *testing.T) {
 func TestRotateComposes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
-		b := make([]byte, 1+rng.Intn(80))
-		rng.Read(b)
+		n := 1 + rng.Intn(640)
+		b := make([]uint64, (n+63)/64)
+		for i := range b {
+			b[i] = rng.Uint64()
+		}
 		x, y := rng.Intn(1000)-500, rng.Intn(1000)-500
-		got := RotateLeft(RotateLeft(b, x), y)
-		want := RotateLeft(b, x+y)
-		if !Equal(got, want) {
-			t.Fatalf("rotate compose failed for len=%d x=%d y=%d", len(b), x, y)
+		got := rotated(rotated(b, n, x), n, y)
+		want := rotated(b, n, x+y)
+		if !Equal(wordBytes(got), wordBytes(want)) {
+			t.Fatalf("rotate compose failed for n=%d x=%d y=%d", n, x, y)
 		}
 	}
+}
+
+// wordBytes returns the little-endian byte image of w.
+func wordBytes(w []uint64) []byte {
+	b := make([]byte, 8*len(w))
+	for i, x := range w {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
+	}
+	return b
 }
 
 func TestVectorBasics(t *testing.T) {

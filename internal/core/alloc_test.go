@@ -98,3 +98,42 @@ func TestWriteZeroAllocsAddrPad(t *testing.T)  { testWriteAllocs(t, KindAddrPad,
 // the shared scratch, SlotFlips staged in the scheme-owned buffer, the
 // preallocated intrusive LRU) that used to cost 5 allocations per op.
 func TestWriteZeroAllocsINVMM(t *testing.T) { testWriteAllocs(t, KindINVMM, 0) }
+
+// TestWrappedArrayZeroAllocs pins DEUCE's and encr-dcw's steady-state
+// Write and ReadInto at 0 allocations on every wrapped array: Start-Gap
+// with HWL and counted or free gap moves, Security Refresh with HWL, and
+// the integrity guard. The warm-up runs the levelers through several
+// rounds first, so the pinned operations rotate by nonzero amounts and
+// take counted moves.
+func TestWrappedArrayZeroAllocs(t *testing.T) {
+	for _, kind := range []Kind{KindDeuce, KindEncrDCW} {
+		for _, leg := range arrayLegs {
+			if leg.make == nil {
+				continue
+			}
+			t.Run(string(kind)+"/"+leg.name, func(t *testing.T) {
+				const lines = 64
+				s := MustNew(kind, Params{Lines: lines, MakeArray: leg.make})
+				rng := rand.New(rand.NewSource(7))
+				buf := make([]byte, 64)
+				write := func() {
+					buf[rng.Intn(len(buf))] ^= byte(1 + rng.Intn(255))
+					s.Write(uint64(rng.Intn(lines)), buf)
+				}
+				for i := 0; i < 3000; i++ {
+					write()
+				}
+				if n := testing.AllocsPerRun(400, write); n != 0 {
+					t.Errorf("Write allocates %.2f times per call, want 0", n)
+				}
+				line := uint64(0)
+				if n := testing.AllocsPerRun(400, func() {
+					s.ReadInto(line, buf)
+					line = (line + 7) % lines
+				}); n != 0 {
+					t.Errorf("ReadInto allocates %.2f times per call, want 0", n)
+				}
+			})
+		}
+	}
+}

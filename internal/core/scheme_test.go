@@ -34,8 +34,8 @@ func read(s Scheme, line uint64) []byte {
 
 // arrayLegs are the arrays a scheme runs on: the bare device, and each
 // wrapper whose ReadInto reads through the device below it — Start-Gap
-// with HWL rotation and counted gap moves, Security Refresh, and the
-// integrity guard. A nil make is the bare device.
+// with HWL rotation and counted or free gap moves, Security Refresh, and
+// the integrity guard. A nil make is the bare device.
 var arrayLegs = []struct {
 	name string
 	make func(pcmdev.Config) (pcmdev.Array, error)
@@ -43,6 +43,9 @@ var arrayLegs = []struct {
 	{"bare", nil},
 	{"start-gap", func(c pcmdev.Config) (pcmdev.Array, error) {
 		return wear.NewStartGap(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL})
+	}},
+	{"start-gap-free", func(c pcmdev.Config) (pcmdev.Array, error) {
+		return wear.NewStartGap(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL, FreeGapMoves: true})
 	}},
 	{"security-refresh", func(c pcmdev.Config) (pcmdev.Array, error) {
 		return wear.NewSecurityRefresh(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL}, 1)

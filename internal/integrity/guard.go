@@ -14,10 +14,11 @@ import (
 // its DEUCE modified bits — without the next read failing verification.
 //
 // Guard implements pcmdev.Array, so any scheme in internal/core can be
-// constructed on top of it via core.Params.MakeArray.
+// constructed on top of it via core.Params.MakeArray. It overrides the
+// stores and reads and takes the rest from the embedded array.
 type Guard struct {
-	inner pcmdev.Array
-	tree  *Tree
+	pcmdev.Array
+	tree *Tree
 
 	// OnViolation is invoked with the offending line when a read fails
 	// authentication. Nil means panic (a memory controller would raise
@@ -26,6 +27,10 @@ type Guard struct {
 
 	verified   uint64
 	violations uint64
+
+	// payload holds a line's image as its leaf hashes it: the data
+	// bytes, then the metadata bytes, which data and meta alias.
+	payload, data, meta []byte
 }
 
 // NewGuard wraps an array. The tree is initialized to the array's current
@@ -34,17 +39,16 @@ func NewGuard(inner pcmdev.Array) (*Guard, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("integrity: nil inner array")
 	}
-	tree, err := NewTree(inner.Config().Lines)
+	cfg := inner.Config()
+	tree, err := NewTree(cfg.Lines)
 	if err != nil {
 		return nil, err
 	}
-	g := &Guard{inner: inner, tree: tree}
+	g := &Guard{Array: inner, tree: tree, payload: make([]byte, cfg.PageBytes())}
+	g.data, g.meta = g.payload[:cfg.LineBytes], g.payload[cfg.LineBytes:]
 	// Bring leaves in sync with the (zeroed) array so fresh reads verify.
-	for line := 0; line < inner.Config().Lines; line++ {
-		d, m := inner.Peek(uint64(line))
-		if err := tree.Update(uint64(line), payload(d, m)); err != nil {
-			return nil, err
-		}
+	for line := 0; line < cfg.Lines; line++ {
+		g.record(uint64(line))
 	}
 	return g, nil
 }
@@ -58,63 +62,59 @@ func MustNewGuard(inner pcmdev.Array) *Guard {
 	return g
 }
 
-func payload(data, meta []byte) []byte {
-	out := make([]byte, 0, len(data)+len(meta))
-	out = append(out, data...)
-	return append(out, meta...)
-}
-
 // Root returns the current secure-root digest.
 func (g *Guard) Root() Digest { return g.tree.Root() }
 
-// Stats returns how many reads were verified and how many failed.
+// VerifyStats returns how many reads were verified and how many failed.
 func (g *Guard) VerifyStats() (verified, violations uint64) {
 	return g.verified, g.violations
 }
 
 // Write implements pcmdev.Array.
 func (g *Guard) Write(line uint64, data, meta []byte) pcmdev.WriteResult {
-	res := g.inner.Write(line, data, meta)
-	d, m := g.inner.Peek(line)
-	if err := g.tree.Update(line, payload(d, m)); err != nil {
-		panic(err) // line range already validated by the inner write
-	}
+	res := g.Array.Write(line, data, meta)
+	g.record(line)
 	return res
 }
 
 // Load implements pcmdev.Array.
 func (g *Guard) Load(line uint64, data, meta []byte) {
-	g.inner.Load(line, data, meta)
-	d, m := g.inner.Peek(line)
-	if err := g.tree.Update(line, payload(d, m)); err != nil {
-		panic(err)
-	}
+	g.Array.Load(line, data, meta)
+	g.record(line)
 }
 
 // Peek implements pcmdev.Array with the same verification as ReadInto.
 func (g *Guard) Peek(line uint64) (data, meta []byte) {
-	data, meta = g.inner.Peek(line)
-	g.check(line, data, meta)
+	data, meta = make([]byte, len(g.data)), make([]byte, len(g.meta))
+	g.PeekInto(line, data, meta)
 	return data, meta
 }
 
 // PeekInto implements pcmdev.Array with the same verification as ReadInto.
 func (g *Guard) PeekInto(line uint64, data, meta []byte) {
-	d, m := g.Peek(line)
-	copy(data, d)
-	copy(meta, m)
-}
-
-// ReadInto implements pcmdev.Array: the inner array's read, verified
-// against the secure root. Verification hashes the fetched image, so this
-// path allocates; guarded arrays are not on the zero-allocation read path.
-func (g *Guard) ReadInto(line uint64, data, meta []byte) {
-	g.inner.ReadInto(line, data, meta)
+	g.Array.PeekInto(line, data, meta)
 	g.check(line, data, meta)
 }
 
+// ReadInto implements pcmdev.Array: the inner array's read, verified
+// against the secure root.
+func (g *Guard) ReadInto(line uint64, data, meta []byte) {
+	g.Array.ReadInto(line, data, meta)
+	g.check(line, data, meta)
+}
+
+// record re-reads line's stored image and makes it the line's leaf.
+func (g *Guard) record(line uint64) {
+	g.Array.PeekInto(line, g.data, g.meta)
+	if err := g.tree.Update(line, g.payload); err != nil {
+		panic(err) // line range already validated by the inner array
+	}
+}
+
 func (g *Guard) check(line uint64, data, meta []byte) {
-	if g.tree.VerifyLeaf(line, payload(data, meta)) {
+	copy(g.data, data)
+	copy(g.meta, meta)
+	if g.tree.VerifyLeaf(line, g.payload) {
 		g.verified++
 		return
 	}
@@ -126,23 +126,8 @@ func (g *Guard) check(line uint64, data, meta []byte) {
 	panic(fmt.Sprintf("integrity: line %d failed Merkle verification (tampered?)", line))
 }
 
-// Config implements pcmdev.Array.
-func (g *Guard) Config() pcmdev.Config { return g.inner.Config() }
-
-// Stats implements pcmdev.Array.
-func (g *Guard) Stats() pcmdev.Stats { return g.inner.Stats() }
-
-// ResetStats implements pcmdev.Array.
-func (g *Guard) ResetStats() { g.inner.ResetStats() }
-
-// PositionWrites implements pcmdev.Array.
-func (g *Guard) PositionWrites() []uint64 { return g.inner.PositionWrites() }
-
-// LineWrites implements pcmdev.Array.
-func (g *Guard) LineWrites() []uint64 { return g.inner.LineWrites() }
-
 // Inner exposes the wrapped array — the adversary's handle in tests and
 // attack demos.
-func (g *Guard) Inner() pcmdev.Array { return g.inner }
+func (g *Guard) Inner() pcmdev.Array { return g.Array }
 
 var _ pcmdev.Array = (*Guard)(nil)

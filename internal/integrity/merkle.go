@@ -41,6 +41,9 @@ type Digest [HashSize]byte
 type Tree struct {
 	leaves int
 	levels [][]Digest // levels[0] = leaf hashes, last level = [root]
+	// leaf stages one leaf's hash input, so that updates and checks
+	// against the live tree do not allocate.
+	leaf []byte
 }
 
 // NewTree builds a tree over `leaves` zero-valued leaves.
@@ -59,7 +62,7 @@ func NewTree(leaves int) (*Tree, error) {
 	}
 	// Initialize bottom-up from zero leaves.
 	for i := 0; i < leaves; i++ {
-		t.levels[0][i] = hashLeaf(uint64(i), nil)
+		t.levels[0][i], t.leaf = hashLeaf(t.leaf, uint64(i), nil)
 	}
 	for li := 1; li < len(t.levels); li++ {
 		for i := range t.levels[li] {
@@ -89,7 +92,7 @@ func (t *Tree) Update(idx uint64, payload []byte) error {
 	if idx >= uint64(t.leaves) {
 		return fmt.Errorf("integrity: leaf %d out of range [0,%d)", idx, t.leaves)
 	}
-	t.levels[0][idx] = hashLeaf(idx, payload)
+	t.levels[0][idx], t.leaf = hashLeaf(t.leaf, idx, payload)
 	i := int(idx)
 	for li := 1; li < len(t.levels); li++ {
 		i /= 2
@@ -133,7 +136,7 @@ func Verify(root Digest, leaves int, p Proof, payload []byte) bool {
 	if p.Leaf >= uint64(leaves) {
 		return false
 	}
-	cur := hashLeaf(p.Leaf, payload)
+	cur, _ := hashLeaf(nil, p.Leaf, payload)
 	i := int(p.Leaf)
 	width := leaves
 	for _, sib := range p.Siblings {
@@ -153,13 +156,27 @@ func Verify(root Digest, leaves int, p Proof, payload []byte) bool {
 	return width == 1 && cur == root
 }
 
-// VerifyLeaf checks a payload directly against the live tree.
+// VerifyLeaf checks a payload directly against the live tree: Verify's
+// computation along Prove's path, read off the levels in place.
 func (t *Tree) VerifyLeaf(idx uint64, payload []byte) bool {
-	p, err := t.Prove(idx)
-	if err != nil {
+	if idx >= uint64(t.leaves) {
 		return false
 	}
-	return Verify(t.Root(), t.leaves, p, payload)
+	var cur Digest
+	cur, t.leaf = hashLeaf(t.leaf, idx, payload)
+	i := int(idx)
+	for _, level := range t.levels[:len(t.levels)-1] {
+		switch sib := i ^ 1; {
+		case sib >= len(level):
+			cur = hashOdd(cur)
+		case i%2 == 0:
+			cur = hashPair(cur, level[sib])
+		default:
+			cur = hashPair(level[sib], cur)
+		}
+		i /= 2
+	}
+	return cur == t.Root()
 }
 
 func (t *Tree) hashChildren(level, i int) Digest {
@@ -172,33 +189,26 @@ func (t *Tree) hashChildren(level, i int) Digest {
 	return hashOdd(below[l])
 }
 
-func hashLeaf(idx uint64, payload []byte) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x00}) // leaf domain
-	var ib [8]byte
-	binary.LittleEndian.PutUint64(ib[:], idx)
-	h.Write(ib[:])
-	h.Write(payload)
-	var d Digest
-	h.Sum(d[:0])
-	return d
+// hashLeaf hashes leaf idx's payload behind the leaf domain byte and the
+// index, staging the hash input in buf; it returns the digest and buf.
+func hashLeaf(buf []byte, idx uint64, payload []byte) (Digest, []byte) {
+	buf = append(buf[:0], 0x00) // leaf domain
+	buf = binary.LittleEndian.AppendUint64(buf, idx)
+	buf = append(buf, payload...)
+	return sha256.Sum256(buf), buf
 }
 
 func hashPair(l, r Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x01}) // internal-node domain
-	h.Write(l[:])
-	h.Write(r[:])
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	var b [1 + 2*HashSize]byte
+	b[0] = 0x01 // internal-node domain
+	copy(b[1:], l[:])
+	copy(b[1+HashSize:], r[:])
+	return sha256.Sum256(b[:])
 }
 
 func hashOdd(l Digest) Digest {
-	h := sha256.New()
-	h.Write([]byte{0x02}) // promoted odd node domain
-	h.Write(l[:])
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	var b [1 + HashSize]byte
+	b[0] = 0x02 // promoted odd node domain
+	copy(b[1:], l[:])
+	return sha256.Sum256(b[:])
 }

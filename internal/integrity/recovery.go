@@ -18,12 +18,13 @@ import (
 // backend is read through ReadPage, never mutated.
 func PageDigests(be backend.Backend) ([]Digest, error) {
 	buf := make([]byte, be.PageSize())
+	var leaf []byte
 	out := make([]Digest, be.Pages())
 	for p := range out {
 		if err := be.ReadPage(p, buf); err != nil {
 			return nil, fmt.Errorf("integrity: digesting page %d: %w", p, err)
 		}
-		out[p] = hashLeaf(uint64(p), buf)
+		out[p], leaf = hashLeaf(leaf, uint64(p), buf)
 	}
 	return out, nil
 }

@@ -11,8 +11,7 @@ type Array interface {
 	// Peek returns copies of the stored data and metadata, without
 	// read-statistics side effects.
 	Peek(line uint64) (data, meta []byte)
-	// PeekInto is Peek into caller-owned buffers (no allocation on the
-	// bare device; wrappers that must transform the image may allocate).
+	// PeekInto is Peek into caller-owned buffers, without allocating.
 	// data must be LineBytes long and meta ⌈MetaBits/8⌉ bytes (nil when
 	// the array has no metadata).
 	PeekInto(line uint64, data, meta []byte)

@@ -60,35 +60,13 @@ func TestSRMappingIsPermutation(t *testing.T) {
 	}
 }
 
-// Data must survive arbitrary sweeps under every mode, with metadata.
+// Data must survive arbitrary sweeps under every mode, metadata width and
+// swap accounting.
 func TestSRDataIntegrity(t *testing.T) {
-	for _, mode := range []Mode{VWLOnly, HWL, HWLHashed} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			t.Parallel()
-			const lines = 8
-			s := srDev(t, lines, 16, StartGapConfig{Psi: 2, Mode: mode})
-			shadowD := make([][]byte, lines)
-			shadowM := make([][]byte, lines)
-			rng := rand.New(rand.NewSource(int64(mode) + 11))
-			for l := range shadowD {
-				shadowD[l] = make([]byte, 64)
-				shadowM[l] = make([]byte, 2)
-			}
-			for step := 0; step < 800; step++ {
-				l := uint64(rng.Intn(lines))
-				rng.Read(shadowD[l])
-				rng.Read(shadowM[l])
-				s.Write(l, shadowD[l], shadowM[l])
-				for v := uint64(0); v < lines; v++ {
-					d, m := s.Peek(v)
-					if !bitutil.Equal(d, shadowD[v]) || !bitutil.Equal(m, shadowM[v]) {
-						t.Fatalf("step %d: line %d corrupted (rounds=%d)", step, v, s.Rounds())
-					}
-				}
-			}
-		})
-	}
+	levelerConfigs(t, func(t *testing.T, metaBits int, cfg StartGapConfig) {
+		cfg.Psi = 2
+		checkShadowed(t, srDev(t, 8, metaBits, cfg), metaBits, 800, int64(cfg.Mode)+11)
+	})
 }
 
 // A hot logical line must visit many physical slots across rounds — the

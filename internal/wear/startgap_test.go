@@ -1,6 +1,7 @@
 package wear
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -65,41 +66,69 @@ func TestMappingIsPermutation(t *testing.T) {
 	}
 }
 
-// Data must survive arbitrary amounts of gap movement and start increments,
-// under every mode.
-func TestDataIntegrityAcrossGapMoves(t *testing.T) {
+// levelerConfigs runs body under every mode, for every metadata width
+// around the byte and word boundaries, with free and counted moves.
+func levelerConfigs(t *testing.T, body func(t *testing.T, metaBits int, cfg StartGapConfig)) {
 	for _, mode := range []Mode{VWLOnly, HWL, HWLHashed} {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
-			const lines = 8
-			s := sgDev(t, lines, 16, StartGapConfig{Psi: 3, Mode: mode})
-			shadowD := make([][]byte, lines)
-			shadowM := make([][]byte, lines)
-			rng := rand.New(rand.NewSource(int64(mode)))
-			for l := range shadowD {
-				shadowD[l] = make([]byte, 64)
-				shadowM[l] = make([]byte, 2)
-			}
-			for step := 0; step < 600; step++ {
-				l := uint64(rng.Intn(lines))
-				rng.Read(shadowD[l])
-				rng.Read(shadowM[l])
-				s.Write(l, shadowD[l], shadowM[l])
-				// Verify every line after every write: any rotation
-				// or remapping bug shows up immediately.
-				for v := uint64(0); v < lines; v++ {
-					d, m := s.Peek(v)
-					if !bitutil.Equal(d, shadowD[v]) {
-						t.Fatalf("step %d: data mismatch on line %d", step, v)
-					}
-					if !bitutil.Equal(m, shadowM[v]) {
-						t.Fatalf("step %d: meta mismatch on line %d", step, v)
-					}
+			for _, metaBits := range []int{0, 1, 33, 65} {
+				for _, free := range []bool{true, false} {
+					cfg := StartGapConfig{Mode: mode, FreeGapMoves: free}
+					t.Run(fmt.Sprintf("meta%d-free=%v", metaBits, free), func(t *testing.T) {
+						body(t, metaBits, cfg)
+					})
 				}
 			}
 		})
 	}
+}
+
+// checkShadowed writes random images (metadata padding clear, as schemes
+// write it) to random lines of arr and, after every write, reads every
+// line back through both Peek and ReadInto.
+func checkShadowed(t *testing.T, arr pcmdev.Array, metaBits, steps int, seed int64) {
+	t.Helper()
+	lines := arr.Config().Lines
+	shadowD := make([][]byte, lines)
+	shadowM := make([][]byte, lines)
+	for l := range shadowD {
+		shadowD[l] = make([]byte, 64)
+		shadowM[l] = make([]byte, (metaBits+7)/8)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	d, m := make([]byte, 64), make([]byte, (metaBits+7)/8)
+	for step := 0; step < steps; step++ {
+		l := uint64(rng.Intn(lines))
+		rng.Read(shadowD[l])
+		rng.Read(shadowM[l])
+		if r := metaBits % 8; r != 0 {
+			shadowM[l][len(shadowM[l])-1] &= 1<<r - 1
+		}
+		arr.Write(l, shadowD[l], shadowM[l])
+		// Verify every line after every write: any rotation or
+		// remapping bug shows up immediately.
+		for v := uint64(0); v < uint64(lines); v++ {
+			pd, pm := arr.Peek(v)
+			arr.ReadInto(v, d, m)
+			if !bitutil.Equal(pd, shadowD[v]) || !bitutil.Equal(d, shadowD[v]) {
+				t.Fatalf("step %d: data mismatch on line %d", step, v)
+			}
+			if !bitutil.Equal(pm, shadowM[v]) || !bitutil.Equal(m, shadowM[v]) {
+				t.Fatalf("step %d: meta mismatch on line %d", step, v)
+			}
+		}
+	}
+}
+
+// Data must survive arbitrary amounts of gap movement and start increments,
+// under every mode, metadata width and gap-move accounting.
+func TestDataIntegrityAcrossGapMoves(t *testing.T) {
+	levelerConfigs(t, func(t *testing.T, metaBits int, cfg StartGapConfig) {
+		cfg.Psi = 3
+		checkShadowed(t, sgDev(t, 8, metaBits, cfg), metaBits, 600, int64(cfg.Mode))
+	})
 }
 
 // Under HWL the same logical bit must land on different physical positions
@@ -184,6 +213,25 @@ func TestOutOfRangeLinePanics(t *testing.T) {
 		}
 	}()
 	s.Write(4, make([]byte, 64), nil)
+}
+
+// A wrong-size line image panics as it does on the bare device, also when
+// the line's rotation is zero and the image would be copied verbatim.
+func TestWrongSizeImagePanics(t *testing.T) {
+	s := sgDev(t, 4, 8, StartGapConfig{Mode: HWL})
+	for _, img := range []struct{ data, meta []byte }{
+		{make([]byte, 63), make([]byte, 1)},
+		{make([]byte, 64), nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("write of %d+%d bytes did not panic", len(img.data), len(img.meta))
+				}
+			}()
+			s.Write(0, img.data, img.meta)
+		}()
+	}
 }
 
 func TestConfigReportsLogicalLines(t *testing.T) {

@@ -77,7 +77,7 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs eleven fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs twelve fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
@@ -94,9 +94,12 @@ race-durability:
 # pages), the journal's replay over arbitrary log headers and records
 # (typed errors only, no write outside the data region's geometry; an
 # accepted log reopens without changing data), the pad kernel (PadInto and
-# PadPairInto on both pad paths against crypto/aes), and the wear
-# leveler's word-wide HWL shifter (against the per-bit rotation reference
-# on every width from 1 to 1100 bits, plus the inverse round trip).
+# PadPairInto on both pad paths against crypto/aes), the word-wide HWL
+# shifter (against the per-bit rotation reference on every width from 1
+# to 1100 bits, plus the inverse round trip), and the wear-leveled device
+# (Start-Gap or Security Refresh over a remapped pcmdev.Device against the
+# rotated-storage twin, on fuzzed geometry, mode, Psi, move accounting and
+# mixed Write/Load/ReadInto sequences).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
@@ -109,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/backend
 	$(GO) test -run '^$$' -fuzz FuzzPad -fuzztime 10s ./internal/otp
 	$(GO) test -run '^$$' -fuzz FuzzRotate -fuzztime 10s ./internal/wear
+	$(GO) test -run '^$$' -fuzz FuzzRemapTwin -fuzztime 10s ./internal/wear
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay
 # allocation-free; 100 iterations is too few for timing, use bench-writehot

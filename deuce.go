@@ -96,7 +96,8 @@ func Schemes() []Scheme {
 	return out
 }
 
-// WearLeveling selects the optional Start-Gap wear leveler.
+// WearLeveling selects the optional wear leveler: Start-Gap or Security
+// Refresh, each with or without Horizontal Wear Leveling.
 type WearLeveling int
 
 // Wear-leveling modes.
@@ -163,13 +164,14 @@ type Options struct {
 	EpochInterval int
 	// WordBytes is the tracking granularity (1, 2, 4 or 8); 0 means 2.
 	WordBytes int
-	// WearLeveling optionally interposes a Start-Gap leveler.
+	// WearLeveling optionally remaps lines under a Start-Gap or
+	// Security Refresh leveler.
 	WearLeveling WearLeveling
-	// GapWriteInterval is the Start-Gap psi (writes per gap move);
-	// 0 means 100.
+	// GapWriteInterval is the wear leveler's psi (writes per Start-Gap
+	// gap move or Security Refresh pair swap); 0 means 100.
 	GapWriteInterval int
-	// ExcludeGapMoveWear leaves Start-Gap's own line copies out of the
-	// wear and flip accounting. At realistic scale (psi=100 over
+	// ExcludeGapMoveWear leaves the wear leveler's own line copies (gap
+	// moves, pair swaps) out of the wear and flip accounting. At realistic scale (psi=100 over
 	// billions of writes) gap moves are <1% of cell programs; short
 	// simulations that shrink psi to exercise wear leveling should set
 	// this so the copies do not drown the signal being measured.
@@ -270,9 +272,17 @@ func New(opts Options) (*Memory, error) {
 		sr := opts.WearLeveling == SecurityRefreshWL || opts.WearLeveling == SecurityRefreshHWL
 		params.MakeArray = func(cfg pcmdev.Config) (pcmdev.Array, error) {
 			if sr {
-				return wear.NewSecurityRefresh(cfg, wcfg, 1)
+				s, err := wear.NewSecurityRefresh(cfg, wcfg, 1)
+				if err != nil {
+					return nil, err
+				}
+				return s.Device(), nil
 			}
-			return wear.NewStartGap(cfg, wcfg)
+			s, err := wear.NewStartGap(cfg, wcfg)
+			if err != nil {
+				return nil, err
+			}
+			return s.Device(), nil
 		}
 	}
 	s, err := core.New(kind, params)
@@ -325,8 +335,8 @@ func (m *Memory) Read(line uint64) []byte {
 }
 
 // ReadInto decrypts a line's current plaintext into dst, which must be 64
-// bytes (it panics otherwise). It is Read without the allocation: on a
-// memory without wear leveling the whole read path — device copy-out, pad
+// bytes (it panics otherwise). It is Read without the allocation: with or
+// without wear leveling the whole read path — device copy-out, pad
 // generation, decryption — runs through preallocated scheme scratch, which
 // is what lets serving hot paths (internal/kvstore) read at zero
 // allocations per operation.

@@ -211,4 +211,10 @@ func TestMemoryPersistRoundTrip(t *testing.T) {
 	if err := wl.Persist(&bytes.Buffer{}); err == nil {
 		t.Error("wear-leveled Persist did not error")
 	}
+	if err := m.Persist(&img); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.RestoreState(&img); err == nil {
+		t.Error("wear-leveled RestoreState did not error")
+	}
 }

@@ -144,12 +144,13 @@ func (s *Deuce) Install(line uint64, plaintext []byte) {
 }
 
 // Write implements Scheme. The steady-state path allocates nothing. On a
-// bare device a write is one counter increment, one pad derivation (a
-// PadPairInto off a boundary, a PadInto at one) and one WriteTracked call,
-// which applies the word rule while it diffs and stores the live line.
-// Arrays that wrap the device (wear leveling, integrity guards, probes)
-// take the general path: copy the stored image out, step it in scratch
-// (deuceStepInto) and Write it back, with identical cells and cost.
+// pcmdev.Device, wear-leveled (remapped) or not, a write is one counter
+// increment, one pad derivation (a PadPairInto off a boundary, a PadInto
+// at one) and one WriteTracked call, which applies the word rule while it
+// diffs and stores the live line. Arrays that wrap the device (integrity
+// guards, probes) take the general path: copy the stored image out, step
+// it in scratch (deuceStepInto) and Write it back, with identical cells
+// and cost.
 func (s *Deuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.checkPlain(plaintext)
 	s.initLine(line)

@@ -10,6 +10,7 @@ import (
 	"deuce/internal/bitutil"
 	"deuce/internal/otp"
 	"deuce/internal/pcmdev"
+	"deuce/internal/wear"
 )
 
 // This file keeps the decrypt-then-step DEUCE write as the reference the
@@ -224,15 +225,28 @@ type passArray struct{ pcmdev.Array }
 type stepWay struct {
 	name string
 	set  func(*Params)
+	// leveled puts the reference on the same wear-leveled array: where a
+	// write's flips land depends on the remap.
+	leveled bool
+}
+
+// leveledWay runs a write over a wear-leveled memory, remapped every
+// third write.
+func leveledWay(name string, make func(wear.StartGapConfig) func(pcmdev.Config) (pcmdev.Array, error), mode wear.Mode, free bool) stepWay {
+	arr := make(wear.StartGapConfig{Psi: 3, Mode: mode, FreeGapMoves: free})
+	return stepWay{name, func(p *Params) { p.MakeArray = arr }, true}
 }
 
 var (
 	// bareWay is the bare RAM device: DEUCE's one-pass WriteTracked.
-	bareWay = stepWay{"bare", func(*Params) {}}
+	bareWay = stepWay{"bare", func(*Params) {}, false}
 	// deuceWays runs KindDeuce over both of its write paths and over the
 	// device's page-copy path: the bare RAM device, a pass-through
-	// wrapper, and a bare device on a backend without the zero-copy page
-	// view (CrashSim buffers every WritePage).
+	// wrapper, a bare device on a backend without the zero-copy page
+	// view (CrashSim buffers every WritePage), and the remapped devices
+	// of Start-Gap (HWL and hashed HWL, counted and free gap moves) and
+	// Security Refresh, where WriteTracked is diffed against the
+	// reference's Device.Write over the same remap.
 	deuceWays = []stepWay{
 		bareWay,
 		{"wrapped", func(p *Params) {
@@ -240,7 +254,7 @@ var (
 				d, err := pcmdev.New(cfg)
 				return passArray{d}, err
 			}
-		}},
+		}, false},
 		{"nopager", func(p *Params) {
 			p.MakeBackend = func(region string, pages, size int) (backend.Backend, error) {
 				if region == RegionArray {
@@ -248,7 +262,12 @@ var (
 				}
 				return backend.NewMem(pages, size), nil
 			}
-		}},
+		}, false},
+		leveledWay("start-gap", startGap, wear.HWL, false),
+		leveledWay("start-gap-free", startGap, wear.HWL, true),
+		leveledWay("start-gap-hashed", startGap, wear.HWLHashed, false),
+		leveledWay("start-gap-hashed-free", startGap, wear.HWLHashed, true),
+		leveledWay("security-refresh", securityRefresh, wear.HWLHashed, false),
 	}
 )
 
@@ -283,8 +302,10 @@ func checkSameDevice(t *testing.T, what string, got, ref pcmdev.Array, line uint
 // after every write up to 128-byte lines; at 4096 bytes, where a profile
 // holds up to 37k counters, after every 32nd write and the last. KindDeuce
 // runs over each of deuceWays, at line sizes with a partial 64-byte chunk
-// (16, 48) and with many chunks (4096); the other two schemes run over the
-// bare device at 64 and 128 bytes. 7-bit counters wrap within the stream.
+// (16, 48) and with many chunks (4096, not on the wear-leveled ways: that
+// size runs one line, and a wear leveler needs two); the other two schemes
+// run over the bare device at 64 and 128 bytes. 7-bit counters wrap within
+// the stream.
 func TestDeuceStepMatchesReference(t *testing.T) {
 	for _, kind := range stepKinds {
 		ways, sizes := []stepWay{bareWay}, []int{64, 128}
@@ -300,6 +321,9 @@ func TestDeuceStepMatchesReference(t *testing.T) {
 			for _, wb := range []int{1, 2, 4, 8} {
 				for _, epoch := range []int{1, 2, 4, 32} {
 					for _, lb := range sizes {
+						if way.leveled && lb > 128 {
+							continue // a leveled memory needs two lines
+						}
 						name := fmt.Sprintf("%s/%s/w%d/e%d/l%d", kind, way.name, wb, epoch, lb)
 						// A 4096-byte line costs 32 times a 128-byte one
 						// in the byte-loop reference: one line, 160
@@ -309,6 +333,9 @@ func TestDeuceStepMatchesReference(t *testing.T) {
 							lines, writes = 1, 160
 						}
 						p := Params{Lines: lines, LineBytes: lb, WordBytes: wb, EpochInterval: epoch, CounterBits: 7}
+						if way.leveled {
+							way.set(&p)
+						}
 						ref, err := newStepScheme(kind, p)
 						if err != nil {
 							t.Fatal(err)

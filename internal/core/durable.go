@@ -27,8 +27,10 @@ func (b *base) Sync() error {
 	return b.ctrs.Sync()
 }
 
-// Close implements Durable. Wrapped arrays (wear levelers) hold a bare
-// in-memory device underneath and have nothing to release.
+// Close implements Durable. Wear-leveled (remapped) devices live in RAM,
+// so their Sync and Close are no-ops; wrapped arrays (integrity guards,
+// probes) hold a bare in-memory device underneath and have nothing to
+// release.
 func (b *base) Close() error {
 	var first error
 	if d, ok := b.dev.(*pcmdev.Device); ok {

@@ -91,11 +91,12 @@ func (b *base) checkHeader(gotName string, h stateHeader) error {
 	return nil
 }
 
-// device returns the raw array, rejecting wrapped configurations:
-// wear-leveler registers are controller state outside this format.
+// device returns the raw array, rejecting wrapped and remapped
+// configurations: wear-leveler registers are controller state outside this
+// format.
 func (b *base) device() (*pcmdev.Device, error) {
 	dev, ok := b.dev.(*pcmdev.Device)
-	if !ok {
+	if !ok || dev.Remapped() {
 		return nil, fmt.Errorf("core: persistence requires a bare array (wear-leveled memories hold controller state this format does not carry)")
 	}
 	return dev, nil

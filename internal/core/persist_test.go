@@ -10,7 +10,6 @@ import (
 
 	"deuce/internal/backend"
 	"deuce/internal/bitutil"
-	"deuce/internal/pcmdev"
 	"deuce/internal/wear"
 )
 
@@ -198,14 +197,20 @@ func TestLoadStateAtomicUnderTruncation(t *testing.T) {
 // part of the format), with a clear error instead of silent corruption.
 func TestPersistenceRejectsWearLeveling(t *testing.T) {
 	s := MustNew(KindDeuce, Params{
-		Lines: 8,
-		MakeArray: func(cfg pcmdev.Config) (pcmdev.Array, error) {
-			return wear.NewStartGap(cfg, wear.StartGapConfig{})
-		},
+		Lines:     8,
+		MakeArray: startGap(wear.StartGapConfig{}),
 	})
 	var buf bytes.Buffer
 	if err := s.(Persistent).SaveState(&buf); err == nil {
 		t.Error("SaveState accepted a wear-leveled array")
+	}
+	// A snapshot of a bare memory does not load into a wear-leveled one.
+	bare := MustNew(KindDeuce, Params{Lines: 8})
+	if err := bare.(Persistent).SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.(Persistent).LoadState(&buf); err == nil {
+		t.Error("LoadState accepted a wear-leveled array")
 	}
 }
 

@@ -42,8 +42,8 @@ type Scheme interface {
 	// be LineBytes long (it panics otherwise). It is the only read path:
 	// schemes stage the stored image and pads in their write-path scratch
 	// (safe under the single-goroutine contract), so a read allocates
-	// nothing on a bare device. Wear-leveled or integrity-guarded arrays
-	// allocate inside the array layer.
+	// nothing, on a bare or wear-leveled device and under the integrity
+	// guard alike.
 	ReadInto(line uint64, dst []byte)
 
 	// Install places initial content into a line without any write-cost
@@ -94,9 +94,10 @@ type Params struct {
 	Trace *obs.Trace
 	// MakeArray, when non-nil, builds the storage the scheme writes to.
 	// It receives the geometry the scheme needs (lines, line size,
-	// metadata bits) and may return a wrapped array — this is how the
-	// wear-leveling shifters of internal/wear are interposed. Nil means
-	// a bare pcmdev.Device.
+	// metadata bits) and may return a remapped pcmdev.Device — this is
+	// how the wear levelers of internal/wear are put under a scheme — or
+	// a wrapped array such as internal/integrity's guard. Nil means a
+	// bare pcmdev.Device.
 	MakeArray func(pcmdev.Config) (pcmdev.Array, error)
 	// MakeBackend, when non-nil, supplies page storage for the scheme's
 	// two durable regions: it is called once with region "array" (the

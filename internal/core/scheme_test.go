@@ -32,24 +32,42 @@ func read(s Scheme, line uint64) []byte {
 	return dst
 }
 
-// arrayLegs are the arrays a scheme runs on: the bare device, and each
-// wrapper whose ReadInto reads through the device below it — Start-Gap
-// with HWL rotation and counted or free gap moves, Security Refresh, and
-// the integrity guard. A nil make is the bare device.
+// startGap and securityRefresh are Params.MakeArray for a memory under
+// Start-Gap or Security Refresh (seed 1): the remapped device the leveler
+// builds.
+func startGap(wcfg wear.StartGapConfig) func(pcmdev.Config) (pcmdev.Array, error) {
+	return func(c pcmdev.Config) (pcmdev.Array, error) {
+		s, err := wear.NewStartGap(c, wcfg)
+		if err != nil {
+			return nil, err
+		}
+		return s.Device(), nil
+	}
+}
+
+func securityRefresh(wcfg wear.StartGapConfig) func(pcmdev.Config) (pcmdev.Array, error) {
+	return func(c pcmdev.Config) (pcmdev.Array, error) {
+		s, err := wear.NewSecurityRefresh(c, wcfg, 1)
+		if err != nil {
+			return nil, err
+		}
+		return s.Device(), nil
+	}
+}
+
+// arrayLegs are the arrays a scheme runs on: the bare device, the
+// remapped devices of Start-Gap with HWL rotation and counted or free gap
+// moves and of Security Refresh, and the integrity guard, a wrapper whose
+// ReadInto reads through the device below it. A nil make is the bare
+// device.
 var arrayLegs = []struct {
 	name string
 	make func(pcmdev.Config) (pcmdev.Array, error)
 }{
 	{"bare", nil},
-	{"start-gap", func(c pcmdev.Config) (pcmdev.Array, error) {
-		return wear.NewStartGap(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL})
-	}},
-	{"start-gap-free", func(c pcmdev.Config) (pcmdev.Array, error) {
-		return wear.NewStartGap(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL, FreeGapMoves: true})
-	}},
-	{"security-refresh", func(c pcmdev.Config) (pcmdev.Array, error) {
-		return wear.NewSecurityRefresh(c, wear.StartGapConfig{Psi: 4, Mode: wear.HWL}, 1)
-	}},
+	{"start-gap", startGap(wear.StartGapConfig{Psi: 4, Mode: wear.HWL})},
+	{"start-gap-free", startGap(wear.StartGapConfig{Psi: 4, Mode: wear.HWL, FreeGapMoves: true})},
+	{"security-refresh", securityRefresh(wear.StartGapConfig{Psi: 4, Mode: wear.HWL})},
 	{"guard", func(c pcmdev.Config) (pcmdev.Array, error) {
 		dev, err := pcmdev.New(c)
 		if err != nil {

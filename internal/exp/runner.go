@@ -288,7 +288,11 @@ func runWearMeasured(prof workload.Profile, kind core.Kind, params core.Params, 
 		// paper's scale they are <1% of programs, but at simulation
 		// scale the small psi needed to exercise HWL would make them
 		// dominate (see wear.StartGapConfig.FreeGapMoves).
-		return wear.NewStartGap(cfg, wear.StartGapConfig{Mode: mode, Psi: psi, FreeGapMoves: true})
+		s, err := wear.NewStartGap(cfg, wear.StartGapConfig{Mode: mode, Psi: psi, FreeGapMoves: true})
+		if err != nil {
+			return nil, err
+		}
+		return s.Device(), nil
 	}
 	res, err := RunFlips(prof, kind, params, rc, true)
 	if err != nil {

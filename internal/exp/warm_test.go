@@ -136,7 +136,11 @@ func livePerf(t *testing.T, prof workload.Profile, kind core.Kind, rc RunConfig)
 func liveWear(t *testing.T, prof workload.Profile, kind core.Kind, mode wear.Mode, psi int, rc RunConfig) WearResult {
 	t.Helper()
 	params := core.Params{MakeArray: func(cfg pcmdev.Config) (pcmdev.Array, error) {
-		return wear.NewStartGap(cfg, wear.StartGapConfig{Mode: mode, Psi: psi, FreeGapMoves: true})
+		s, err := wear.NewStartGap(cfg, wear.StartGapConfig{Mode: mode, Psi: psi, FreeGapMoves: true})
+		if err != nil {
+			return nil, err
+		}
+		return s.Device(), nil
 	}}
 	res := liveFlips(t, prof, kind, params, rc)
 	wp, err := wear.Analyze(res.PositionWrites, res.Writes)

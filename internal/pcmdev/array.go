@@ -1,10 +1,12 @@
 package pcmdev
 
 // Array is the contract between write schemes and the storage they target.
-// *Device implements it directly; internal/wear wraps a Device with
-// Start-Gap remapping and Horizontal Wear Leveling rotation while schemes
-// stay oblivious — exactly the hardware layering the paper describes (§5.3:
-// "the memory is equipped with shifters").
+// *Device implements it directly, with or without a wear leveler's Remap:
+// Start-Gap and Security Refresh remapping and Horizontal Wear Leveling
+// rotation happen inside the device while schemes stay oblivious — exactly
+// the hardware layering the paper describes (§5.3: "the memory is equipped
+// with shifters"). Wrappers such as internal/integrity's guard implement it
+// over a Device.
 type Array interface {
 	// Write stores data and metadata with differential-write accounting.
 	Write(line uint64, data, meta []byte) WriteResult

@@ -22,6 +22,10 @@
 // opaque byte masks, and the device applies DEUCE's tracked-word rule
 // (tracked.go) in the same pass that diffs, stores and counts the line.
 //
+// A remapped device (remap.go) stores logical lines on physical rows
+// placed by a wear leveler's registers, and rotates the cells it programs
+// as the paper's HWL shifter does (§5.2–5.3).
+//
 // Storage lives behind internal/backend: line l is page l of a Backend whose
 // page layout is [LineBytes data][⌈MetaBits/8⌉ metadata]. New builds the
 // device on the in-memory backend (the status quo); NewOnBackend accepts a
@@ -219,6 +223,10 @@ type Device struct {
 	// tail holds WriteTracked's zero-padded copies of a partial last
 	// chunk; nil when LineBytes is a multiple of 64.
 	tail *[4][64]byte
+
+	// rm places logical lines on physical rows (remap.go); nil on a bare
+	// device, whose lines are its rows.
+	rm *remap
 }
 
 // New creates a PCM array with all cells zero, stored in RAM.
@@ -333,10 +341,11 @@ func MustNew(cfg Config) *Device {
 	return d
 }
 
-// Config returns the device geometry.
+// Config returns the device geometry; on a remapped device Lines is the
+// logical line count.
 func (d *Device) Config() Config { return d.cfg }
 
-// Lines returns the number of lines in the array.
+// Lines returns the number of (logical) lines in the array.
 func (d *Device) Lines() int { return d.cfg.Lines }
 
 // Peek returns copies of the stored data and metadata for the line,
@@ -344,8 +353,7 @@ func (d *Device) Lines() int { return d.cfg.Lines }
 // stored image outside the read path (read-modify-write is already
 // accounted by the caller).
 func (d *Device) Peek(line uint64) (data, meta []byte) {
-	d.checkLine(line)
-	p := d.page(line)
+	p := d.page(d.locate(line))
 	return bitutil.Clone(p[:d.lineBytes]), bitutil.Clone(p[d.lineBytes:])
 }
 
@@ -354,7 +362,7 @@ func (d *Device) Peek(line uint64) (data, meta []byte) {
 // writes possible. data must be LineBytes long; meta must be ⌈MetaBits/8⌉
 // bytes, or nil when the array has no metadata.
 func (d *Device) PeekInto(line uint64, data, meta []byte) {
-	d.checkLine(line)
+	line = d.locate(line)
 	if len(data) != d.cfg.LineBytes {
 		panic(fmt.Sprintf("pcmdev: PeekInto data buffer of %d bytes for %d-byte line", len(data), d.cfg.LineBytes))
 	}
@@ -389,7 +397,7 @@ func (d *Device) ReadInto(line uint64, data, meta []byte) {
 // leaves its row to be overwritten; every stageDepth-th programming write
 // absorbs the stage into the wear planes (see absorb).
 func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
-	d.checkLine(line)
+	line = d.locate(line)
 	if len(newData) != d.cfg.LineBytes {
 		panic(fmt.Sprintf("pcmdev: write of %d bytes to %d-byte line", len(newData), d.cfg.LineBytes))
 	}
@@ -442,9 +450,21 @@ func (d *Device) Write(line uint64, newData, newMeta []byte) WriteResult {
 }
 
 // commit finishes a write whose cells are already in page p and whose flip
-// words are in stage row r: a programming write flushes the page, counts
-// per-line wear and keeps its row, then the statistics take the write.
+// words are in stage row r; a remapped device first rotates the row
+// (commitRemapped).
 func (d *Device) commit(line uint64, p []byte, r int, res *WriteResult) {
+	if d.rm != nil {
+		d.commitRemapped(line, p, r, res)
+		return
+	}
+	d.program(line, p, r, res)
+}
+
+// program counts a write whose cells are in page p and whose flip words,
+// as programmed, are in stage row r: a programming write flushes the page,
+// counts per-line wear and keeps its row, then the statistics take the
+// write.
+func (d *Device) program(line uint64, p []byte, r int, res *WriteResult) {
 	if res.DataFlips+res.MetaFlips > 0 {
 		d.flushPage(line, p)
 		if d.lineWear != nil {
@@ -604,7 +624,7 @@ func loadWord(b []byte) uint64 {
 // brought into memory and been initially encrypted"), which is excluded from
 // the figure of merit.
 func (d *Device) Load(line uint64, data, meta []byte) {
-	d.checkLine(line)
+	line = d.locate(line)
 	if len(data) != d.cfg.LineBytes {
 		panic(fmt.Sprintf("pcmdev: load of %d bytes to %d-byte line", len(data), d.cfg.LineBytes))
 	}
@@ -662,15 +682,16 @@ func (d *Device) PositionWrites() []uint64 {
 
 // LineWrites returns a copy of the per-physical-line write counts — the
 // distribution vertical wear leveling (Start-Gap, Security Refresh) exists
-// to flatten.
+// to flatten. On a remapped device it has one count per physical row.
 func (d *Device) LineWrites() []uint64 {
 	out := make([]uint64, len(d.lineWrites))
 	copy(out, d.lineWrites)
 	return out
 }
 
-// LineWear returns a copy of the per-bit wear counters for one line.
-// It panics unless Config.TrackPerLineWear was set.
+// LineWear returns a copy of the per-bit wear counters for one line, a
+// physical row on a remapped device. It panics unless
+// Config.TrackPerLineWear was set.
 func (d *Device) LineWear(line uint64) []uint32 {
 	d.checkLine(line)
 	if d.lineWear == nil {
@@ -681,8 +702,21 @@ func (d *Device) LineWear(line uint64) []uint32 {
 	return out
 }
 
-func (d *Device) checkLine(line uint64) {
+// locate checks a logical line and returns the physical row that holds
+// it: the line itself on a bare device.
+func (d *Device) locate(line uint64) uint64 {
 	if line >= uint64(d.cfg.Lines) {
 		panic(fmt.Sprintf("pcmdev: line %d out of range [0,%d)", line, d.cfg.Lines))
+	}
+	if d.rm != nil {
+		return d.rm.Row(line)
+	}
+	return line
+}
+
+// checkLine checks a physical row.
+func (d *Device) checkLine(row uint64) {
+	if row >= uint64(len(d.lineWrites)) {
+		panic(fmt.Sprintf("pcmdev: row %d out of range [0,%d)", row, len(d.lineWrites)))
 	}
 }

@@ -3,6 +3,7 @@ package pcmdev
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -12,11 +13,17 @@ import (
 // serialization format magic, versioned.
 var devMagic = [4]byte{'P', 'C', 'M', '1'}
 
+var errRemapped = errors.New("pcmdev: a remapped device's registers are not part of the snapshot format")
+
 // Serialize writes the array's persistent state — the stored cells and
 // metadata cells, exactly what survives power-down on a real DIMM — to w.
 // Statistics and wear counters are volatile controller state and are not
-// serialized.
+// serialized, and neither are a remapped device's registers, so a
+// remapped device refuses.
 func (d *Device) Serialize(w io.Writer) error {
+	if d.rm != nil {
+		return errRemapped
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(devMagic[:]); err != nil {
 		return fmt.Errorf("pcmdev: %w", err)
@@ -45,6 +52,9 @@ func (d *Device) Serialize(w io.Writer) error {
 // backend.ErrGeometry for a geometry mismatch and backend.ErrTruncated for
 // a snapshot that ends (or fails to read) early.
 func (d *Device) Restore(r io.Reader) error {
+	if d.rm != nil {
+		return errRemapped
+	}
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {

@@ -116,7 +116,7 @@ func nonzeroBytes(x uint64) uint8 {
 // nothing. A partial last chunk (LineBytes mod 64 of 16, 32 or 48) goes
 // through zero-padded copies, whose padding lanes never differ.
 func (d *Device) WriteTracked(line uint64, pt, padL, padT []byte, wordBytes int, reset bool) WriteResult {
-	d.checkLine(line)
+	line = d.locate(line)
 	lt := LanesFor(wordBytes)
 	if d.cfg.MetaBits != d.lineBytes>>lt.log {
 		panic(fmt.Sprintf("pcmdev: tracked write of %d-byte words to a line with %d metadata cells", wordBytes, d.cfg.MetaBits))

@@ -7,26 +7,28 @@ import (
 	"deuce/internal/wear"
 )
 
-// A Start-Gap array with Horizontal Wear Leveling is a drop-in
-// pcmdev.Array: writes land remapped and bit-rotated, reads reverse both,
-// and a hot bit's wear spreads across the whole line over time.
+// Start-Gap with Horizontal Wear Leveling builds a drop-in memory, a
+// remapped pcmdev.Device: writes land remapped and their flips
+// bit-rotated, reads see the logical line, and a hot bit's wear spreads
+// across the whole line over time.
 func Example() {
 	sg := wear.MustNewStartGap(
 		pcmdev.Config{Lines: 8},
 		wear.StartGapConfig{Psi: 1, Mode: wear.HWL},
 	)
+	dev := sg.Device()
 
 	data := make([]byte, 64)
 	const writes = 2000 // enough rounds for the rotation to sweep the line
 	for i := 0; i < writes; i++ {
 		data[0] ^= 0xff // hammer the first byte
-		sg.Write(3, data, nil)
+		dev.Write(3, data, nil)
 	}
 	got := make([]byte, 64)
-	sg.ReadInto(3, got, nil)
+	dev.ReadInto(3, got, nil)
 	fmt.Println("data survives remap+rotation:", got[0] == data[0])
 
-	profile := wear.MustAnalyze(sg.PositionWrites(), writes)
+	profile := wear.MustAnalyze(dev.PositionWrites(), writes)
 	fmt.Println("hot byte smeared over many positions:", profile.Skew() < 10)
 	// Output:
 	// data survives remap+rotation: true

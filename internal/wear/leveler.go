@@ -1,5 +1,6 @@
 // Package wear implements the durability machinery of the paper's §5: one
-// wear leveler (leveler.go) with two vertical wear-leveling policies,
+// wear leveler (leveler.go), the register state of a remapped
+// pcmdev.Device, with two vertical wear-leveling policies,
 // Start-Gap (Qureshi et al., MICRO 2009 — paper ref [20]) and Security
 // Refresh (Seong, Woo & Lee, ISCA 2010), under the paper's Horizontal Wear
 // Leveling extension that rotates each line's bits by the number of times
@@ -12,10 +13,8 @@
 package wear
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"deuce/internal/bitutil"
 	"deuce/internal/pcmdev"
 )
 
@@ -79,38 +78,32 @@ type policy interface {
 	// moves counts the leveler's own rewrites of a line so far; the HWL
 	// rotation amount derives from it (§5.3).
 	moves(line uint64) uint64
-	// step advances the registers by one move, relocating the lines it
-	// remaps through the leveler's copy primitives.
+	// step advances the registers by one move and has the device
+	// relocate the lines it remaps.
 	step()
 }
 
-// leveler implements pcmdev.Array for every vertical wear leveler: its
-// policy supplies the remap, and the memory's shifter (§5.3: "the memory
-// is equipped with shifters") stores the image of each logical line
-// rotated left by the line's HWL amount. A line's rotation only changes at
-// the moment a step copies it anyway, so rotation costs no extra write.
+// leveler is what every vertical wear leveler shares: its policy supplies
+// the mapping, the mode the HWL rotation, and it counts the writes between
+// steps. The memory (§5.3: "the memory is equipped with
+// shifters") is a remapped pcmdev.Device that stores each line in logical
+// order and rotates only what it programs. A line's rotation only changes
+// at the moment a step relocates it anyway, so rotation costs no extra
+// write.
 type leveler struct {
-	inner *pcmdev.Device
-	cfg   StartGapConfig
-	pol   policy
-	n     int // logical lines
+	dev *pcmdev.Device
+	cfg StartGapConfig
+	pol policy
+	n   int // logical lines
 
 	writesSinceStep int
-
-	totalBits int // data+meta bits per line, the rotation modulus
-	dataWords int // LineBytes/8: metadata cells start on a word boundary
-	metaBytes int
-	// img and rot are the shifter's word images of one line, LSB-first
-	// like bitutil.GetBit: the data cells, then the metadata cells.
-	img, rot []uint64
-	// data and meta hold one stored line image: a write's rotated image,
-	// or a step's copy (nil meta when the array has no metadata cells,
-	// whatever the caller passed).
-	data, meta []byte
-	// slots stages a Write's SlotFlips across a counted step, whose own
-	// device write reuses the scratch the result aliases.
-	slots []int
 }
+
+// remap is a leveler as its device's pcmdev.Remap. Its methods are not
+// promoted to the policies, so only the device steps the registers.
+type remap leveler
+
+var _ pcmdev.Remap = (*remap)(nil)
 
 // check applies the Psi default and validates the configuration.
 func (c *StartGapConfig) check() error {
@@ -127,165 +120,39 @@ func (c *StartGapConfig) check() error {
 	return fmt.Errorf("wear: unknown mode %d", int(c.Mode))
 }
 
-// newLeveler builds the leveler for n logical lines over inner.
-func newLeveler(inner *pcmdev.Device, n int, cfg StartGapConfig, pol policy) leveler {
-	// Derive the rotation modulus from the device's resolved geometry so
-	// configuration defaults are applied exactly once.
-	dc := inner.Config()
-	l := leveler{
-		inner:     inner,
-		cfg:       cfg,
-		pol:       pol,
-		n:         n,
-		totalBits: dc.TotalBitsPerLine(),
-		dataWords: dc.LineBytes / 8,
-		metaBytes: (dc.MetaBits + 7) / 8,
-		data:      make([]byte, dc.LineBytes),
-		slots:     make([]int, 0, dc.LineBits()/pcmdev.SlotBits),
-	}
-	words := (l.totalBits + 63) / 64
-	l.img, l.rot = make([]uint64, words), make([]uint64, words)
-	if dc.MetaBits > 0 {
-		l.meta = make([]byte, l.metaBytes)
-	}
-	return l
+// init builds the remapped device of devCfg.Lines logical lines over rows
+// physical rows, placed by pol.
+func (l *leveler) init(devCfg pcmdev.Config, rows int, cfg StartGapConfig, pol policy) error {
+	l.cfg, l.pol, l.n = cfg, pol, devCfg.Lines
+	dev, err := pcmdev.NewRemapped(devCfg, rows, (*remap)(l), cfg.FreeGapMoves)
+	l.dev = dev
+	return err
 }
 
-// rotation returns the current HWL rotation amount for a logical line.
-func (l *leveler) rotation(line uint64) int {
+// Device returns the wear-leveled memory schemes write to.
+func (l *leveler) Device() *pcmdev.Device { return l.dev }
+
+// Row implements pcmdev.Remap.
+func (l *remap) Row(line uint64) uint64 { return l.pol.physical(line) }
+
+// Rotation implements pcmdev.Remap: the line's HWL rotation amount, which
+// the device takes modulo the cells in a line.
+func (l *remap) Rotation(line uint64) uint64 {
 	switch l.cfg.Mode {
 	case HWL:
-		return int(l.pol.moves(line) % uint64(l.totalBits))
+		return l.pol.moves(line)
 	case HWLHashed:
-		return int(mix64(l.pol.moves(line), line) % uint64(l.totalBits))
+		return mix64(l.pol.moves(line), line)
 	}
 	return 0
 }
 
-// Write implements pcmdev.Array. Every Psi-th write additionally takes one
-// policy step, which is the moment a line's rotation amount advances.
-func (l *leveler) Write(line uint64, data, meta []byte) pcmdev.WriteResult {
-	l.checkLine(line)
-	l.shift(l.data, l.meta, data, meta, l.rotation(line))
-	res := l.inner.Write(l.pol.physical(line), l.data, l.meta)
+// Wrote implements pcmdev.Remap. Every Psi-th write takes one policy step,
+// which is the moment a line's rotation amount advances.
+func (l *remap) Wrote() {
 	if l.writesSinceStep++; l.writesSinceStep >= l.cfg.Psi {
 		l.writesSinceStep = 0
-		if !l.cfg.FreeGapMoves {
-			l.slots = append(l.slots[:0], res.SlotFlips...)
-			res.SlotFlips = l.slots
-		}
 		l.pol.step()
-	}
-	return res
-}
-
-// Load implements pcmdev.Array.
-func (l *leveler) Load(line uint64, data, meta []byte) {
-	l.checkLine(line)
-	l.shift(l.data, l.meta, data, meta, l.rotation(line))
-	l.inner.Load(l.pol.physical(line), l.data, l.meta)
-}
-
-// Peek implements pcmdev.Array.
-func (l *leveler) Peek(line uint64) (data, meta []byte) {
-	data, meta = make([]byte, len(l.data)), make([]byte, l.metaBytes)
-	l.PeekInto(line, data, meta)
-	return data, meta
-}
-
-// PeekInto implements pcmdev.Array: the stored image, de-rotated in place.
-func (l *leveler) PeekInto(line uint64, data, meta []byte) {
-	l.checkLine(line)
-	l.inner.PeekInto(l.pol.physical(line), data, meta)
-	l.shift(data, meta, data, meta, -l.rotation(line))
-}
-
-// ReadInto implements pcmdev.Array: the inner device's read, counted
-// there, then de-rotated in place.
-func (l *leveler) ReadInto(line uint64, data, meta []byte) {
-	l.checkLine(line)
-	l.inner.ReadInto(l.pol.physical(line), data, meta)
-	l.shift(data, meta, data, meta, -l.rotation(line))
-}
-
-// store writes a logical line's plaintext image, which the call rotates in
-// place, at the line's current mapping: a step's copy of a line whose
-// registers have already advanced.
-func (l *leveler) store(line uint64, data, meta []byte) {
-	l.shift(data, meta, data, meta, l.rotation(line))
-	l.put(l.pol.physical(line), data, meta)
-}
-
-// put commits a step's copy to a physical line, with or without cost
-// accounting per FreeGapMoves.
-func (l *leveler) put(phys uint64, data, meta []byte) {
-	if l.cfg.FreeGapMoves {
-		l.inner.Load(phys, data, meta)
-		return
-	}
-	l.inner.Write(phys, data, meta)
-}
-
-// shift is the memory's shifter: it stores the line image (data, meta),
-// rotated left by k bits as one string of LineBits+MetaBits cells, into
-// (dd, dm), which may alias (data, meta). A zero k copies verbatim; any
-// other k leaves the padding bits past MetaBits zero. A wrong-size image
-// panics as it does on the bare device, whatever the rotation.
-func (l *leveler) shift(dd, dm, data, meta []byte, k int) {
-	if len(data) != len(l.data) || len(meta) < l.metaBytes {
-		panic(fmt.Sprintf("wear: line image of %d+%d bytes, want %d+%d", len(data), len(meta), len(l.data), l.metaBytes))
-	}
-	if k == 0 {
-		copy(dd, data)
-		copy(dm, meta)
-		return
-	}
-	img := l.img
-	for i := range l.dataWords {
-		img[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	m := img[l.dataWords:]
-	clear(m)
-	for i, b := range meta[:l.metaBytes] {
-		m[i/8] |= uint64(b) << (8 * (i % 8))
-	}
-	bitutil.RotateWords(l.rot, img, l.totalBits, k)
-	for i := range l.dataWords {
-		binary.LittleEndian.PutUint64(dd[8*i:], l.rot[i])
-	}
-	for i := range dm[:l.metaBytes] {
-		dm[i] = byte(l.rot[l.dataWords+i/8] >> (8 * (i % 8)))
-	}
-}
-
-// Config implements pcmdev.Array, reporting the logical geometry.
-func (l *leveler) Config() pcmdev.Config {
-	cfg := l.inner.Config()
-	cfg.Lines = l.n
-	return cfg
-}
-
-// Stats implements pcmdev.Array. Counted step copies are included: they
-// are real cell programs and part of the leveler's (small) overhead.
-func (l *leveler) Stats() pcmdev.Stats { return l.inner.Stats() }
-
-// ResetStats implements pcmdev.Array.
-func (l *leveler) ResetStats() { l.inner.ResetStats() }
-
-// PositionWrites implements pcmdev.Array.
-func (l *leveler) PositionWrites() []uint64 { return l.inner.PositionWrites() }
-
-// LineWrites implements pcmdev.Array: the physical per-line distribution,
-// i.e. after remapping — the profile vertical wear leveling flattens.
-func (l *leveler) LineWrites() []uint64 { return l.inner.LineWrites() }
-
-// InnerDevice exposes the physical array for wear analysis (per-physical-
-// line write distributions live below the remapping layer).
-func (l *leveler) InnerDevice() *pcmdev.Device { return l.inner }
-
-func (l *leveler) checkLine(line uint64) {
-	if line >= uint64(l.n) {
-		panic(fmt.Sprintf("wear: logical line %d out of range [0,%d)", line, l.n))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"deuce/internal/pcmdev"
 )
 
-// rotateImage is the per-bit reference for the leveler's shifter: it
+// rotateImage is the per-bit reference for the twin's shifter: it
 // rotates a line's combined data+metadata bit image by k bits.
 func rotateImage(cfg pcmdev.Config, totalBits int, data, meta []byte, k int) (rdata, rmeta []byte) {
 	if k == 0 {
@@ -89,14 +89,17 @@ func FuzzRotate(f *testing.F) {
 	})
 }
 
-// TestShiftMatchesRotateImage diffs the leveler's shifter, out of place and
+// TestShiftMatchesRotateImage diffs the twin's shifter, out of place and
 // in place, against the per-bit reference on every metadata width the
 // schemes use around the word boundaries, with dirty metadata padding.
 func TestShiftMatchesRotateImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, lineBytes := range []int{64, 128} {
 		for _, metaBits := range []int{0, 1, 7, 32, 33, 64, 65} {
-			s := MustNewStartGap(pcmdev.Config{Lines: 2, LineBytes: lineBytes, MetaBits: metaBits}, StartGapConfig{})
+			s, err := newTwinStartGap(pcmdev.Config{Lines: 2, LineBytes: lineBytes, MetaBits: metaBits}, StartGapConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			cfg, n := s.inner.Config(), s.totalBits
 			for _, k := range []int{0, 1, -1, 63, 64, -65, n - 1, n, n + 3, 2 * n, rng.Intn(n), -rng.Intn(n)} {
 				data := make([]byte, lineBytes)

@@ -1,7 +1,6 @@
 package wear
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -36,13 +35,9 @@ type SecurityRefresh struct {
 
 	rounds uint64 // completed sweeps
 	swaps  uint64
-
-	// pairData and pairMeta hold the partner line's image while a swap
-	// moves both lines of a pair.
-	pairData, pairMeta []byte
 }
 
-// NewSecurityRefresh builds a Security Refresh array over the logical
+// NewSecurityRefresh builds Security Refresh over a device of the logical
 // geometry in devCfg. The line count must be a power of two (XOR
 // remapping); seed makes the key sequence deterministic for experiments.
 func NewSecurityRefresh(devCfg pcmdev.Config, cfg StartGapConfig, seed int64) (*SecurityRefresh, error) {
@@ -52,17 +47,15 @@ func NewSecurityRefresh(devCfg pcmdev.Config, cfg StartGapConfig, seed int64) (*
 	if devCfg.Lines < 2 || devCfg.Lines&(devCfg.Lines-1) != 0 {
 		return nil, fmt.Errorf("wear: SecurityRefresh needs a power-of-two line count, got %d", devCfg.Lines)
 	}
-	inner, err := pcmdev.New(devCfg)
-	if err != nil {
-		return nil, err
-	}
 	s := &SecurityRefresh{
 		rng: rand.New(rand.NewSource(seed)),
 		kc:  0, // identity mapping at boot: fresh array reads back zeroes
 	}
-	s.leveler = newLeveler(inner, devCfg.Lines, cfg, s)
-	s.pairData, s.pairMeta = bytes.Clone(s.data), bytes.Clone(s.meta)
+	s.n = devCfg.Lines // freshKey draws below it, before the device exists
 	s.kn = s.freshKey()
+	if err := s.init(devCfg, devCfg.Lines, cfg, s); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -127,16 +120,9 @@ func (s *SecurityRefresh) step() {
 		return
 	}
 	a := s.p // canonical line of the pair; partner is a^d
-	b := a ^ d
-
-	// Pre-swap images and rotations.
-	s.PeekInto(a, s.data, s.meta)
-	s.PeekInto(b, s.pairData, s.pairMeta)
-	s.p++ // the pair is now processed: mappings and rotations advance
+	s.p++    // the pair is now processed: mappings and rotations advance
 	s.swaps++
-
-	s.store(a, s.data, s.meta)
-	s.store(b, s.pairData, s.pairMeta)
+	s.dev.Exchange(a, a^d)
 
 	if s.p >= uint64(s.n) {
 		s.completeRound()
@@ -156,5 +142,3 @@ func (s *SecurityRefresh) Rounds() uint64 { return s.rounds }
 
 // Swaps returns pair swaps performed.
 func (s *SecurityRefresh) Swaps() uint64 { return s.swaps }
-
-var _ pcmdev.Array = (*SecurityRefresh)(nil)

@@ -50,7 +50,7 @@ func TestSRMappingIsPermutation(t *testing.T) {
 			seen[pa] = true
 		}
 		data[0] = byte(step)
-		s.Write(uint64(step%16), data, nil)
+		s.dev.Write(uint64(step%16), data, nil)
 	}
 	if s.Rounds() == 0 {
 		t.Error("no refresh rounds completed in 300 psi=1 writes over 16 lines")
@@ -65,7 +65,7 @@ func TestSRMappingIsPermutation(t *testing.T) {
 func TestSRDataIntegrity(t *testing.T) {
 	levelerConfigs(t, func(t *testing.T, metaBits int, cfg StartGapConfig) {
 		cfg.Psi = 2
-		checkShadowed(t, srDev(t, 8, metaBits, cfg), metaBits, 800, int64(cfg.Mode)+11)
+		checkShadowed(t, srDev(t, 8, metaBits, cfg).dev, metaBits, 800, int64(cfg.Mode)+11)
 	})
 }
 
@@ -77,7 +77,7 @@ func TestSRRelocatesHotLine(t *testing.T) {
 	visited := make(map[uint64]bool)
 	for i := 0; i < 500; i++ {
 		data[0] = byte(i)
-		s.Write(3, data, nil)
+		s.dev.Write(3, data, nil)
 		visited[s.physical(3)] = true
 	}
 	if len(visited) < 4 {
@@ -94,9 +94,9 @@ func TestSRHWLFlattens(t *testing.T) {
 		const writes = 20000
 		for i := 0; i < writes; i++ {
 			data[0], data[1] = byte(rng.Int()), byte(rng.Int())
-			s.Write(uint64(i%4), data, nil)
+			s.dev.Write(uint64(i%4), data, nil)
 		}
-		p := MustAnalyze(s.PositionWrites(), uint64(writes))
+		p := MustAnalyze(s.dev.PositionWrites(), uint64(writes))
 		return p.Skew()
 	}
 	if v := skewFor(VWLOnly); v < 5 {
@@ -111,11 +111,11 @@ func TestSRLoadBypassesCost(t *testing.T) {
 	s := srDev(t, 8, 0, StartGapConfig{Mode: HWLHashed})
 	data := make([]byte, 64)
 	data[3] = 0x77
-	s.Load(5, data, nil)
-	if s.Stats().Writes != 0 {
+	s.dev.Load(5, data, nil)
+	if s.dev.Stats().Writes != 0 {
 		t.Error("Load counted as write")
 	}
-	d, _ := s.Peek(5)
+	d, _ := s.dev.Peek(5)
 	if !bitutil.Equal(d, data) {
 		t.Error("Load round trip failed")
 	}
@@ -128,14 +128,14 @@ func TestSROutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range access did not panic")
 		}
 	}()
-	s.ReadInto(8, make([]byte, 64), nil)
+	s.dev.ReadInto(8, make([]byte, 64), nil)
 }
 
 // Reads on a freshly booted array return zeroes (identity initial mapping).
 func TestSRFreshReadsZero(t *testing.T) {
 	s := srDev(t, 8, 8, StartGapConfig{})
 	d, m := make([]byte, 64), make([]byte, 1)
-	s.ReadInto(5, d, m)
+	s.dev.ReadInto(5, d, m)
 	if bitutil.PopCount(d) != 0 || bitutil.PopCount(m) != 0 {
 		t.Error("fresh array reads non-zero")
 	}

@@ -6,16 +6,16 @@ import (
 	"deuce/internal/pcmdev"
 )
 
-// StartGap is Start-Gap remapping with optional Horizontal Wear Leveling
-// over a pcmdev.Device. It exposes N logical lines over N+1 physical lines
-// (the extra one is the gap) and implements pcmdev.Array through its
-// leveler, so schemes in internal/core can be constructed directly on top
-// of it.
+// StartGap is Start-Gap remapping with optional Horizontal Wear Leveling.
+// Its Device exposes N logical lines over N+1 physical rows (the extra one
+// is the gap), so schemes in internal/core can be constructed directly on
+// top of it.
 //
-// The stored image of logical line L is always rotated left by rot(L) bits,
-// where rot(L) is the line's current HWL rotation amount. The invariant is
-// maintained without dedicated rotation writes: a line's rotation amount
-// only changes at the moment the gap move copies it anyway (§5.3).
+// The cells of logical line L are always programmed rotated left by rot(L)
+// bits, where rot(L) is the line's current HWL rotation amount. The
+// invariant is maintained without dedicated rotation writes: a line's
+// rotation amount only changes at the moment the gap move copies it anyway
+// (§5.3).
 type StartGap struct {
 	leveler
 
@@ -25,8 +25,8 @@ type StartGap struct {
 	gapMoves uint64
 }
 
-// NewStartGap builds a StartGap array for the logical geometry in devCfg.
-// The inner device is created with one extra physical line.
+// NewStartGap builds Start-Gap over a device of the logical geometry in
+// devCfg, with one extra physical row.
 func NewStartGap(devCfg pcmdev.Config, cfg StartGapConfig) (*StartGap, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
@@ -34,14 +34,10 @@ func NewStartGap(devCfg pcmdev.Config, cfg StartGapConfig) (*StartGap, error) {
 	if devCfg.Lines < 2 {
 		return nil, fmt.Errorf("wear: need at least 2 logical lines, got %d", devCfg.Lines)
 	}
-	phys := devCfg
-	phys.Lines = devCfg.Lines + 1
-	inner, err := pcmdev.New(phys)
-	if err != nil {
+	s := &StartGap{gap: devCfg.Lines} // gap starts past the last logical line
+	if err := s.init(devCfg, devCfg.Lines+1, cfg, s); err != nil {
 		return nil, err
 	}
-	s := &StartGap{gap: devCfg.Lines} // gap starts past the last logical line
-	s.leveler = newLeveler(inner, devCfg.Lines, cfg, s)
 	return s, nil
 }
 
@@ -81,20 +77,17 @@ func (s *StartGap) moves(line uint64) uint64 {
 // (circularly) moves into the gap slot, acquiring its new rotation amount in
 // the same write (§5.3, Figure 13c). When the gap wraps from physical 0 to
 // N the Start register increments instead; the line at physical N moves to
-// physical 0 with its Start' unchanged, so that copy is verbatim.
+// physical 0 with its Start' unchanged.
 func (s *StartGap) step() {
 	s.gapMoves++
 	from := uint64((s.gap + s.n) % (s.n + 1))            // physical gap-1, circularly
 	moved := uint64((s.gap - 1 - s.start + 2*s.n) % s.n) // the logical line stored there
-	oldRot := s.rotation(moved)                          // before the registers advance
-	s.inner.PeekInto(from, s.data, s.meta)
 	if s.gap == 0 {
 		s.gap, s.start, s.rounds = s.n, (s.start+1)%s.n, s.rounds+1
 	} else {
 		s.gap--
 	}
-	s.shift(s.data, s.meta, s.data, s.meta, s.rotation(moved)-oldRot)
-	s.put(s.physical(moved), s.data, s.meta)
+	s.dev.Move(moved, from)
 }
 
 // GapMoves returns how many gap movements have occurred.
@@ -105,5 +98,3 @@ func (s *StartGap) StartRegister() int { return s.start }
 
 // GapPosition returns the current physical position of the gap line.
 func (s *StartGap) GapPosition() int { return s.gap }
-
-var _ pcmdev.Array = (*StartGap)(nil)

@@ -56,7 +56,7 @@ func TestMappingIsPermutation(t *testing.T) {
 			}
 		}
 		data[0] = byte(step)
-		s.Write(uint64(step%8), data, nil) // Psi=1: every write moves the gap
+		s.dev.Write(uint64(step%8), data, nil) // Psi=1: every write moves the gap
 	}
 	if s.GapMoves() != 100 {
 		t.Errorf("GapMoves = %d, want 100", s.GapMoves())
@@ -127,8 +127,18 @@ func checkShadowed(t *testing.T, arr pcmdev.Array, metaBits, steps int, seed int
 func TestDataIntegrityAcrossGapMoves(t *testing.T) {
 	levelerConfigs(t, func(t *testing.T, metaBits int, cfg StartGapConfig) {
 		cfg.Psi = 3
-		checkShadowed(t, sgDev(t, 8, metaBits, cfg), metaBits, 600, int64(cfg.Mode))
+		checkShadowed(t, sgDev(t, 8, metaBits, cfg).dev, metaBits, 600, int64(cfg.Mode))
 	})
+}
+
+// physicalView returns the data cells of a logical line as the memory
+// programs them: its stored image, rotated by the line's HWL amount.
+func physicalView(s *StartGap, line uint64) []byte {
+	cfg := s.dev.Config()
+	n := cfg.TotalBitsPerLine()
+	d, m := s.dev.Peek(line)
+	pd, _ := rotateImage(cfg, n, d, m, int((*remap)(&s.leveler).Rotation(line)%uint64(n)))
+	return pd
 }
 
 // Under HWL the same logical bit must land on different physical positions
@@ -143,9 +153,9 @@ func TestHWLRotatesStoredImage(t *testing.T) {
 	// so Start climbs after every `lines+1` moves.
 	physPositions := make(map[int]bool)
 	for i := 0; i < 200; i++ {
-		s.Write(0, data, nil)
+		s.dev.Write(0, data, nil)
 		// Find where logical bit 0 currently lives physically.
-		pd, _ := s.inner.Peek(s.physical(0))
+		pd := physicalView(s, 0)
 		for b := 0; b < 512; b++ {
 			if bitutil.GetBit(pd, b) {
 				physPositions[b] = true
@@ -163,8 +173,8 @@ func TestVWLOnlyDoesNotRotate(t *testing.T) {
 	data := make([]byte, 64)
 	for i := 0; i < 100; i++ {
 		data[0] ^= 1 // toggle logical bit 0
-		s.Write(0, data, nil)
-		pd, _ := s.inner.Peek(s.physical(0))
+		s.dev.Write(0, data, nil)
+		pd := physicalView(s, 0)
 		// Bit 0 of the stored image must equal the logical bit exactly.
 		if bitutil.GetBit(pd, 0) != (data[0] == 1) {
 			t.Fatal("VWL-only stored image was rotated")
@@ -186,9 +196,9 @@ func TestHWLFlattensWearProfile(t *testing.T) {
 		for i := 0; i < writes; i++ {
 			// Hot first word: only bits 0..15 ever change.
 			data[0], data[1] = byte(rng.Int()), byte(rng.Int())
-			s.Write(uint64(i%4), data, nil)
+			s.dev.Write(uint64(i%4), data, nil)
 		}
-		p := MustAnalyze(s.PositionWrites(), uint64(writes))
+		p := MustAnalyze(s.dev.PositionWrites(), uint64(writes))
 		return p.Skew()
 	}
 	vwl := skewFor(VWLOnly)
@@ -212,7 +222,7 @@ func TestOutOfRangeLinePanics(t *testing.T) {
 			t.Fatal("out-of-range write did not panic")
 		}
 	}()
-	s.Write(4, make([]byte, 64), nil)
+	s.dev.Write(4, make([]byte, 64), nil)
 }
 
 // A wrong-size line image panics as it does on the bare device, also when
@@ -229,18 +239,18 @@ func TestWrongSizeImagePanics(t *testing.T) {
 					t.Errorf("write of %d+%d bytes did not panic", len(img.data), len(img.meta))
 				}
 			}()
-			s.Write(0, img.data, img.meta)
+			s.dev.Write(0, img.data, img.meta)
 		}()
 	}
 }
 
 func TestConfigReportsLogicalLines(t *testing.T) {
 	s := sgDev(t, 4, 8, StartGapConfig{})
-	if s.Config().Lines != 4 {
-		t.Errorf("logical Lines = %d, want 4", s.Config().Lines)
+	if s.dev.Config().Lines != 4 {
+		t.Errorf("logical Lines = %d, want 4", s.dev.Config().Lines)
 	}
-	if s.inner.Config().Lines != 5 {
-		t.Errorf("physical Lines = %d, want 5", s.inner.Config().Lines)
+	if rows := len(s.dev.LineWrites()); rows != 5 {
+		t.Errorf("physical Lines = %d, want 5", rows)
 	}
 }
 
@@ -248,11 +258,11 @@ func TestLoadBypassesCost(t *testing.T) {
 	s := sgDev(t, 4, 0, StartGapConfig{Mode: HWL})
 	data := make([]byte, 64)
 	data[5] = 0xff
-	s.Load(2, data, nil)
-	if s.Stats().Writes != 0 {
+	s.dev.Load(2, data, nil)
+	if s.dev.Stats().Writes != 0 {
 		t.Error("Load counted as a write")
 	}
-	d, _ := s.Peek(2)
+	d, _ := s.dev.Peek(2)
 	if !bitutil.Equal(d, data) {
 		t.Error("Load round trip failed")
 	}
@@ -275,9 +285,9 @@ func TestVWLFlattensInterLineWear(t *testing.T) {
 		data := make([]byte, 64)
 		for i := 0; i < 4000; i++ {
 			data[0] = byte(i)
-			sg.Write(2, data, nil)
+			sg.dev.Write(2, data, nil)
 		}
-		return sg.InnerDevice().LineWrites()
+		return sg.Device().LineWrites()
 	}
 	skew := func(counts []uint64) float64 {
 		var max, sum uint64
@@ -305,9 +315,9 @@ func TestSRFlattensInterLineWear(t *testing.T) {
 	data := make([]byte, 64)
 	for i := 0; i < 4000; i++ {
 		data[0] = byte(i)
-		sr.Write(2, data, nil)
+		sr.dev.Write(2, data, nil)
 	}
-	counts := sr.InnerDevice().LineWrites()
+	counts := sr.Device().LineWrites()
 	var max, sum uint64
 	for _, c := range counts {
 		sum += c

@@ -77,7 +77,7 @@ race-durability:
 	$(GO) test -race -run 'TestPowerCycle|TestLoadState|TestPersistence|TestINVMMSnapshot' ./internal/core/
 	$(GO) test -race -run 'TestRestartDifferential|TestBackend|TestWriteFileAtomic|TestRestoreNamesSchemeMismatch' .
 
-# fuzz-smoke runs twelve fuzz targets for ten seconds each: the DEUCE write
+# fuzz-smoke runs fourteen fuzz targets for ten seconds each: the DEUCE write
 # kernel (the lane-mask deuceStepInto and dualDecryptInto against their
 # byte-loop decrypt-then-step references on fuzzed line state), the
 # device's bit-sliced wear accounting against its per-flip reference on
@@ -99,7 +99,11 @@ race-durability:
 # to 1100 bits, plus the inverse round trip), and the wear-leveled device
 # (Start-Gap or Security Refresh over a remapped pcmdev.Device against the
 # rotated-storage twin, on fuzzed geometry, mode, Psi, move accounting and
-# mixed Write/Load/ReadInto sequences).
+# mixed Write/Load/ReadInto sequences), Merkle proof verification (any
+# forged sibling, payload or leaf index is rejected), and the integrity
+# guard (a fuzzed scheme and op sequence on a guarded device, then one
+# stored bit flipped through the backend: the next read of that line
+# reports it, and no clean line ever does).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDeuceStep -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzDeviceWrite -fuzztime 10s ./internal/pcmdev
@@ -113,6 +117,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPad -fuzztime 10s ./internal/otp
 	$(GO) test -run '^$$' -fuzz FuzzRotate -fuzztime 10s ./internal/wear
 	$(GO) test -run '^$$' -fuzz FuzzRemapTwin -fuzztime 10s ./internal/wear
+	$(GO) test -run '^$$' -fuzz FuzzVerifyRejectsForgeries -fuzztime 10s ./internal/integrity
+	$(GO) test -run '^$$' -fuzz FuzzGuardTamper -fuzztime 10s ./internal/integrity
 
 # bench-smoke only checks that the hot-write benchmarks still run and stay
 # allocation-free; 100 iterations is too few for timing, use bench-writehot

@@ -86,32 +86,27 @@ func main() {
 // reuse — and the Merkle-tree defence that catches it.
 func tamperDemo() {
 	fmt.Println("=== 6. Bus tampering (footnote 1): replay vs Merkle root ===")
-	var guard *integrity.Guard
-	mem, err := core.NewDeuce(core.Params{
-		Lines: 16,
-		MakeArray: func(cfg pcmdev.Config) (pcmdev.Array, error) {
-			dev, err := pcmdev.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			guard, err = integrity.NewGuard(dev)
-			return guard, err
-		},
-	})
-	if err != nil {
-		panic(err)
-	}
+	mem := core.MustNew(core.KindDeuce, core.Params{Lines: 16})
+	dev := mem.Device().(*pcmdev.Device)
+	guard := integrity.MustNewGuard(dev)
 
+	// The adversary's handle is the DIMM itself: the stored pages.
+	dimm := dev.Backend()
 	line := make([]byte, 64)
 	copy(line, "balance: $100")
 	mem.Write(1, line)
-	oldImage, oldMeta := guard.Inner().Peek(1) // adversary records the bus
+	oldPage := make([]byte, dimm.PageSize())
+	if err := dimm.ReadPage(1, oldPage); err != nil { // adversary records the bus
+		panic(err)
+	}
 
 	copy(line, "balance: $0  ")
 	mem.Write(1, line)
 
 	// Adversary replays the old image straight into the array.
-	guard.Inner().Load(1, oldImage, oldMeta)
+	if err := dimm.WritePage(1, oldPage); err != nil {
+		panic(err)
+	}
 	caught := false
 	guard.OnViolation = func(uint64) { caught = true }
 	mem.ReadInto(1, line)

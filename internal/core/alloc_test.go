@@ -103,11 +103,11 @@ func TestWriteZeroAllocsINVMM(t *testing.T) { testWriteAllocs(t, KindINVMM, 0) }
 // TestWrappedArrayZeroAllocs pins DEUCE's and encr-dcw's steady-state
 // Write and ReadInto at 0 allocations on every array of arrayLegs:
 // Start-Gap with HWL and counted or free gap moves, Security Refresh with
-// HWL, and the integrity guard. The warm-up runs the levelers through
-// several rounds first, so the pinned operations rotate by nonzero amounts
-// and take counted moves. It also pins that the wear levelers hand the
-// scheme their remapped *pcmdev.Device, on which DEUCE's Write is the
-// one-pass WriteTracked, and that only the guard wraps it.
+// HWL, and the integrity guard on a bare and a Start-Gap device. The
+// warm-up runs the levelers through several rounds first, so the pinned
+// operations rotate by nonzero amounts and take counted moves. It also
+// pins that every leg hands the scheme a *pcmdev.Device, on which DEUCE's
+// Write is the one-pass WriteTracked.
 func TestWrappedArrayZeroAllocs(t *testing.T) {
 	for _, kind := range []Kind{KindDeuce, KindEncrDCW} {
 		for _, leg := range arrayLegs {
@@ -117,7 +117,7 @@ func TestWrappedArrayZeroAllocs(t *testing.T) {
 			t.Run(string(kind)+"/"+leg.name, func(t *testing.T) {
 				const lines = 64
 				s := MustNew(kind, Params{Lines: lines, MakeArray: leg.make})
-				if _, dev := s.Device().(*pcmdev.Device); dev != (leg.name != "guard") {
+				if _, dev := s.Device().(*pcmdev.Device); !dev {
 					t.Fatalf("array is a %T", s.Device())
 				}
 				rng := rand.New(rand.NewSource(7))

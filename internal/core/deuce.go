@@ -143,39 +143,26 @@ func (s *Deuce) Install(line uint64, plaintext []byte) {
 	s.dev.Load(line, s.gen.Encrypt(line, 0, plaintext), make([]byte, metaBytes(s.words())))
 }
 
-// Write implements Scheme. The steady-state path allocates nothing. On a
-// pcmdev.Device, wear-leveled (remapped) or not, a write is one counter
-// increment, one pad derivation (a PadPairInto off a boundary, a PadInto
-// at one) and one WriteTracked call, which applies the word rule while it
-// diffs and stores the live line. Arrays that wrap the device (integrity
-// guards, probes) take the general path: copy the stored image out, step
-// it in scratch (deuceStepInto) and Write it back, with identical cells
-// and cost.
+// Write implements Scheme. The steady-state path allocates nothing: a
+// write is one counter increment, one pad derivation (a PadPairInto off a
+// boundary, a PadInto at one) and one WriteTracked call, which applies the
+// word rule while it diffs and stores the live line, on a bare,
+// wear-leveled or guarded device alike.
 func (s *Deuce) Write(line uint64, plaintext []byte) pcmdev.WriteResult {
 	s.checkPlain(plaintext)
 	s.initLine(line)
-
-	if d, ok := s.dev.(*pcmdev.Device); ok {
-		ctr, _ := s.ctrs.Increment(line)
-		reset := ctr&s.epochMask == 0
-		if reset {
-			s.gen.PadInto(s.scr.padL, line, ctr)
-		} else {
-			s.gen.PadPairInto(s.scr.pads, line, ctr, tctr(ctr, s.epochMask))
-		}
-		res := d.WriteTracked(line, plaintext, s.scr.padL, s.scr.padT, s.p.WordBytes, reset)
-		if s.p.Trace != nil {
-			s.observe(line, res, reset)
-		}
-		return res
-	}
-
-	oldCT, oldMod := s.scr.oldData, s.scr.oldMeta
-	s.dev.PeekInto(line, oldCT, oldMod)
 	ctr, _ := s.ctrs.Increment(line)
-	deuceStepInto(s.scr.newData, s.scr.newMeta, s.gen, line, ctr, s.epochMask, s.p.WordBytes,
-		oldCT, oldMod, plaintext, s.scr.pads)
-	return s.observe(line, s.dev.Write(line, s.scr.newData, s.scr.newMeta), ctr&s.epochMask == 0)
+	reset := ctr&s.epochMask == 0
+	if reset {
+		s.gen.PadInto(s.scr.padL, line, ctr)
+	} else {
+		s.gen.PadPairInto(s.scr.pads, line, ctr, tctr(ctr, s.epochMask))
+	}
+	res := s.dev.WriteTracked(line, plaintext, s.scr.padL, s.scr.padT, s.p.WordBytes, reset)
+	if s.p.Trace != nil {
+		s.observe(line, res, reset)
+	}
+	return res
 }
 
 // ReadInto implements Scheme.

@@ -216,11 +216,6 @@ func mutate(rng *rand.Rand, buf []byte) {
 	}
 }
 
-// passArray is a pass-through pcmdev.Array wrapper: it hides the bare
-// *pcmdev.Device, so DEUCE takes the PeekInto + deuceStepInto + Write path
-// that wear leveling, integrity guards and probes get.
-type passArray struct{ pcmdev.Array }
-
 // stepWay is one array a scheme's write runs over.
 type stepWay struct {
 	name string
@@ -240,21 +235,17 @@ func leveledWay(name string, make func(wear.StartGapConfig) func(pcmdev.Config) 
 var (
 	// bareWay is the bare RAM device: DEUCE's one-pass WriteTracked.
 	bareWay = stepWay{"bare", func(*Params) {}, false}
-	// deuceWays runs KindDeuce over both of its write paths and over the
-	// device's page-copy path: the bare RAM device, a pass-through
-	// wrapper, a bare device on a backend without the zero-copy page
-	// view (CrashSim buffers every WritePage), and the remapped devices
-	// of Start-Gap (HWL and hashed HWL, counted and free gap moves) and
-	// Security Refresh, where WriteTracked is diffed against the
-	// reference's Device.Write over the same remap.
+	// deuceWays runs KindDeuce's one write path, WriteTracked, over
+	// every device it meets and over the device's page-copy path: the
+	// bare RAM device, a device under the integrity guard (which panics
+	// on any read it cannot verify), a bare device on a backend without
+	// the zero-copy page view (CrashSim buffers every WritePage), and the
+	// remapped devices of Start-Gap (HWL and hashed HWL, counted and free
+	// gap moves) and Security Refresh, where WriteTracked is diffed
+	// against the reference's Device.Write over the same remap.
 	deuceWays = []stepWay{
 		bareWay,
-		{"wrapped", func(p *Params) {
-			p.MakeArray = func(cfg pcmdev.Config) (pcmdev.Array, error) {
-				d, err := pcmdev.New(cfg)
-				return passArray{d}, err
-			}
-		}, false},
+		{"guard", func(p *Params) { p.MakeArray = guarded(bareDevice) }, false},
 		{"nopager", func(p *Params) {
 			p.MakeBackend = func(region string, pages, size int) (backend.Backend, error) {
 				if region == RegionArray {
@@ -344,9 +335,6 @@ func TestDeuceStepMatchesReference(t *testing.T) {
 						got, err := newStepScheme(kind, p)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if _, bare := got.b.dev.(*pcmdev.Device); bare != (way.name != "wrapped") {
-							t.Fatalf("%s: array %T", name, got.b.dev)
 						}
 						replayStep(t, name, got, ref, lines, writes, rand.New(rand.NewSource(int64(wb*1000+epoch*10+lb))))
 					}

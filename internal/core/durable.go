@@ -1,7 +1,5 @@
 package core
 
-import "deuce/internal/pcmdev"
-
 // Durable is the flush/release contract every scheme in this package
 // implements (via the shared base): Sync pushes the array and counter
 // regions into their backends' persistence domain, Close releases them.
@@ -19,23 +17,16 @@ type Durable interface {
 // counter-recovery drill (internal/exp) detects — never fresh counters
 // over stale data, which would decrypt garbage silently.
 func (b *base) Sync() error {
-	if d, ok := b.dev.(*pcmdev.Device); ok {
-		if err := d.Sync(); err != nil {
-			return err
-		}
+	if err := b.dev.Sync(); err != nil {
+		return err
 	}
 	return b.ctrs.Sync()
 }
 
-// Close implements Durable. Wear-leveled (remapped) devices live in RAM,
-// so their Sync and Close are no-ops; wrapped arrays (integrity guards,
-// probes) hold a bare in-memory device underneath and have nothing to
-// release.
+// Close implements Durable: it releases the array's storage, then the
+// counters', and reports the first error.
 func (b *base) Close() error {
-	var first error
-	if d, ok := b.dev.(*pcmdev.Device); ok {
-		first = d.Close()
-	}
+	first := b.dev.Close()
 	if err := b.ctrs.Close(); err != nil && first == nil {
 		first = err
 	}

@@ -91,13 +91,16 @@ func (b *base) checkHeader(gotName string, h stateHeader) error {
 	return nil
 }
 
-// device returns the raw array, rejecting wrapped and remapped
-// configurations: wear-leveler registers are controller state outside this
-// format.
+// device returns the array as the device whose cells the snapshot
+// carries, rejecting any other array and a device pcmdev will not
+// snapshot (wear-leveled or guarded).
 func (b *base) device() (*pcmdev.Device, error) {
 	dev, ok := b.dev.(*pcmdev.Device)
-	if !ok || dev.Remapped() {
-		return nil, fmt.Errorf("core: persistence requires a bare array (wear-leveled memories hold controller state this format does not carry)")
+	if !ok {
+		return nil, fmt.Errorf("core: persistence requires a pcmdev.Device, not a %T", b.dev)
+	}
+	if err := dev.Snapshottable(); err != nil {
+		return nil, fmt.Errorf("core: persistence requires a bare array: %w", err)
 	}
 	return dev, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"deuce/internal/backend"
 	"deuce/internal/bitutil"
+	"deuce/internal/pcmdev"
 	"deuce/internal/wear"
 )
 
@@ -194,23 +195,34 @@ func TestLoadStateAtomicUnderTruncation(t *testing.T) {
 }
 
 // Persistence under wear leveling is refused (controller registers are not
-// part of the format), with a clear error instead of silent corruption.
+// part of the format), with a clear error instead of silent corruption, and
+// so is persistence under the integrity guard, whose tree a restore would
+// leave vouching for pages that are gone.
 func TestPersistenceRejectsWearLeveling(t *testing.T) {
-	s := MustNew(KindDeuce, Params{
-		Lines:     8,
-		MakeArray: startGap(wear.StartGapConfig{}),
-	})
-	var buf bytes.Buffer
-	if err := s.(Persistent).SaveState(&buf); err == nil {
-		t.Error("SaveState accepted a wear-leveled array")
-	}
-	// A snapshot of a bare memory does not load into a wear-leveled one.
-	bare := MustNew(KindDeuce, Params{Lines: 8})
-	if err := bare.(Persistent).SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.(Persistent).LoadState(&buf); err == nil {
-		t.Error("LoadState accepted a wear-leveled array")
+	for _, leg := range []struct {
+		name string
+		make func(pcmdev.Config) (pcmdev.Array, error)
+	}{
+		{"start-gap", startGap(wear.StartGapConfig{})},
+		{"guard", guarded(bareDevice)},
+	} {
+		s := MustNew(KindDeuce, Params{Lines: 8, MakeArray: leg.make})
+		var buf bytes.Buffer
+		if err := s.(Persistent).SaveState(&buf); err == nil {
+			t.Errorf("%s: SaveState accepted the array", leg.name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: a refused SaveState wrote %d bytes", leg.name, buf.Len())
+		}
+		// A snapshot of a bare memory does not load into this one.
+		bare := MustNew(KindDeuce, Params{Lines: 8})
+		if err := bare.(Persistent).SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.(Persistent).LoadState(&buf); err == nil {
+			t.Errorf("%s: LoadState accepted the array", leg.name)
+		}
+		read(s, 0) // a guarded read still verifies
 	}
 }
 

@@ -42,8 +42,7 @@ type Scheme interface {
 	// be LineBytes long (it panics otherwise). It is the only read path:
 	// schemes stage the stored image and pads in their write-path scratch
 	// (safe under the single-goroutine contract), so a read allocates
-	// nothing, on a bare or wear-leveled device and under the integrity
-	// guard alike.
+	// nothing, on a bare, wear-leveled or guarded device alike.
 	ReadInto(line uint64, dst []byte)
 
 	// Install places initial content into a line without any write-cost
@@ -96,8 +95,8 @@ type Params struct {
 	// It receives the geometry the scheme needs (lines, line size,
 	// metadata bits) and may return a remapped pcmdev.Device — this is
 	// how the wear levelers of internal/wear are put under a scheme — or
-	// a wrapped array such as internal/integrity's guard. Nil means a
-	// bare pcmdev.Device.
+	// a device observed by internal/integrity's guard. Nil means a bare
+	// pcmdev.Device.
 	MakeArray func(pcmdev.Config) (pcmdev.Array, error)
 	// MakeBackend, when non-nil, supplies page storage for the scheme's
 	// two durable regions: it is called once with region "array" (the
@@ -105,8 +104,8 @@ type Params struct {
 	// and once with region "counters" (the encryption counters,
 	// ctrstore.PageBytes pages). This is how file and sharded-directory
 	// backends (internal/backend) are threaded under a scheme; nil means
-	// both regions live in RAM. Mutually exclusive with MakeArray — a
-	// wrapped array owns its own storage.
+	// both regions live in RAM. Mutually exclusive with MakeArray, which
+	// builds the array on storage of its own choosing.
 	MakeBackend func(region string, pages, pageSize int) (backend.Backend, error)
 }
 
@@ -250,7 +249,7 @@ func newBase(p Params, name string, metaBits int, blockCtrs bool) (*base, error)
 		TrackPerLineWear: p.TrackPerLineWear,
 	}
 	if p.MakeArray != nil && p.MakeBackend != nil {
-		return nil, fmt.Errorf("core: MakeArray and MakeBackend are mutually exclusive (a wrapped array owns its own storage)")
+		return nil, fmt.Errorf("core: MakeArray and MakeBackend are mutually exclusive (MakeArray chooses the array's storage)")
 	}
 	var dev pcmdev.Array
 	var err error

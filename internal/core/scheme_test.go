@@ -55,10 +55,24 @@ func securityRefresh(wcfg wear.StartGapConfig) func(pcmdev.Config) (pcmdev.Array
 	}
 }
 
+// guarded puts an integrity guard on the device mk builds.
+func guarded(mk func(pcmdev.Config) (pcmdev.Array, error)) func(pcmdev.Config) (pcmdev.Array, error) {
+	return func(c pcmdev.Config) (pcmdev.Array, error) {
+		arr, err := mk(c)
+		if err != nil {
+			return nil, err
+		}
+		_, err = integrity.NewGuard(arr.(*pcmdev.Device))
+		return arr, err
+	}
+}
+
+func bareDevice(c pcmdev.Config) (pcmdev.Array, error) { return pcmdev.New(c) }
+
 // arrayLegs are the arrays a scheme runs on: the bare device, the
 // remapped devices of Start-Gap with HWL rotation and counted or free gap
-// moves and of Security Refresh, and the integrity guard, a wrapper whose
-// ReadInto reads through the device below it. A nil make is the bare
+// moves and of Security Refresh, and the integrity guard observing a bare
+// device and a Start-Gap one with counted moves. A nil make is the bare
 // device.
 var arrayLegs = []struct {
 	name string
@@ -68,13 +82,8 @@ var arrayLegs = []struct {
 	{"start-gap", startGap(wear.StartGapConfig{Psi: 4, Mode: wear.HWL})},
 	{"start-gap-free", startGap(wear.StartGapConfig{Psi: 4, Mode: wear.HWL, FreeGapMoves: true})},
 	{"security-refresh", securityRefresh(wear.StartGapConfig{Psi: 4, Mode: wear.HWL})},
-	{"guard", func(c pcmdev.Config) (pcmdev.Array, error) {
-		dev, err := pcmdev.New(c)
-		if err != nil {
-			return nil, err
-		}
-		return integrity.NewGuard(dev)
-	}},
+	{"guard", guarded(bareDevice)},
+	{"guard-start-gap", guarded(startGap(wear.StartGapConfig{Psi: 4, Mode: wear.HWL}))},
 }
 
 func TestRegistryConstructsAll(t *testing.T) {

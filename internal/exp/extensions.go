@@ -7,7 +7,6 @@ import (
 	"deuce/internal/backend"
 	"deuce/internal/core"
 	"deuce/internal/integrity"
-	"deuce/internal/pcmdev"
 )
 
 // Extension experiments: deterministic durability drills over the backend
@@ -204,7 +203,7 @@ func ExtCtrRec(rc RunConfig) (*Table, error) {
 		// The interrupted Sync: cells always reach the media; counters
 		// only in the control. Then the crash discards whatever the
 		// write queue still held.
-		if err := s.Device().(*pcmdev.Device).Sync(); err != nil {
+		if err := s.Device().Sync(); err != nil {
 			return nil, err
 		}
 		if !sc.tear {

@@ -7,6 +7,7 @@ import (
 
 	"deuce/internal/core"
 	"deuce/internal/pcmdev"
+	"deuce/internal/wear"
 )
 
 func TestNewTreeValidation(t *testing.T) {
@@ -132,6 +133,21 @@ func TestLeafPositionBound(t *testing.T) {
 	}
 }
 
+// tamper flips bit bit of stored byte off of row through the backend,
+// behind the device and its guard: the adversary's handle on the DIMM.
+func tamper(t testing.TB, dev *pcmdev.Device, row uint64, off, bit int) {
+	t.Helper()
+	be := dev.Backend()
+	page := make([]byte, be.PageSize())
+	if err := be.ReadPage(int(row), page); err != nil {
+		t.Fatal(err)
+	}
+	page[off] ^= 1 << (bit & 7)
+	if err := be.WritePage(int(row), page); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGuardPassThrough(t *testing.T) {
 	dev := pcmdev.MustNew(pcmdev.Config{Lines: 8, MetaBits: 32})
 	g := MustNewGuard(dev)
@@ -139,9 +155,9 @@ func TestGuardPassThrough(t *testing.T) {
 	meta := make([]byte, 4)
 	data[0] = 0xaa
 	meta[0] = 0x01
-	g.Write(3, data, meta)
+	dev.Write(3, data, meta)
 	d, m := make([]byte, 64), make([]byte, 4)
-	g.ReadInto(3, d, m)
+	dev.ReadInto(3, d, m)
 	if d[0] != 0xaa || m[0] != 0x01 {
 		t.Error("guard corrupted data path")
 	}
@@ -149,32 +165,28 @@ func TestGuardPassThrough(t *testing.T) {
 	if v != 1 || viol != 0 {
 		t.Errorf("verify stats = %d/%d", v, viol)
 	}
-	if g.Config().Lines != 8 {
-		t.Error("Config not forwarded")
+	if st := dev.Stats(); st.Writes != 1 || st.Reads != 1 {
+		t.Errorf("device stats %+v under a guard", st)
 	}
-	if g.Stats().Writes != 1 {
-		t.Error("Stats not forwarded")
+	if _, err := NewGuard(dev); err == nil {
+		t.Error("a second guard attached to one device")
 	}
 }
 
-// The headline attack: tamper with the raw array behind the guard's back
-// (bus/DIMM tampering) and the next read must detect it.
+// The headline attack: tamper with the stored pages behind the guard's
+// back (bus/DIMM tampering) and the next read must detect it.
 func TestGuardDetectsTampering(t *testing.T) {
 	dev := pcmdev.MustNew(pcmdev.Config{Lines: 8})
 	g := MustNewGuard(dev)
 	data := make([]byte, 64)
 	data[0] = 1
-	g.Write(2, data, nil)
+	dev.Write(2, data, nil)
 
-	// Adversary flips a stored cell directly on the inner device.
-	evil := make([]byte, 64)
-	evil[0] = 1
-	evil[63] = 0x80
-	dev.Load(2, evil, nil)
+	tamper(t, dev, 2, 63, 7) // the adversary flips a stored cell
 
 	var caught []uint64
-	g.OnViolation = func(line uint64) { caught = append(caught, line) }
-	g.ReadInto(2, make([]byte, 64), nil)
+	g.OnViolation = func(row uint64) { caught = append(caught, row) }
+	dev.ReadInto(2, make([]byte, 64), nil)
 	if len(caught) != 1 || caught[0] != 2 {
 		t.Fatalf("tampering not detected: %v", caught)
 	}
@@ -183,7 +195,7 @@ func TestGuardDetectsTampering(t *testing.T) {
 		t.Errorf("violations = %d", viol)
 	}
 	// Untampered lines still verify.
-	g.ReadInto(3, make([]byte, 64), nil)
+	dev.ReadInto(3, make([]byte, 64), nil)
 	if len(caught) != 1 {
 		t.Error("false positive on clean line")
 	}
@@ -191,16 +203,27 @@ func TestGuardDetectsTampering(t *testing.T) {
 
 func TestGuardPanicsByDefault(t *testing.T) {
 	dev := pcmdev.MustNew(pcmdev.Config{Lines: 2})
-	g := MustNewGuard(dev)
-	d := make([]byte, 64)
-	d[5] = 9
-	dev.Load(0, d, nil) // tamper
+	MustNewGuard(dev)
+	tamper(t, dev, 0, 5, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("tampered read did not panic")
 		}
 	}()
-	g.ReadInto(0, make([]byte, 64), nil)
+	dev.ReadInto(0, make([]byte, 64), nil)
+}
+
+// guarded is a Params.MakeArray for a bare device under a guard, which it
+// stores in *g.
+func guarded(g **Guard) func(pcmdev.Config) (pcmdev.Array, error) {
+	return func(cfg pcmdev.Config) (pcmdev.Array, error) {
+		dev, err := pcmdev.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		*g, err = NewGuard(dev)
+		return dev, err
+	}
 }
 
 // A counter-rollback attack against a full DEUCE memory built on a guarded
@@ -208,35 +231,81 @@ func TestGuardPanicsByDefault(t *testing.T) {
 // on the next read.
 func TestGuardedDeuceDetectsReplay(t *testing.T) {
 	var g *Guard
-	s, err := core.NewDeuce(core.Params{
-		Lines: 4,
-		MakeArray: func(cfg pcmdev.Config) (pcmdev.Array, error) {
-			dev, err := pcmdev.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			g, err = NewGuard(dev)
-			return g, err
-		},
-	})
+	s, err := core.NewDeuce(core.Params{Lines: 4, MakeArray: guarded(&g)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	be := s.Device().(*pcmdev.Device).Backend()
+	old := make([]byte, be.PageSize())
 	data := make([]byte, 64)
 	data[0] = 1
 	s.Write(0, data)
-	oldImage, oldMeta := g.Inner().Peek(0)
+	if err := be.ReadPage(0, old); err != nil { // the adversary records the bus
+		t.Fatal(err)
+	}
 
 	data[0] = 2
 	s.Write(0, data)
 
 	// Replay the earlier stored image (the classic pad-reuse setup).
-	g.Inner().Load(0, oldImage, oldMeta)
+	if err := be.WritePage(0, old); err != nil {
+		t.Fatal(err)
+	}
 	var caught bool
 	g.OnViolation = func(uint64) { caught = true }
 	s.ReadInto(0, data)
 	if !caught {
 		t.Fatal("replayed line image not detected")
+	}
+}
+
+// A guard on a wear-leveled device follows its moves: the row a Start-Gap
+// gap move just filled verifies, tampering with it is caught on the next
+// read of the line it now holds, and tampering with the row the next gap
+// move reads is caught by that move.
+func TestGuardFollowsGapMove(t *testing.T) {
+	for _, free := range []bool{false, true} {
+		sg := wear.MustNewStartGap(pcmdev.Config{Lines: 4, MetaBits: 32}, wear.StartGapConfig{Psi: 1, Mode: wear.HWL, FreeGapMoves: free})
+		dev := sg.Device()
+		g := MustNewGuard(dev)
+		var caught []uint64
+		g.OnViolation = func(row uint64) { caught = append(caught, row) }
+		data, meta := make([]byte, 64), make([]byte, 4)
+		for line := uint64(0); line < 4; line++ {
+			data[0], meta[0] = byte(line+1), byte(line+1)
+			dev.Write(line, data, meta)
+		}
+		// Four writes moved the gap from row 4 to row 0: its last move
+		// copied line 0 from row 0 into row 1.
+		if sg.GapPosition() != 0 {
+			t.Fatalf("gap at row %d", sg.GapPosition())
+		}
+		for line := uint64(0); line < 4; line++ {
+			dev.ReadInto(line, data, meta)
+		}
+		if len(caught) != 0 {
+			t.Fatalf("free=%v: moved lines fail verification at rows %v", free, caught)
+		}
+		tamper(t, dev, 1, 64, 3)
+		dev.ReadInto(0, data, meta)
+		if len(caught) != 1 || caught[0] != 1 {
+			t.Fatalf("free=%v: tampering with the filled row caught at rows %v", free, caught)
+		}
+		// The next gap move copies line 3 from row 4 into row 0: a tamper
+		// of row 4 is caught by the move, which a write of line 0 takes.
+		caught = nil
+		tamper(t, dev, 4, 5, 0)
+		data[1]++ // rewrites row 1's tampered cells
+		dev.Write(0, data, meta)
+		if len(caught) != 1 || caught[0] != 4 {
+			t.Fatalf("free=%v: tampering with the row a gap move reads caught at rows %v", free, caught)
+		}
+		for line := uint64(0); line < 4; line++ {
+			dev.ReadInto(line, data, meta)
+		}
+		if len(caught) != 1 {
+			t.Fatalf("free=%v: rows %v failed verification after the move", free, caught)
+		}
 	}
 }
 

@@ -7,10 +7,11 @@
 // the adversary cannot touch, so any rollback of a counter (or of a
 // stored line's metadata) is detected on the next read.
 //
-// The tree here authenticates arbitrary fixed-count leaves — the schemes
-// use one leaf per line covering its counter and metadata image — with
-// SHA-256, incremental updates in O(log n), and verification either of a
-// single leaf against the root or of the whole tree.
+// The tree here authenticates arbitrary fixed-count leaves — the guard
+// (guard.go) uses one leaf per physical row of a device, covering its
+// data and metadata cells — with SHA-256, incremental updates in
+// O(log n), and verification either of a single leaf against the root or
+// of the whole tree.
 //
 // Concurrency: Tree and Guard are unlocked single-owner state, mutated
 // inline by the goroutine that owns the enclosing scheme — the memory

@@ -1,15 +1,18 @@
 package pcmdev
 
 // Array is the contract between write schemes and the storage they target.
-// *Device implements it directly, with or without a wear leveler's Remap:
-// Start-Gap and Security Refresh remapping and Horizontal Wear Leveling
-// rotation happen inside the device while schemes stay oblivious — exactly
-// the hardware layering the paper describes (§5.3: "the memory is equipped
-// with shifters"). Wrappers such as internal/integrity's guard implement it
-// over a Device.
+// *Device implements it, with or without a wear leveler's Remap or an
+// Observer: Start-Gap and Security Refresh remapping, Horizontal Wear
+// Leveling rotation and integrity checks happen inside the device while
+// schemes stay oblivious — exactly the hardware layering the paper
+// describes (§5.3: "the memory is equipped with shifters"). Tests put
+// reference twins behind it.
 type Array interface {
 	// Write stores data and metadata with differential-write accounting.
 	Write(line uint64, data, meta []byte) WriteResult
+	// WriteTracked is DEUCE's write: the tracked-word rule applied to the
+	// stored line, then Write's accounting (tracked.go).
+	WriteTracked(line uint64, pt, padL, padT []byte, wordBytes int, reset bool) WriteResult
 	// Peek returns copies of the stored data and metadata, without
 	// read-statistics side effects.
 	Peek(line uint64) (data, meta []byte)
@@ -35,6 +38,10 @@ type Array interface {
 	// to physical lines report the physical distribution, which is the
 	// one wear leveling exists to flatten.
 	LineWrites() []uint64
+	// Sync flushes the cells into the storage's persistence domain.
+	Sync() error
+	// Close releases the storage without an implicit Sync.
+	Close() error
 }
 
 var _ Array = (*Device)(nil)

@@ -24,7 +24,9 @@
 //
 // A remapped device (remap.go) stores logical lines on physical rows
 // placed by a wear leveler's registers, and rotates the cells it programs
-// as the paper's HWL shifter does (§5.2–5.3).
+// as the paper's HWL shifter does (§5.2–5.3). An Observer, such as the
+// integrity guard, sees each row's page where it is read and where it
+// changes.
 //
 // Storage lives behind internal/backend: line l is page l of a Backend whose
 // page layout is [LineBytes data][⌈MetaBits/8⌉ metadata]. New builds the
@@ -227,6 +229,49 @@ type Device struct {
 	// rm places logical lines on physical rows (remap.go); nil on a bare
 	// device, whose lines are its rows.
 	rm *remap
+
+	// obs watches the stored pages (Observe); nil when nothing does.
+	obs Observer
+}
+
+// Observer watches a device's stored pages, one physical row at a time:
+// the integrity guard (internal/integrity) authenticates them. page is the
+// row's live page image, data then metadata, valid only during the call.
+type Observer interface {
+	// Check runs before the device hands out a row's image, builds a
+	// write on it or moves it: Peek, PeekInto (and so ReadInto),
+	// WriteTracked, and the source rows of Move and Exchange.
+	Check(row uint64, page []byte)
+	// Stored runs once after a row's image changed: a write that
+	// programmed cells, a Load, and every placement of a moved line.
+	Stored(row uint64, page []byte)
+}
+
+// Observe attaches o to the device and hands it every row's current image
+// through Stored. A device takes at most one observer.
+func (d *Device) Observe(o Observer) error {
+	if o == nil || d.obs != nil {
+		return fmt.Errorf("pcmdev: a device takes one non-nil observer")
+	}
+	d.obs = o
+	for row := range d.lineWrites {
+		d.stored(uint64(row), d.page(uint64(row)))
+	}
+	return nil
+}
+
+// checkPage hands a row's live page to the observer before it is read.
+func (d *Device) checkPage(row uint64, p []byte) {
+	if d.obs != nil {
+		d.obs.Check(row, p)
+	}
+}
+
+// stored hands a row's live page to the observer after it changed.
+func (d *Device) stored(row uint64, p []byte) {
+	if d.obs != nil {
+		d.obs.Stored(row, p)
+	}
 }
 
 // New creates a PCM array with all cells zero, stored in RAM.
@@ -353,7 +398,9 @@ func (d *Device) Lines() int { return d.cfg.Lines }
 // stored image outside the read path (read-modify-write is already
 // accounted by the caller).
 func (d *Device) Peek(line uint64) (data, meta []byte) {
-	p := d.page(d.locate(line))
+	row := d.locate(line)
+	p := d.page(row)
+	d.checkPage(row, p)
 	return bitutil.Clone(p[:d.lineBytes]), bitutil.Clone(p[d.lineBytes:])
 }
 
@@ -367,6 +414,7 @@ func (d *Device) PeekInto(line uint64, data, meta []byte) {
 		panic(fmt.Sprintf("pcmdev: PeekInto data buffer of %d bytes for %d-byte line", len(data), d.cfg.LineBytes))
 	}
 	p := d.page(line)
+	d.checkPage(line, p)
 	copy(data, p[:d.lineBytes])
 	if d.cfg.MetaBits == 0 {
 		return
@@ -467,6 +515,7 @@ func (d *Device) commit(line uint64, p []byte, r int, res *WriteResult) {
 func (d *Device) program(line uint64, p []byte, r int, res *WriteResult) {
 	if res.DataFlips+res.MetaFlips > 0 {
 		d.flushPage(line, p)
+		d.stored(line, p)
 		if d.lineWear != nil {
 			addLineWear(d.lineWear[line], d.stage, r)
 		}
@@ -637,6 +686,7 @@ func (d *Device) Load(line uint64, data, meta []byte) {
 		copy(p[d.lineBytes:], meta)
 	}
 	d.flushPage(line, p)
+	d.stored(line, p)
 }
 
 // Stats returns a snapshot of the device counters.

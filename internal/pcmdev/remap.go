@@ -60,9 +60,6 @@ func NewRemapped(cfg Config, rows int, r Remap, freeMoves bool) (*Device, error)
 	return d, nil
 }
 
-// Remapped reports whether the device places lines through a Remap.
-func (d *Device) Remapped() bool { return d.rm != nil }
-
 // rotation returns a logical line's current rotation, reduced.
 func (m *remap) rotation(line uint64) int { return int(m.Rotation(line) % uint64(m.n)) }
 
@@ -117,19 +114,22 @@ func (d *Device) tally(r int, slots []int) WriteResult {
 // Move relocates a logical line the registers have just moved out of row
 // from (Start-Gap's gap move): its cells go to its new row at its new
 // rotation, and row from keeps them. Unless moves are free, the move counts
-// as one write of the new row.
+// as one write of the new row; the observer checks row from first.
 func (d *Device) Move(line, from uint64) {
 	d.checkLine(from)
+	d.checkPage(from, d.page(from))
 	d.place(d.locate(line), d.page(from), d.rm.rotation(line))
 }
 
 // Exchange relocates two logical lines whose rows the registers have just
 // swapped (Security Refresh's pair swap): each line's cells go to its new
 // row at its new rotation. Unless moves are free, each counts as one
-// write, a's first.
+// write, a's first; the observer checks both rows first.
 func (d *Device) Exchange(a, b uint64) {
 	m := d.rm
 	ra, rb := d.locate(a), d.locate(b)
+	d.checkPage(ra, d.page(ra))
+	d.checkPage(rb, d.page(rb))
 	copy(m.img, d.page(ra)) // b's cells
 	d.place(ra, d.page(rb), m.rotation(a))
 	d.place(rb, m.img, m.rotation(b))
@@ -154,12 +154,15 @@ func (d *Device) place(row uint64, img []byte, k int) {
 	}
 	copy(p, img)
 	if m.rot[row] = k; m.free {
+		d.stored(row, p)
 		return
 	}
 	r := d.nstaged & (stageDepth - 1)
 	m.stageRotated(d.stage, r, k)
 	res := d.tally(r, nil)
-	d.program(row, p, r, &res)
+	if d.program(row, p, r, &res); res.DataFlips+res.MetaFlips == 0 {
+		d.stored(row, p) // program reports only a row it programmed
+	}
 }
 
 // pack loads page image p into a. The page is laid out as the words are,

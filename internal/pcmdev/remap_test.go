@@ -2,6 +2,7 @@ package pcmdev
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -35,8 +36,8 @@ func TestRemappedDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Remapped() || d.Config().Lines != 4 || d.Lines() != 4 || len(d.LineWrites()) != 5 {
-		t.Fatalf("geometry: remapped %v, %d lines, %d rows", d.Remapped(), d.Config().Lines, len(d.LineWrites()))
+	if d.Snapshottable() == nil || d.Config().Lines != 4 || d.Lines() != 4 || len(d.LineWrites()) != 5 {
+		t.Fatalf("geometry: snapshottable %v, %d lines, %d rows", d.Snapshottable(), d.Config().Lines, len(d.LineWrites()))
 	}
 	data, meta := make([]byte, 64), []byte{0x80}
 	data[0] = 1
@@ -68,6 +69,39 @@ func TestRemappedDevice(t *testing.T) {
 			}()
 			op()
 		}()
+	}
+}
+
+// obsLog records an observer's calls as "check row" and "stored row".
+type obsLog []string
+
+func (l *obsLog) Check(row uint64, _ []byte)  { *l = append(*l, fmt.Sprint("check ", row)) }
+func (l *obsLog) Stored(row uint64, _ []byte) { *l = append(*l, fmt.Sprint("stored ", row)) }
+
+// The observer checks the rows a move or an exchange copies before it
+// copies them, and is told of each placement once, whether it is free,
+// programs cells or programs none.
+func TestObserverSeesMoves(t *testing.T) {
+	for _, free := range []bool{false, true} {
+		d, err := NewRemapped(Config{Lines: 2, MetaBits: 8}, 3, &shiftRemap{}, free)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 64)
+		data[5] = 0x5a
+		d.Write(0, data, []byte{1})
+		var log obsLog
+		if err := d.Observe(&log); err != nil || d.Observe(&log) == nil {
+			t.Fatalf("free=%v: Observe: %v, or a second observer was taken", free, err)
+		}
+		log = nil
+		d.Move(0, 0) // programs row 1 back to zeros, unless free
+		d.Move(0, 0) // programs nothing
+		d.Exchange(0, 1)
+		want := []string{"check 0", "stored 1", "check 0", "stored 1", "check 1", "check 2", "stored 1", "stored 2"}
+		if fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Errorf("free=%v: observer saw %v, want %v", free, log, want)
+		}
 	}
 }
 

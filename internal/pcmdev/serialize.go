@@ -13,16 +13,24 @@ import (
 // serialization format magic, versioned.
 var devMagic = [4]byte{'P', 'C', 'M', '1'}
 
-var errRemapped = errors.New("pcmdev: a remapped device's registers are not part of the snapshot format")
+// Snapshottable returns why Serialize and Restore refuse the device, or
+// nil. The format carries cells only: not a remap's registers, and a
+// restore behind an observer's back would replace the pages it vouches for.
+func (d *Device) Snapshottable() error {
+	if d.rm != nil || d.obs != nil {
+		return errors.New("pcmdev: a remapped or observed device's state is not part of the snapshot format")
+	}
+	return nil
+}
 
 // Serialize writes the array's persistent state — the stored cells and
 // metadata cells, exactly what survives power-down on a real DIMM — to w.
 // Statistics and wear counters are volatile controller state and are not
 // serialized, and neither are a remapped device's registers, so a
-// remapped device refuses.
+// device refuses whenever Snapshottable does.
 func (d *Device) Serialize(w io.Writer) error {
-	if d.rm != nil {
-		return errRemapped
+	if err := d.Snapshottable(); err != nil {
+		return err
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(devMagic[:]); err != nil {
@@ -44,7 +52,8 @@ func (d *Device) Serialize(w io.Writer) error {
 }
 
 // Restore loads state written by Serialize into this array. The geometry
-// must match exactly; contents are replaced, statistics are untouched.
+// must match exactly; contents are replaced, statistics are untouched. A
+// device refuses whenever Snapshottable does.
 //
 // Restore is atomic: it reads every page into a staging buffer before it
 // touches the device, so a failed Restore leaves the cells as they were.
@@ -52,8 +61,8 @@ func (d *Device) Serialize(w io.Writer) error {
 // backend.ErrGeometry for a geometry mismatch and backend.ErrTruncated for
 // a snapshot that ends (or fails to read) early.
 func (d *Device) Restore(r io.Reader) error {
-	if d.rm != nil {
-		return errRemapped
+	if err := d.Snapshottable(); err != nil {
+		return err
 	}
 	br := bufio.NewReader(r)
 	var magic [4]byte

@@ -126,6 +126,7 @@ func (d *Device) WriteTracked(line uint64, pt, padL, padT []byte, wordBytes int,
 	}
 
 	p := d.page(line)
+	d.checkPage(line, p)
 	data, meta := p[:d.lineBytes], p[d.lineBytes:]
 	stage, r := d.stage, d.nstaged&(stageDepth-1)
 	dataWords := d.lineBytes / 8

@@ -14,8 +14,8 @@ import (
 
 // TestDeuceMatchesTwin runs DEUCE over a wear-leveled device, where its
 // Write is the one-pass WriteTracked, and over the rotated-storage twin,
-// which hides the device so DEUCE copies the line out, steps it with
-// deuceStepInto and writes it back. After every write it requires the same
+// whose reference WriteTracked copies the line out, steps it lane by lane
+// and writes it back through the shifter. After every write it requires the same
 // write result (slot by slot), statistics, wear profiles and read-back,
 // for Start-Gap with HWL and hashed HWL, counted and free gap moves, and
 // for Security Refresh.

@@ -96,6 +96,31 @@ func (l *twin) Write(line uint64, data, meta []byte) pcmdev.WriteResult {
 	return res
 }
 
+// WriteTracked implements pcmdev.Array as a reference statement of the
+// tracked-word rule over the twin's own PeekInto and Write: the stored
+// image is de-rotated, stepped lane by lane with pcmdev.Lanes and written
+// back through the shifter. Metadata padding bits are written as zero.
+func (l *twin) WriteTracked(line uint64, pt, padL, padT []byte, wordBytes int, reset bool) pcmdev.WriteResult {
+	data, meta, mod := make([]byte, len(l.data)), make([]byte, l.metaBytes), make([]byte, l.metaBytes)
+	l.PeekInto(line, data, meta)
+	lt, le := pcmdev.LanesFor(wordBytes), binary.LittleEndian
+	for k, off := 0, 0; off < len(pt); k, off = k+1, off+8 {
+		ct, g := le.Uint64(pt[off:])^le.Uint64(padL[off:]), uint8(0)
+		if !reset {
+			ct, g = lt.Step(lt.Group(meta, k), le.Uint64(data[off:]), le.Uint64(pt[off:]), le.Uint64(padL[off:]), le.Uint64(padT[off:]))
+		}
+		le.PutUint64(data[off:], ct)
+		lt.OrGroup(mod, k, g)
+	}
+	return l.Write(line, data, mod)
+}
+
+// Sync implements pcmdev.Array.
+func (l *twin) Sync() error { return l.inner.Sync() }
+
+// Close implements pcmdev.Array.
+func (l *twin) Close() error { return l.inner.Close() }
+
 // Load implements pcmdev.Array.
 func (l *twin) Load(line uint64, data, meta []byte) {
 	l.checkLine(line)
